@@ -4,6 +4,16 @@ Closed-form noiseless bounds, implicit noisy bounds solved numerically,
 genie-aided bounds maximized over the revealed fraction, simplified scaling
 shapes, and curve helpers (``best_lower``, ``alpha_curve``).
 
+An implicit bound is solved by scanning its deficit over one cached,
+read-only log grid of rates and bisecting the last sign change.  A single
+solve (p4, p5, p6, each golden-section step) bisects with the scalar rate
+functions.  The genie-aided i.i.d. bound sweeps 200 retained fractions
+``beta``: each row is scanned on its own, then every bracketed row is
+bisected together in one vectorized loop, with the vector rate functions
+taking one ``gamma`` per row.  Those values only rank the rows; the top row
+is bisected again with the scalar functions, so the value reported is the
+one a single solve gives.
+
 Every evaluator returns the largest sampling rate that the corresponding
 necessary condition rules out, i.e. a lower bound on the achievable rate at
 the requested distortion.
@@ -12,6 +22,7 @@ the requested distortion.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -92,8 +103,13 @@ def _xi_vec(r, gamma):
 
 
 def _info_g_vec(r, gamma):
-    if gamma == 0.0:
-        return np.zeros_like(np.asarray(r, dtype=float))
+    """``info_G`` elementwise; ``gamma`` is a scalar or an array broadcasting
+    against ``r`` (one value per row), and rows with ``gamma == 0`` give 0."""
+    zero = np.asarray(gamma) == 0.0
+    if zero.any():
+        if zero.all():
+            return np.zeros(np.broadcast(r, gamma).shape)
+        return np.where(zero, 0.0, _info_g_vec(r, np.where(zero, 1.0, gamma)))
     x = _xi_vec(r, gamma)
     return 0.5 * (r * np.log1p(gamma - x) + np.log1p(r * gamma - x) - x / gamma)
 
@@ -107,9 +123,13 @@ def _delta_vec(r):
 
 
 def _info_v_vec(r, gamma):
+    """``info_V`` elementwise, with ``gamma`` as in :func:`_info_g_vec`."""
     r = np.asarray(r, dtype=float)
-    if gamma == 0.0:
-        return np.zeros_like(r)
+    zero = np.asarray(gamma) == 0.0
+    if zero.any():
+        if zero.all():
+            return np.zeros(np.broadcast(r, gamma).shape)
+        return np.where(zero, 0.0, _info_v_vec(r, np.where(zero, 1.0, gamma)))
     low = np.minimum(r, 1.0)
     high = np.maximum(r, 1.0)
     val_low = 0.5 * r * np.log1p(gamma * _delta_vec(low) / math.e)
@@ -122,19 +142,30 @@ def _info_v_vec(r, gamma):
 # ---------------------------------------------------------------------------
 
 
-def _solve_implicit(deficit_vec, deficit_scalar, omega: float) -> ImplicitSolveReport:
-    """Largest rate at which the deficit is still negative (bound violated).
+@functools.lru_cache(maxsize=32)
+def _rho_grid(hi: float) -> np.ndarray:
+    """The ascending log grid of rates scanned up to ``hi`` (read-only, shared)."""
+    grid = np.geomspace(RHO_GRID_FLOOR, hi, RHO_GRID_POINTS)
+    grid.flags.writeable = False
+    return grid
+
+
+def _scan_implicit(deficit_vec, omega: float):
+    """Scan the deficit over the rate grid; returns ``(crossings, report,
+    bracket)``.
 
     The deficit is LHS - RHS of the defining inequality; achievable rates have
     nonnegative deficit, so the lower bound is the last negative-to-nonnegative
-    crossing on an ascending log grid, refined by bisection.  The scan range
-    grows geometrically while the inequality is still violated at its end; the
-    deficit of every supported bound eventually turns positive, so this
-    terminates well before the hard cap except for pathological inputs.
+    crossing on an ascending log grid.  The scan range grows geometrically
+    while the inequality is still violated at its end; the deficit of every
+    supported bound eventually turns positive, so this terminates well before
+    the hard cap except for pathological inputs.  ``report`` is the final
+    answer when there is no crossing to refine; otherwise it is None and
+    ``bracket`` holds the grid points around the last crossing.
     """
     hi = max(8.0, 40.0 * omega)
     while True:
-        grid = np.geomspace(RHO_GRID_FLOOR, hi, RHO_GRID_POINTS)
+        grid = _rho_grid(hi)
         vals = deficit_vec(grid)
         neg = vals < 0.0
         if neg[-1] and hi < RHO_RANGE_CAP:
@@ -144,31 +175,73 @@ def _solve_implicit(deficit_vec, deficit_scalar, omega: float) -> ImplicitSolveR
     crossings = int(np.count_nonzero(neg[:-1] & ~neg[1:]))
     if not neg.any():
         # Not even the smallest rate in range is ruled out.
-        return ImplicitSolveReport(0.0, 0, (0.0, RHO_GRID_FLOOR), float(vals[0]))
+        report = ImplicitSolveReport(0.0, 0, (0.0, RHO_GRID_FLOOR), float(vals[0]))
+        return crossings, report, None
     if neg[-1]:
-        return ImplicitSolveReport(
+        report = ImplicitSolveReport(
             float(grid[-1]),
             crossings,
             (float(grid[-1]), math.inf),
             float(vals[-1]),
             diagnostic="range-exceeded: inequality still violated at scan end",
         )
-    if crossings > 1:
+        return crossings, report, None
+    last_neg = int(np.nonzero(neg)[0][-1])
+    return crossings, None, (float(grid[last_neg]), float(grid[last_neg + 1]))
+
+
+def _solve_implicit(
+    deficit_vec, deficit_scalar, omega: float, bound: BoundId | None = None
+) -> ImplicitSolveReport:
+    """Largest rate at which the deficit is still negative (bound violated).
+
+    Scans with ``deficit_vec`` and refines the last crossing by bisection with
+    ``deficit_scalar``.  A solve that finds more than one crossing logs a
+    warning naming ``bound``; without one the caller reports it.
+    """
+    crossings, report, bracket = _scan_implicit(deficit_vec, omega)
+    if report is not None:
+        return report
+    if crossings > 1 and bound is not None:
         log.warning(
-            "implicit solve found %d crossings; keeping the largest violated rate",
+            "%s: implicit solve found %d crossings; keeping the largest violated rate",
+            bound.value,
             crossings,
         )
-    last_neg = int(np.nonzero(neg)[0][-1])
-    lo, hi_b = float(grid[last_neg]), float(grid[last_neg + 1])
+    return _bisect(deficit_scalar, crossings, bracket)
+
+
+def _bisect(deficit_scalar, crossings: int, bracket) -> ImplicitSolveReport:
+    """Refine a scan bracket by bisection with the scalar deficit."""
+    lo, hi = bracket
     for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi_b)
-        if mid == lo or mid == hi_b:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
             break
         if deficit_scalar(mid) < 0.0:
             lo = mid
         else:
-            hi_b = mid
-    return ImplicitSolveReport(lo, crossings, (lo, hi_b), deficit_scalar(lo))
+            hi = mid
+    return ImplicitSolveReport(lo, crossings, (lo, hi), deficit_scalar(lo))
+
+
+def _bisect_rows(deficit_rows, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Bisect many brackets at once, row by row as :func:`_bisect` does, with
+    ``deficit_rows`` taking one rate per row; returns the rows' lower ends.
+
+    NumPy's ``log1p`` and ``exp`` may differ from ``math``'s in the last
+    bits, so a row can end a few ulps away from its scalar bisection.
+    """
+    live = np.ones(lo.shape, dtype=bool)
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        live &= (mid != lo) & (mid != hi)
+        if not live.any():
+            break
+        neg = deficit_rows(mid) < 0.0
+        lo = np.where(live & neg, mid, lo)
+        hi = np.where(live & ~neg, mid, hi)
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +384,23 @@ def _golden_max(f, lo: float, hi: float, rtol: float = BETA_REFINE_RTOL):
     return x, max(fc, fd)
 
 
+def _maximize_over_beta(objective, grid: np.ndarray, values: np.ndarray):
+    """Refine the grid maximum of ``values`` (``objective`` on ``grid``) by
+    golden section over the neighbouring grid points.
+
+    Returns ``(beta_star, value, index)``: ``index`` is the grid position when
+    the grid value is at least as large as the refined one and is kept, and
+    None when the refined point wins.
+    """
+    best = int(np.argmax(values))
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, len(grid) - 1)]
+    beta_star, val = _golden_max(objective, lo, hi)
+    if values[best] >= val:
+        return float(grid[best]), float(values[best]), best
+    return beta_star, val, None
+
+
 def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
     """Genie bound for any matrix, maximized over the retained fraction.
 
@@ -329,13 +419,8 @@ def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
         return 2.0 * pref * r / math.log1p(v_eff)
 
     grid = _beta_grid(alpha)
-    vals = np.array([objective(b) for b in grid])
-    best = int(np.argmax(vals))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    beta_star, val = _golden_max(objective, lo, hi)
-    if vals[best] >= val:
-        beta_star, val = float(grid[best]), float(vals[best])
+    values = np.array([objective(b) for b in grid])
+    beta_star, val, _ = _maximize_over_beta(objective, grid, values)
     return val, beta_star
 
 
@@ -357,7 +442,9 @@ def p4_iid(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     def vec(rho):
         return _info_g_vec(rho, v) - r_target
 
-    return _solve_implicit(vec, lambda rho: info_G(rho, v) - r_target, source.omega)
+    return _solve_implicit(
+        vec, lambda rho: info_G(rho, v) - r_target, source.omega, BoundId.P4_IID
+    )
 
 
 def p5_gaussian(source: SourceParams, alpha: float) -> ImplicitSolveReport:
@@ -378,7 +465,7 @@ def p5_gaussian(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     def scal(rho):
         return info_G(rho, v) - r_target - omega * info_G(rho / omega, cond_gamma)
 
-    return _solve_implicit(vec, scal, omega)
+    return _solve_implicit(vec, scal, omega, BoundId.P5_IID_GAUSSIAN)
 
 
 def p6_entropy(source: SourceParams, alpha: float) -> ImplicitSolveReport:
@@ -403,7 +490,7 @@ def p6_entropy(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     def scal(rho):
         return info_G(rho, v) - r_target - omega * info_V(rho / omega, vh)
 
-    report = _solve_implicit(vec, scal, omega)
+    report = _solve_implicit(vec, scal, omega, BoundId.P6_IID_ENTROPY)
     simple = s_cor_thm2(source, alpha)
     if simple > report.rho_lower * (1.0 + 1e-9) + 1e-12:
         log.warning(
@@ -434,54 +521,105 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     """Genie-aided entropy-power bound for i.i.d. matrices.
 
     Maximizes the solved rate over the retained fraction ``beta``; returns the
-    best solve report and ``beta_star``.
+    best solve report and ``beta_star``.  The grid rows are scanned one by one
+    and their brackets bisected together; golden-section steps solve singly.
     """
     omega = source.omega
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     _check_args(omega, alpha)
+    zero_report = ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0)
+    multi: set[float] = set()  # beta values whose solve found several crossings
 
-    def solve_for(beta) -> ImplicitSolveReport | None:
+    def params_for(beta):
+        """(pref, om_b, v_eff, vh_eff, r_target), or None when the genie
+        parameters cannot be computed."""
         try:
             pref, om_b, v_eff, vh_eff = _genie_params(source, beta)
         except (ValueError, ArithmeticError) as exc:
             log.warning("t4: skipping beta=%g (%s)", beta, exc)
             return None
-        r_target = rate_R(om_b / pref, min(alpha / beta, 1.0))
-        if r_target == 0.0 and vh_eff == 0.0:
-            return ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0)
+        return pref, om_b, v_eff, vh_eff, rate_R(om_b / pref, min(alpha / beta, 1.0))
+
+    def is_zero(params):
+        return params[4] == 0.0 and params[3] == 0.0
+
+    def scan_deficit(pref, om_b, v_eff, vh_eff, r_target):
         om_t = om_b / pref
+        return lambda rho: _info_g_vec(rho / pref, v_eff) - (
+            r_target + om_t * _info_v_vec(rho / om_b, vh_eff)
+        )
 
-        def vec(rho):
-            lhs = _info_g_vec(rho / pref, v_eff)
-            rhs = r_target + om_t * _info_v_vec(rho / om_b, vh_eff)
-            return lhs - rhs
+    def point_deficit(info_g, info_v, pref, om_b, v_eff, vh_eff, r_target):
+        # One rate per row: scalars for a single solve, columns for the
+        # row-batched bisection.
+        om_t = om_b / pref
+        return lambda rho: info_g(rho / pref, v_eff) - r_target - om_t * info_v(rho / om_b, vh_eff)
 
-        def scal(rho):
-            return (
-                info_G(rho / pref, v_eff)
-                - r_target
-                - om_t * info_V(rho / om_b, vh_eff)
-            )
-
-        return _solve_implicit(vec, scal, omega)
+    def solve_for(beta) -> ImplicitSolveReport | None:
+        params = params_for(beta)
+        if params is None:
+            return None
+        if is_zero(params):
+            return zero_report
+        report = _solve_implicit(
+            scan_deficit(*params), point_deficit(info_G, info_V, *params), omega
+        )
+        if report.crossings_found > 1:
+            multi.add(float(beta))
+        return report
 
     grid = _beta_grid(alpha)
-    reports = [solve_for(b) for b in grid]
-    values = np.array([-math.inf if rep is None else rep.rho_lower for rep in reports])
+    reports: list[ImplicitSolveReport | None] = [None] * len(grid)
+    values = np.full(len(grid), -math.inf)
+    pending = {}  # grid index -> (params, crossings, bracket) of rows to bisect
+    for i, beta in enumerate(grid):
+        params = params_for(beta)
+        if params is None:
+            continue
+        if is_zero(params):
+            reports[i], values[i] = zero_report, 0.0
+            continue
+        crossings, report, bracket = _scan_implicit(scan_deficit(*params), omega)
+        if crossings > 1:
+            multi.add(float(beta))
+        if report is None:
+            pending[i] = (params, crossings, bracket)
+        else:
+            reports[i], values[i] = report, report.rho_lower
+
+    if pending:
+        cols = np.array([params for params, _, _ in pending.values()]).T
+        brackets = np.array([bracket for _, _, bracket in pending.values()]).T
+        deficit_rows = point_deficit(_info_g_vec, _info_v_vec, *cols)
+        values[list(pending)] = _bisect_rows(deficit_rows, *brackets)
+    # The batched values only rank the rows: the top row is bisected again
+    # with the scalar functions, so the value, bracket and residual reported
+    # are those of a single solve.
     best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
+    while best in pending:
+        params, crossings, bracket = pending.pop(best)
+        reports[best] = _bisect(point_deficit(info_G, info_V, *params), crossings, bracket)
+        values[best] = reports[best].rho_lower
+        best = int(np.argmax(values))
 
     def value_of(beta):
         rep = solve_for(beta)
         return -math.inf if rep is None else rep.rho_lower
 
-    beta_star, val = _golden_max(value_of, lo, hi)
-    if values[best] >= val:
-        beta_star = float(grid[best])
-        return reports[best], beta_star
-    return solve_for(beta_star), beta_star
+    beta_star, _, kept = _maximize_over_beta(value_of, grid, values)
+    report = solve_for(beta_star) if kept is None else reports[kept]
+    if multi:
+        log.warning(
+            "%s at alpha=%g: %d beta values found more than one crossing "
+            "(beta in [%g, %g]); kept the largest violated rate for each",
+            BoundId.T4_IID_GENIE.value,
+            alpha,
+            len(multi),
+            min(multi),
+            max(multi),
+        )
+    return report, beta_star
 
 
 # ---------------------------------------------------------------------------

@@ -703,12 +703,22 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _config_path(argv: list[str]) -> str | None:
+    """The ``--config`` value, in either ``--config FILE`` or ``--config=FILE``
+    form; raises argparse.ArgumentError when the value is missing."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config", default=None)
+    return pre.parse_known_args(argv)[0].config
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    config = {}
-    if "--config" in argv:
-        config_path = argv[argv.index("--config") + 1]
-        config = _load_config(config_path)
+    try:
+        config_path = _config_path(argv)
+        config = {} if config_path is None else _load_config(config_path)
+    except (argparse.ArgumentError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     parser = build_parser(config)
     args = parser.parse_args(argv)
     try:

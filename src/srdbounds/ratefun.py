@@ -1,7 +1,9 @@
 """Closed-form scalar functions shared by every sampling-rate bound.
 
 All entropies and rates are in nats.  The functions are pure and accept plain
-floats; vectorized twins used by the implicit solvers live in ``bounds``.
+floats.  Vectorized twins used by the implicit solvers live in ``bounds``;
+they take an array of rates and a scalar ``gamma`` or one ``gamma`` per row,
+which lets the genie-aided i.i.d. bound bisect all its ``beta`` rows at once.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -109,7 +109,6 @@ class SimSummary:
     mean_distortion: float
     distortion_se: float
     exact_rate: float
-    success_rate_alpha: dict = field(default_factory=dict)
     truncated: bool = False
 
 

@@ -9,7 +9,7 @@ from srdbounds import bounds as bd
 from srdbounds.bounds import BoundId
 from srdbounds.cli import _sliced_from_eta
 from srdbounds.distributions import Gaussian, PointMass, Uniform
-from srdbounds.ratefun import rate_R, source_functionals
+from srdbounds.ratefun import info_G, info_V, rate_R, source_functionals
 
 
 def gaussian_source(omega=1e-4, snr_db=50.0):
@@ -224,6 +224,120 @@ def test_t4_zero_when_distortion_saturates():
     src = gaussian_source(0.3, 10.0)
     rep, _ = bd.t4_genie_iid(src, 0.95)
     assert rep.rho_lower == 0.0
+
+
+def _reference_t4(source, alpha):
+    """t4 as one scalar-bisection solve per beta, then the golden step."""
+
+    def solve_for(beta):
+        try:
+            pref, om_b, v_eff, vh_eff = bd._genie_params(source, beta)
+        except (ValueError, ArithmeticError):
+            return None
+        r_target = rate_R(om_b / pref, min(alpha / beta, 1.0))
+        if r_target == 0.0 and vh_eff == 0.0:
+            return bd.ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0)
+        om_t = om_b / pref
+
+        def vec(rho):
+            lhs = bd._info_g_vec(rho / pref, v_eff)
+            return lhs - (r_target + om_t * bd._info_v_vec(rho / om_b, vh_eff))
+
+        def scal(rho):
+            return info_G(rho / pref, v_eff) - r_target - om_t * info_V(rho / om_b, vh_eff)
+
+        return bd._solve_implicit(vec, scal, source.omega)
+
+    def value_of(beta):
+        rep = solve_for(beta)
+        return -math.inf if rep is None else rep.rho_lower
+
+    grid = bd._beta_grid(alpha)
+    reports = [solve_for(b) for b in grid]
+    values = np.array([-math.inf if rep is None else rep.rho_lower for rep in reports])
+    best = int(np.argmax(values))
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, len(grid) - 1)]
+    beta_star, val = bd._golden_max(value_of, lo, hi)
+    if values[best] >= val:
+        return reports[best], float(grid[best])
+    return solve_for(beta_star), beta_star
+
+
+T4_FAMILIES = {
+    "gaussian": Gaussian(0.0, 1.0),
+    "uniform": Uniform(math.sqrt(2.3), 1.0),
+    "pointmass": PointMass(0.2, 1.0, limit=True),
+    "sliced": _sliced_from_eta(0.2),
+}
+
+
+@pytest.mark.parametrize(
+    "family, omega, snr_db, alpha",
+    [
+        (family, 1e-4, snr, alpha)
+        for family in T4_FAMILIES
+        for snr in (-10.0, 20.0, 60.0)
+        for alpha in (1e-3, 0.03, 0.6)
+    ]
+    # zero rows (no density, beta <= alpha) beside range-exceeded rows
+    + [("pointmass", 0.3, -80.0, 1e-3), ("gaussian", 0.3, -30.0, 1e-3)],
+)
+def test_t4_batched_sweep_matches_per_beta_solves(family, omega, snr_db, alpha):
+    src = bd.source_at_snr(T4_FAMILIES[family], omega, snr_db)
+    rep, beta = bd.t4_genie_iid(src, alpha)
+    ref, ref_beta = _reference_t4(src, alpha)
+    assert beta == ref_beta
+    assert rep == ref
+
+
+def test_t4_rows_reach_zero_and_range_exceeded_paths():
+    src = bd.source_at_snr(PointMass(0.2, 1.0, limit=True), 0.3, -80.0)
+    reports = []
+    scan = bd._scan_implicit
+
+    def spy(deficit_vec, omega):
+        result = scan(deficit_vec, omega)
+        reports.append(result[1])
+        return result
+
+    zero_rows = 0
+    for beta in bd._beta_grid(1e-3):
+        pref, om_b, _, vh_eff = bd._genie_params(src, beta)
+        zero_rows += vh_eff == 0.0 and rate_R(om_b / pref, min(1e-3 / beta, 1.0)) == 0.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bd, "_scan_implicit", spy)
+        rep, _ = bd.t4_genie_iid(src, 1e-3)
+    assert zero_rows > 0
+    assert any(r is not None and r.diagnostic for r in reports)
+    assert rep.diagnostic is not None and rep.rho_lower == bd.RHO_RANGE_CAP
+
+
+def test_t4_logs_one_multi_crossing_line(caplog):
+    src = gaussian_source(1e-4, 10.0)
+    with caplog.at_level("WARNING", logger="srdbounds.bounds"):
+        bd.t4_genie_iid(src, 0.6)
+    lines = [r.getMessage() for r in caplog.records if "crossing" in r.getMessage()]
+    assert len(lines) == 1
+    assert lines[0].startswith("t4_iid_genie at alpha=0.6: ") and "beta in [" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "info_vec, info_scalar", [(bd._info_g_vec, info_G), (bd._info_v_vec, info_V)]
+)
+def test_rate_functions_take_per_row_gamma(info_vec, info_scalar):
+    r = np.geomspace(1e-6, 1e6, 37)
+    gamma = np.geomspace(1e-8, 1e8, 37)
+    gamma[::5] = 0.0
+    got = info_vec(r, gamma)
+    want = np.array([info_scalar(ri, gi) for ri, gi in zip(r, gamma)])
+    assert np.all(got[gamma == 0.0] == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    # a column of gammas against a row of rates broadcasts to one row per gamma
+    table = info_vec(r[None, :], gamma[:, None])
+    assert table.shape == (37, 37)
+    np.testing.assert_array_equal(table[3], info_vec(r, gamma[3]))
+    assert np.all(info_vec(r, 0.0) == 0.0)
 
 
 def test_implicit_residuals_small():

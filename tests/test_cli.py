@@ -135,6 +135,33 @@ def test_config_file_precedence(tmp_path):
     assert "exact_rate = 1" in summary
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["truncate-table", "--out", "t.csv", "--config"],
+        ["--config", "missing.cfg", "truncate-table", "--out", "t.csv"],
+        ["--config", "bad.cfg", "truncate-table", "--out", "t.csv"],
+        ["--config=missing.cfg", "truncate-table", "--out", "t.csv"],
+    ],
+    ids=["no-value", "missing-file", "malformed-line", "equals-missing-file"],
+)
+def test_bad_config_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("bogus line\n")
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_config_equals_form_is_read(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid = 0.5:1:2\n")
+    out = tmp_path / "tab.csv"
+    assert run_cli([f"--config={cfg}", "truncate-table", "--out", str(out)]) == 0
+    assert len(read_csv(out)) == 1 + 2
+
+
 def test_bounds_uniform_ratio_flag(tmp_path):
     out = tmp_path / "uniform.csv"
     code = run_cli(
