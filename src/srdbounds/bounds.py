@@ -5,14 +5,19 @@ genie-aided bounds maximized over the revealed fraction, simplified scaling
 shapes, and curve helpers (``best_lower``, ``alpha_curve``).
 
 An implicit bound is solved by scanning its deficit over one cached,
-read-only log grid of rates and bisecting the last sign change.  A single
-solve (p4, p5, p6, each golden-section step) bisects with the scalar rate
-functions.  The genie-aided i.i.d. bound sweeps 200 retained fractions
-``beta``: each row is scanned on its own, then every bracketed row is
-bisected together in one vectorized loop, with the vector rate functions
-taking one ``gamma`` per row.  Those values only rank the rows; the top row
-is bisected again with the scalar functions, so the value reported is the
-one a single solve gives.
+read-only log grid of rates and bisecting the last sign change.  Each deficit
+is written once: the rate functions of ``ratefun`` take a float or an array,
+so the same deficit scans the grid as an array and bisects one float at a
+time.  p4, p6 and the genie-aided i.i.d. bound t4 share one deficit: p6 is t4
+at ``beta = 1``, where the genie reveals nothing, and p4 is p6 without a
+density.  t4 sweeps 200 retained fractions ``beta``: each row is scanned on
+its own, then every bracketed row is bisected together in one vectorized
+loop, with one ``gamma`` per row.  Those values only rank the rows; the top
+row is bisected again one float at a time, so the value reported is the one a
+single solve gives.
+
+One table (``_BOUNDS``) says which bounds exist, how each is evaluated, which
+sources it applies to and which matrix class ``best_lower`` uses it for.
 
 Every evaluator returns the largest sampling rate that the corresponding
 necessary condition rules out, i.e. a lower bound on the achievable rate at
@@ -25,6 +30,7 @@ import enum
 import functools
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,53 +97,6 @@ class BoundCurve:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized twins of the scalar rate functions (hot path of the solvers)
-# ---------------------------------------------------------------------------
-
-
-def _xi_vec(r, gamma):
-    sr = np.sqrt(r)
-    s1 = np.sqrt(gamma * (sr + 1.0) ** 2 + 1.0)
-    s2 = np.sqrt(gamma * (sr - 1.0) ** 2 + 1.0)
-    return 4.0 * gamma * gamma * r / (s1 + s2) ** 2
-
-
-def _info_g_vec(r, gamma):
-    """``info_G`` elementwise; ``gamma`` is a scalar or an array broadcasting
-    against ``r`` (one value per row), and rows with ``gamma == 0`` give 0."""
-    zero = np.asarray(gamma) == 0.0
-    if zero.any():
-        if zero.all():
-            return np.zeros(np.broadcast(r, gamma).shape)
-        return np.where(zero, 0.0, _info_g_vec(r, np.where(zero, 1.0, gamma)))
-    x = _xi_vec(r, gamma)
-    return 0.5 * (r * np.log1p(gamma - x) + np.log1p(r * gamma - x) - x / gamma)
-
-
-def _delta_vec(r):
-    r = np.asarray(r, dtype=float)
-    out = np.ones_like(r)
-    inner = r < 1.0
-    out[inner] = np.exp((1.0 - 1.0 / r[inner]) * np.log1p(-r[inner]))
-    return out
-
-
-def _info_v_vec(r, gamma):
-    """``info_V`` elementwise, with ``gamma`` as in :func:`_info_g_vec`."""
-    r = np.asarray(r, dtype=float)
-    zero = np.asarray(gamma) == 0.0
-    if zero.any():
-        if zero.all():
-            return np.zeros(np.broadcast(r, gamma).shape)
-        return np.where(zero, 0.0, _info_v_vec(r, np.where(zero, 1.0, gamma)))
-    low = np.minimum(r, 1.0)
-    high = np.maximum(r, 1.0)
-    val_low = 0.5 * r * np.log1p(gamma * _delta_vec(low) / math.e)
-    val_high = 0.5 * np.log1p(r * gamma * _delta_vec(1.0 / high) / math.e)
-    return np.where(r <= 1.0, val_low, val_high)
-
-
-# ---------------------------------------------------------------------------
 # Implicit-inequality solver
 # ---------------------------------------------------------------------------
 
@@ -150,7 +109,7 @@ def _rho_grid(hi: float) -> np.ndarray:
     return grid
 
 
-def _scan_implicit(deficit_vec, omega: float):
+def _scan_implicit(deficit, omega: float):
     """Scan the deficit over the rate grid; returns ``(crossings, report,
     bracket)``.
 
@@ -166,7 +125,7 @@ def _scan_implicit(deficit_vec, omega: float):
     hi = max(8.0, 40.0 * omega)
     while True:
         grid = _rho_grid(hi)
-        vals = deficit_vec(grid)
+        vals = deficit(grid)
         neg = vals < 0.0
         if neg[-1] and hi < RHO_RANGE_CAP:
             hi = min(hi * 100.0, RHO_RANGE_CAP)
@@ -191,38 +150,40 @@ def _scan_implicit(deficit_vec, omega: float):
 
 
 def _solve_implicit(
-    deficit_vec, deficit_scalar, omega: float, bound: BoundId | None = None
+    deficit, omega: float, bound: BoundId | None = None, alpha: float | None = None
 ) -> ImplicitSolveReport:
     """Largest rate at which the deficit is still negative (bound violated).
 
-    Scans with ``deficit_vec`` and refines the last crossing by bisection with
-    ``deficit_scalar``.  A solve that finds more than one crossing logs a
-    warning naming ``bound``; without one the caller reports it.
+    ``deficit`` takes a float or an array of rates: it scans the grid at once
+    and refines the last crossing by bisection one rate at a time.  A solve
+    that finds more than one crossing logs a warning naming ``bound`` and
+    ``alpha``; without a bound the caller reports it.
     """
-    crossings, report, bracket = _scan_implicit(deficit_vec, omega)
+    crossings, report, bracket = _scan_implicit(deficit, omega)
     if report is not None:
         return report
     if crossings > 1 and bound is not None:
         log.warning(
-            "%s: implicit solve found %d crossings; keeping the largest violated rate",
+            "%s at alpha=%g: implicit solve found %d crossings; keeping the largest violated rate",
             bound.value,
+            alpha,
             crossings,
         )
-    return _bisect(deficit_scalar, crossings, bracket)
+    return _bisect(deficit, crossings, bracket)
 
 
-def _bisect(deficit_scalar, crossings: int, bracket) -> ImplicitSolveReport:
-    """Refine a scan bracket by bisection with the scalar deficit."""
+def _bisect(deficit, crossings: int, bracket) -> ImplicitSolveReport:
+    """Refine a scan bracket by bisection, one rate at a time."""
     lo, hi = bracket
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if deficit_scalar(mid) < 0.0:
+        if deficit(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return ImplicitSolveReport(lo, crossings, (lo, hi), deficit_scalar(lo))
+    return ImplicitSolveReport(lo, crossings, (lo, hi), deficit(lo))
 
 
 def _bisect_rows(deficit_rows, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -288,32 +249,23 @@ def t3_noiseless_iid(source: SourceParams, alpha: float) -> float:
         return 0.0
     log_inv_theta = math.log(1.0 / theta)
 
-    def deficit_scalar(rho):
+    def deficit(rho):
         val = 0.5 * rho * (
             log_inv_theta + math.log(delta(rho)) - math.log(delta(rho / omega))
         )
         return val - r_target
 
-    if deficit_scalar(omega * (1.0 - 1e-12)) < 0.0:
+    if deficit(omega * (1.0 - 1e-12)) < 0.0:
         return omega
 
     grid = np.linspace(omega * 1e-6, omega * (1.0 - 1e-12), 4000)
-    vals = np.array([deficit_scalar(r) for r in grid])
+    vals = np.array([deficit(r) for r in grid])
     neg = vals < 0.0
     if not neg.any():
         return 0.0
     last_neg = int(np.nonzero(neg)[0][-1])
-    lo = float(grid[last_neg])
-    hi = float(grid[min(last_neg + 1, len(grid) - 1)])
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if deficit_scalar(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    bracket = (float(grid[last_neg]), float(grid[min(last_neg + 1, len(grid) - 1)]))
+    return _bisect(deficit, 0, bracket).rho_lower
 
 
 def s_noiseless_simple(source: SourceParams, alpha: float) -> float:
@@ -429,6 +381,20 @@ def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _genie_deficit(pref, om_b, v_eff, vh_eff, r_target):
+    """Deficit of the genie-aided entropy-power inequality, as a function of
+    the rate.
+
+    The arguments are those of :func:`_genie_params` and the target rate:
+    floats for one solve, or one column entry per row for the batched
+    bisection of :func:`t4_genie_iid`.  At ``beta = 1`` the genie reveals
+    nothing (``pref = 1``, ``om_b = omega``), which is p6; with no density
+    (``vh_eff = 0``) as well, it is p4.
+    """
+    om_t = om_b / pref
+    return lambda rho: info_G(rho / pref, v_eff) - r_target - om_t * info_V(rho / om_b, vh_eff)
+
+
 def p4_iid(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     """Log-determinant bound for i.i.d. matrices (unique crossing)."""
     _check_args(source.omega, alpha)
@@ -437,14 +403,8 @@ def p4_iid(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     r_target = rate_R(source.omega, alpha)
     if r_target == 0.0:
         return ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0)
-    v = source.variance
-
-    def vec(rho):
-        return _info_g_vec(rho, v) - r_target
-
-    return _solve_implicit(
-        vec, lambda rho: info_G(rho, v) - r_target, source.omega, BoundId.P4_IID
-    )
+    deficit = _genie_deficit(1.0, source.omega, source.variance, 0.0, r_target)
+    return _solve_implicit(deficit, source.omega, BoundId.P4_IID, alpha)
 
 
 def p5_gaussian(source: SourceParams, alpha: float) -> ImplicitSolveReport:
@@ -459,13 +419,10 @@ def p5_gaussian(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     v = source.variance
     cond_gamma = omega * source.dist.variance
 
-    def vec(rho):
-        return _info_g_vec(rho, v) - r_target - omega * _info_g_vec(rho / omega, cond_gamma)
-
-    def scal(rho):
+    def deficit(rho):
         return info_G(rho, v) - r_target - omega * info_G(rho / omega, cond_gamma)
 
-    return _solve_implicit(vec, scal, omega, BoundId.P5_IID_GAUSSIAN)
+    return _solve_implicit(deficit, omega, BoundId.P5_IID_GAUSSIAN, alpha)
 
 
 def p6_entropy(source: SourceParams, alpha: float) -> ImplicitSolveReport:
@@ -481,16 +438,8 @@ def p6_entropy(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     r_target = rate_R(omega, alpha)
     if r_target == 0.0:
         return ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0)
-    v = source.variance
-    vh = source.entropy_power
-
-    def vec(rho):
-        return _info_g_vec(rho, v) - r_target - omega * _info_v_vec(rho / omega, vh)
-
-    def scal(rho):
-        return info_G(rho, v) - r_target - omega * info_V(rho / omega, vh)
-
-    report = _solve_implicit(vec, scal, omega, BoundId.P6_IID_ENTROPY)
+    deficit = _genie_deficit(1.0, omega, source.variance, source.entropy_power, r_target)
+    report = _solve_implicit(deficit, omega, BoundId.P6_IID_ENTROPY, alpha)
     simple = s_cor_thm2(source, alpha)
     if simple > report.rho_lower * (1.0 + 1e-9) + 1e-12:
         log.warning(
@@ -544,27 +493,13 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     def is_zero(params):
         return params[4] == 0.0 and params[3] == 0.0
 
-    def scan_deficit(pref, om_b, v_eff, vh_eff, r_target):
-        om_t = om_b / pref
-        return lambda rho: _info_g_vec(rho / pref, v_eff) - (
-            r_target + om_t * _info_v_vec(rho / om_b, vh_eff)
-        )
-
-    def point_deficit(info_g, info_v, pref, om_b, v_eff, vh_eff, r_target):
-        # One rate per row: scalars for a single solve, columns for the
-        # row-batched bisection.
-        om_t = om_b / pref
-        return lambda rho: info_g(rho / pref, v_eff) - r_target - om_t * info_v(rho / om_b, vh_eff)
-
     def solve_for(beta) -> ImplicitSolveReport | None:
         params = params_for(beta)
         if params is None:
             return None
         if is_zero(params):
             return zero_report
-        report = _solve_implicit(
-            scan_deficit(*params), point_deficit(info_G, info_V, *params), omega
-        )
+        report = _solve_implicit(_genie_deficit(*params), omega)
         if report.crossings_found > 1:
             multi.add(float(beta))
         return report
@@ -580,7 +515,7 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
         if is_zero(params):
             reports[i], values[i] = zero_report, 0.0
             continue
-        crossings, report, bracket = _scan_implicit(scan_deficit(*params), omega)
+        crossings, report, bracket = _scan_implicit(_genie_deficit(*params), omega)
         if crossings > 1:
             multi.add(float(beta))
         if report is None:
@@ -591,15 +526,14 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     if pending:
         cols = np.array([params for params, _, _ in pending.values()]).T
         brackets = np.array([bracket for _, _, bracket in pending.values()]).T
-        deficit_rows = point_deficit(_info_g_vec, _info_v_vec, *cols)
-        values[list(pending)] = _bisect_rows(deficit_rows, *brackets)
+        values[list(pending)] = _bisect_rows(_genie_deficit(*cols), *brackets)
     # The batched values only rank the rows: the top row is bisected again
     # with the scalar functions, so the value, bracket and residual reported
     # are those of a single solve.
     best = int(np.argmax(values))
     while best in pending:
         params, crossings, bracket = pending.pop(best)
-        reports[best] = _bisect(point_deficit(info_G, info_V, *params), crossings, bracket)
+        reports[best] = _bisect(_genie_deficit(*params), crossings, bracket)
         values[best] = reports[best].rho_lower
         best = int(np.argmax(values))
 
@@ -661,14 +595,50 @@ def p8_shape(source: SourceParams, alpha: float, power: float) -> tuple[float, b
 # Aggregation and curves
 # ---------------------------------------------------------------------------
 
-ANY_MATRIX_BOUNDS = (BoundId.P3_GENERAL, BoundId.T2_GENIE)
-IID_EXTRA_BOUNDS = (
-    BoundId.P4_IID,
-    BoundId.P5_IID_GAUSSIAN,
-    BoundId.P6_IID_ENTROPY,
-    BoundId.T4_IID_GENIE,
-    BoundId.T3_NOISELESS_IID_F,
-)
+@dataclass(frozen=True)
+class _Bound:
+    """One row of the bound table.
+
+    ``evaluate(source, alpha)`` returns ``(rho, beta_star or None)``;
+    ``matrix_class`` is the class of matrices for which ``best_lower`` uses the
+    bound ("any", or "iid" for i.i.d. matrices only), or None when it never
+    does; ``applies(source)`` is False for sources the bound rejects.
+    """
+
+    evaluate: Callable[[SourceParams, float], tuple[float, float | None]]
+    matrix_class: str | None
+    applies: Callable[[SourceParams], bool] = lambda source: True
+
+
+def _t4_value(source: SourceParams, alpha: float) -> tuple[float, float]:
+    report, beta_star = t4_genie_iid(source, alpha)
+    return report.rho_lower, beta_star
+
+
+# The evaluators look their bound up by name at call time, so rebinding a
+# module-level name (as a tracer does) reaches every call.  ``best_lower``
+# walks the rows in this order and keeps the first of equal values, so the
+# order decides ties.
+_BOUNDS: dict[BoundId, _Bound] = {
+    BoundId.P3_GENERAL: _Bound(lambda s, a: (p3_general(s, a), None), "any"),
+    BoundId.T2_GENIE: _Bound(lambda s, a: t2_genie(s, a), "any"),
+    BoundId.P4_IID: _Bound(lambda s, a: (p4_iid(s, a).rho_lower, None), "iid"),
+    BoundId.P5_IID_GAUSSIAN: _Bound(
+        lambda s, a: (p5_gaussian(s, a).rho_lower, None), "iid", lambda s: s.is_gaussian()
+    ),
+    BoundId.P6_IID_ENTROPY: _Bound(
+        lambda s, a: (p6_entropy(s, a).rho_lower, None), "iid", lambda s: s.entropy_power > 0.0
+    ),
+    BoundId.T4_IID_GENIE: _Bound(_t4_value, "iid"),
+    BoundId.T3_NOISELESS_IID_F: _Bound(lambda s, a: (t3_noiseless_iid(s, a), None), "iid"),
+    BoundId.T1_NOISELESS: _Bound(lambda s, a: (t1_noiseless(s.omega, a), None), None),
+    BoundId.P2_NOISELESS_IID: _Bound(lambda s, a: (p2_noiseless_iid(s.omega, a), None), None),
+    BoundId.S_COR_THM2: _Bound(lambda s, a: (s_cor_thm2(s, a), None), None),
+    BoundId.S_NOISELESS_SIMPLE: _Bound(lambda s, a: (s_noiseless_simple(s, a), None), None),
+    BoundId.P7_SHAPE: _Bound(lambda s, a: (p7_shape(s, a, s.power), None), None),
+    BoundId.P8_SHAPE: _Bound(lambda s, a: (p8_shape(s, a, s.power)[0], None), None),
+}
+_MATRIX_CLASSES = {"any": ("any",), "iid": ("any", "iid")}
 
 
 def evaluate_bound(
@@ -677,37 +647,12 @@ def evaluate_bound(
     """Evaluate one bound; returns (rho, beta_star or None).
 
     Raises ValueError for bounds inapplicable to the source (no density, not
-    Gaussian); ``best_lower`` routes around those automatically.
+    Gaussian), which ``best_lower`` skips, and for ``C1_TEST``, which is a
+    condition, not a rate bound.
     """
-    if bound is BoundId.T1_NOISELESS:
-        return t1_noiseless(source.omega, alpha), None
-    if bound is BoundId.P2_NOISELESS_IID:
-        return p2_noiseless_iid(source.omega, alpha), None
-    if bound is BoundId.T3_NOISELESS_IID_F:
-        return t3_noiseless_iid(source, alpha), None
-    if bound is BoundId.P3_GENERAL:
-        return p3_general(source, alpha), None
-    if bound is BoundId.T2_GENIE:
-        val, beta = t2_genie(source, alpha)
-        return val, beta
-    if bound is BoundId.P4_IID:
-        return p4_iid(source, alpha).rho_lower, None
-    if bound is BoundId.P5_IID_GAUSSIAN:
-        return p5_gaussian(source, alpha).rho_lower, None
-    if bound is BoundId.P6_IID_ENTROPY:
-        return p6_entropy(source, alpha).rho_lower, None
-    if bound is BoundId.T4_IID_GENIE:
-        rep, beta = t4_genie_iid(source, alpha)
-        return rep.rho_lower, beta
-    if bound is BoundId.S_COR_THM2:
-        return s_cor_thm2(source, alpha), None
-    if bound is BoundId.S_NOISELESS_SIMPLE:
-        return s_noiseless_simple(source, alpha), None
-    if bound is BoundId.P7_SHAPE:
-        return p7_shape(source, alpha, source.power), None
-    if bound is BoundId.P8_SHAPE:
-        return p8_shape(source, alpha, source.power)[0], None
-    raise ValueError(f"bound {bound} is not an evaluatable rate bound")
+    if bound not in _BOUNDS:
+        raise ValueError(f"bound {bound} is not an evaluatable rate bound")
+    return _BOUNDS[bound].evaluate(source, alpha)
 
 
 def best_lower(
@@ -720,16 +665,12 @@ def best_lower(
     Bounds requiring a density or Gaussian values are skipped when the source
     does not qualify.
     """
-    if matrix_class not in ("any", "iid"):
+    if matrix_class not in _MATRIX_CLASSES:
         raise ValueError(f"matrix_class must be 'any' or 'iid', got {matrix_class}")
-    candidates = list(ANY_MATRIX_BOUNDS)
-    if matrix_class == "iid":
-        candidates += list(IID_EXTRA_BOUNDS)
+    classes = _MATRIX_CLASSES[matrix_class]
     best_val, best_id = -math.inf, None
-    for bound in candidates:
-        if bound is BoundId.P5_IID_GAUSSIAN and not source.is_gaussian():
-            continue
-        if bound is BoundId.P6_IID_ENTROPY and source.entropy_power <= 0.0:
+    for bound, row in _BOUNDS.items():
+        if row.matrix_class not in classes or not row.applies(source):
             continue
         val, _ = evaluate_bound(source, bound, alpha)
         if val > best_val:

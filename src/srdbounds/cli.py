@@ -13,9 +13,7 @@ import csv
 import datetime
 import hashlib
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -153,13 +151,6 @@ def _add_dist_flags(parser) -> None:
     )
 
 
-def _max_workers() -> int:
-    cap = os.environ.get("SRD_THREADS")
-    if cap:
-        return max(1, int(cap))
-    return min(8, os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -183,15 +174,10 @@ def cmd_bounds(args) -> int:
                 rows.append([bound.value, rho, alpha, beta])
         header = ["bound", "rho", "alpha", "beta_star"]
     else:
-
-        def eval_point(task):
-            bound, alpha = task
-            rho, beta = bd.evaluate_bound(source, bound, float(alpha))
-            return [bound.value, float(alpha), rho, beta]
-
-        tasks = [(bound, alpha) for bound in bound_ids for alpha in grid]
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            rows = list(pool.map(eval_point, tasks))
+        for bound in bound_ids:
+            for alpha in grid:
+                rho, beta = bd.evaluate_bound(source, bound, float(alpha))
+                rows.append([bound.value, float(alpha), rho, beta])
         header = ["bound", "alpha", "rho", "beta_star"]
 
     _write_csv(args.out, header, rows)

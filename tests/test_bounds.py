@@ -239,14 +239,10 @@ def _reference_t4(source, alpha):
             return bd.ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0)
         om_t = om_b / pref
 
-        def vec(rho):
-            lhs = bd._info_g_vec(rho / pref, v_eff)
-            return lhs - (r_target + om_t * bd._info_v_vec(rho / om_b, vh_eff))
-
-        def scal(rho):
+        def deficit(rho):
             return info_G(rho / pref, v_eff) - r_target - om_t * info_V(rho / om_b, vh_eff)
 
-        return bd._solve_implicit(vec, scal, source.omega)
+        return bd._solve_implicit(deficit, source.omega)
 
     def value_of(beta):
         rep = solve_for(beta)
@@ -322,22 +318,78 @@ def test_t4_logs_one_multi_crossing_line(caplog):
     assert lines[0].startswith("t4_iid_genie at alpha=0.6: ") and "beta in [" in lines[0]
 
 
-@pytest.mark.parametrize(
-    "info_vec, info_scalar", [(bd._info_g_vec, info_G), (bd._info_v_vec, info_V)]
-)
-def test_rate_functions_take_per_row_gamma(info_vec, info_scalar):
+@pytest.mark.parametrize("info", [info_G, info_V])
+def test_rate_functions_take_per_row_gamma(info):
     r = np.geomspace(1e-6, 1e6, 37)
     gamma = np.geomspace(1e-8, 1e8, 37)
     gamma[::5] = 0.0
-    got = info_vec(r, gamma)
-    want = np.array([info_scalar(ri, gi) for ri, gi in zip(r, gamma)])
+    got = info(r, gamma)
+    want = np.array([info(float(ri), float(gi)) for ri, gi in zip(r, gamma)])
     assert np.all(got[gamma == 0.0] == 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
     # a column of gammas against a row of rates broadcasts to one row per gamma
-    table = info_vec(r[None, :], gamma[:, None])
+    table = info(r[None, :], gamma[:, None])
     assert table.shape == (37, 37)
-    np.testing.assert_array_equal(table[3], info_vec(r, gamma[3]))
-    assert np.all(info_vec(r, 0.0) == 0.0)
+    np.testing.assert_array_equal(table[3], info(r, gamma[3]))
+    assert np.all(info(r, 0.0) == 0.0)
+
+
+def test_single_solve_warnings_name_alpha(caplog):
+    src = gaussian_source(1e-4, 10.0)
+    with caplog.at_level("WARNING", logger="srdbounds.bounds"):
+        bd.alpha_curve(src, BoundId.P6_IID_ENTROPY, list(np.geomspace(1e-4, 1e-2, 8)))
+    lines = [r.getMessage() for r in caplog.records if "crossing" in r.getMessage()]
+    assert lines
+    assert all(line.startswith("p6_iid_entropy at alpha=") for line in lines)
+
+
+def test_t4_ties_p6_at_beta_one_and_p6_wins():
+    src = bd.source_at_snr(_sliced_from_eta(0.2), 1e-4, 60.0)
+    t4, beta = bd.t4_genie_iid(src, 0.03)
+    assert beta == 1.0
+    assert t4.rho_lower == bd.p6_entropy(src, 0.03).rho_lower
+    assert bd.best_lower(src, 0.03, "iid")[1] is BoundId.P6_IID_ENTROPY
+
+
+@pytest.mark.parametrize("bound", [b for b in BoundId if b is not BoundId.C1_TEST])
+def test_every_rate_bound_evaluates(bound):
+    rho, beta = bd.evaluate_bound(gaussian_source(1e-4, 10.0), bound, 0.1)
+    assert math.isfinite(rho) and rho >= 0.0
+    assert beta is None or 0.1 <= beta <= 1.0
+
+
+def test_c1_test_is_not_a_rate_bound():
+    with pytest.raises(ValueError):
+        bd.evaluate_bound(gaussian_source(), BoundId.C1_TEST, 0.1)
+
+
+BEST_LOWER_ORDER = {
+    "any": [BoundId.P3_GENERAL, BoundId.T2_GENIE],
+    "iid": [
+        BoundId.P3_GENERAL,
+        BoundId.T2_GENIE,
+        BoundId.P4_IID,
+        BoundId.P5_IID_GAUSSIAN,
+        BoundId.P6_IID_ENTROPY,
+        BoundId.T4_IID_GENIE,
+        BoundId.T3_NOISELESS_IID_F,
+    ],
+}
+
+
+@pytest.mark.parametrize("matrix_class", ["any", "iid"])
+@pytest.mark.parametrize("family", list(T4_FAMILIES))
+def test_best_lower_is_the_first_largest_applicable_bound(family, matrix_class):
+    src = bd.source_at_snr(T4_FAMILIES[family], 1e-4, 20.0)
+    best_val, best_id = -math.inf, None
+    for bound in BEST_LOWER_ORDER[matrix_class]:
+        try:
+            val, _ = bd.evaluate_bound(src, bound, 0.03)
+        except ValueError:  # needs Gaussian values or a density
+            continue
+        if val > best_val:
+            best_val, best_id = val, bound
+    assert bd.best_lower(src, 0.03, matrix_class) == (best_val, best_id)
 
 
 def test_implicit_residuals_small():

@@ -71,6 +71,13 @@ def test_bounds_empty_list_is_usage_error(tmp_path):
     assert code == 2
 
 
+def test_bounds_c1_test_is_usage_error(tmp_path):
+    code = run_cli(
+        ["bounds", "--bounds", "c1_test", "--grid", "0.1:0.2:2", "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+
+
 def test_bounds_rerun_byte_identical(tmp_path):
     args = [
         "bounds",

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +89,29 @@ def test_delta_limits():
         delta(0.0)
     with pytest.raises(ValueError):
         delta(1.5)
+
+
+@pytest.mark.parametrize("f", [xi, info_G, info_V])
+def test_array_branch_rejects_what_the_float_branch_rejects(f):
+    for bad_r in (0.0, -1.0):
+        with pytest.raises(ValueError, match="r must be positive"):
+            f(bad_r, 1.0)
+        with pytest.raises(ValueError, match="r must be positive"):
+            f(np.array([0.5, bad_r]), 1.0)
+    with pytest.raises(ValueError, match="gamma must be nonnegative"):
+        f(0.5, -1e-3)
+    with pytest.raises(ValueError, match="gamma must be nonnegative"):
+        f(np.array([0.5, 2.0]), np.array([1.0, -1e-3]))
+
+
+def test_delta_array_branch_domain():
+    for bad in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match=r"r must lie in \(0, 1\]"):
+            delta(bad)
+        with pytest.raises(ValueError, match=r"r must lie in \(0, 1\]"):
+            delta(np.array([0.5, bad]))
+    r = np.array([1e-10, 0.5, 0.9, 1.0])
+    np.testing.assert_allclose(delta(r), [delta(float(x)) for x in r], rtol=1e-14)
 
 
 def test_xi_values():
