@@ -26,6 +26,8 @@ the requested distortion.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import enum
 import functools
 import logging
@@ -163,13 +165,51 @@ def _solve_implicit(
     if report is not None:
         return report
     if crossings > 1 and bound is not None:
-        log.warning(
-            "%s at alpha=%g: implicit solve found %d crossings; keeping the largest violated rate",
-            bound.value,
+        _warn_crossings(
+            bound,
             alpha,
+            "implicit solve found %d crossings; keeping the largest violated rate",
             crossings,
         )
     return _bisect(deficit, crossings, bracket)
+
+
+# alpha_curve collects the alpha values of multi-crossing warnings here while
+# it inverts one rate, and logs them as one line; None logs each one.
+_held_crossings: contextvars.ContextVar[set | None] = contextvars.ContextVar(
+    "_held_crossings", default=None
+)
+
+
+def _warn_crossings(bound: BoundId, alpha: float, message: str, *args) -> None:
+    """Log '<bound> at alpha=<alpha>: <message>', or hold alpha back for
+    :func:`alpha_curve`'s summary."""
+    held = _held_crossings.get()
+    if held is None:
+        log.warning("%s at alpha=%g: " + message, bound.value, alpha, *args)
+    else:
+        held.add(alpha)
+
+
+@contextlib.contextmanager
+def _crossing_summary(bound: BoundId, rho: float):
+    """Replace the multi-crossing warnings of one rate's inversion by one line."""
+    held: set[float] = set()
+    token = _held_crossings.set(held)
+    try:
+        yield
+    finally:
+        _held_crossings.reset(token)
+    if held:
+        log.warning(
+            "%s at alpha=%g..%g (inverting rho=%g): %d alpha values found more than one "
+            "crossing; kept the largest violated rate for each",
+            bound.value,
+            min(held),
+            max(held),
+            rho,
+            len(held),
+        )
 
 
 def _bisect(deficit, crossings: int, bracket) -> ImplicitSolveReport:
@@ -544,11 +584,11 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     beta_star, _, kept = _maximize_over_beta(value_of, grid, values)
     report = solve_for(beta_star) if kept is None else reports[kept]
     if multi:
-        log.warning(
-            "%s at alpha=%g: %d beta values found more than one crossing "
-            "(beta in [%g, %g]); kept the largest violated rate for each",
-            BoundId.T4_IID_GENIE.value,
+        _warn_crossings(
+            BoundId.T4_IID_GENIE,
             alpha,
+            "%d beta values found more than one crossing "
+            "(beta in [%g, %g]); kept the largest violated rate for each",
             len(multi),
             min(multi),
             max(multi),
@@ -688,7 +728,9 @@ def alpha_curve(
     distortion whose bound does not exceed it.
 
     Rates where the bound fails to be monotone across the bisection bracket
-    are omitted with a diagnostic entry in ``solver_meta``.
+    are omitted with a diagnostic entry in ``solver_meta``.  The
+    multi-crossing warnings of one rate's inversion are logged as one line
+    naming the bound, the rate, their count and their alpha range.
     """
     points: list[tuple[float, float]] = []
     meta: dict = {"omitted": [], "alpha_floor": alpha_floor, "beta_star": {}}
@@ -697,28 +739,29 @@ def alpha_curve(
         return evaluate_bound(source, bound, alpha)
 
     for rho in sorted(rho_grid):
-        lo, hi = alpha_floor, 1.0 - 1e-9
-        val_lo, _ = rho_of(lo)
-        val_hi, _ = rho_of(hi)
-        if val_lo < val_hi:
-            meta["omitted"].append((rho, "non-monotone bracket"))
-            continue
-        if val_lo <= rho:
-            points.append((rho, 0.0))
-            continue
-        if val_hi > rho:
-            meta["omitted"].append((rho, "bound exceeds rho on full range"))
-            continue
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            val_mid, beta = rho_of(mid)
-            if val_mid <= rho:
-                hi = mid
-            else:
-                lo = mid
-        val_hi, beta = rho_of(hi)
-        meta["beta_star"][rho] = beta
-        points.append((rho, hi))
+        with _crossing_summary(bound, rho):
+            lo, hi = alpha_floor, 1.0 - 1e-9
+            val_lo, _ = rho_of(lo)
+            val_hi, _ = rho_of(hi)
+            if val_lo < val_hi:
+                meta["omitted"].append((rho, "non-monotone bracket"))
+                continue
+            if val_lo <= rho:
+                points.append((rho, 0.0))
+                continue
+            if val_hi > rho:
+                meta["omitted"].append((rho, "bound exceeds rho on full range"))
+                continue
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                val_mid, beta = rho_of(mid)
+                if val_mid <= rho:
+                    hi = mid
+                else:
+                    lo = mid
+            val_hi, beta = rho_of(hi)
+            meta["beta_star"][rho] = beta
+            points.append((rho, hi))
     return BoundCurve(bound, source, "alpha_vs_rho", points, meta)
 
 

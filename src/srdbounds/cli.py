@@ -250,6 +250,13 @@ def cmd_snr_curve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check(name: str, measured: float, tolerance: float, passed: bool | None = None) -> dict:
+    """One verify row; ``passed`` defaults to ``measured <= tolerance``."""
+    if passed is None:
+        passed = measured <= tolerance
+    return {"check": name, "measured": measured, "tolerance": tolerance, "passed": passed}
+
+
 def _suite_truncation(args) -> list[dict]:
     checks = []
     cases = [
@@ -269,14 +276,7 @@ def _suite_truncation(args) -> list[dict]:
                 abs(closed.variance - quad.result.variance),
                 abs(closed.diff_entropy - quad.result.diff_entropy),
             )
-            checks.append(
-                {
-                    "check": f"truncation_quad_{name}_beta{beta}",
-                    "measured": gap,
-                    "tolerance": 1e-8,
-                    "passed": gap <= 1e-8,
-                }
-            )
+            checks.append(_check(f"truncation_quad_{name}_beta{beta}", gap, 1e-8))
     mc_cases = [
         ("gaussian", Gaussian(0.0, 1.0), 0.3),
         ("uniform", Uniform(2.0, 1.0), 0.5),
@@ -287,27 +287,13 @@ def _suite_truncation(args) -> list[dict]:
         mco = truncate_oracle(dist, beta, "montecarlo", budget=400_000, seed=args.seed)
         gap = abs(closed.variance - mco.result.variance)
         tol = 3.0 * mco.variance_err
-        checks.append(
-            {
-                "check": f"truncation_mc_{name}_beta{beta}",
-                "measured": gap,
-                "tolerance": tol,
-                "passed": gap <= tol,
-            }
-        )
+        checks.append(_check(f"truncation_mc_{name}_beta{beta}", gap, tol))
     pm = PointMass(0.2, 1.0, outer_mass=0.1)
     for beta in (0.05, 0.9, 0.95, 1.0):
         closed = truncate(pm, beta)
         exact = truncate_oracle(pm, beta, "quadrature")
         gap = abs(closed.variance - exact.result.variance)
-        checks.append(
-            {
-                "check": f"truncation_atoms_beta{beta}",
-                "measured": gap,
-                "tolerance": 0.0,
-                "passed": gap == 0.0,
-            }
-        )
+        checks.append(_check(f"truncation_atoms_beta{beta}", gap, 0.0))
     return checks
 
 
@@ -318,14 +304,7 @@ def _suite_mp_logdet(args) -> list[dict]:
             est = mc.mp_logdet(
                 mc.MCConfig(n=args.n, r=r, gamma=gamma, trials=args.trials, seed=args.seed)
             )
-            checks.append(
-                {
-                    "check": f"mp_logdet_r{r}_g{gamma}",
-                    "measured": est.relative_gap,
-                    "tolerance": 0.02,
-                    "passed": est.relative_gap <= 0.02,
-                }
-            )
+            checks.append(_check(f"mp_logdet_r{r}_g{gamma}", est.relative_gap, 0.02))
     return checks
 
 
@@ -333,14 +312,7 @@ def _suite_det_power(args) -> list[dict]:
     checks = []
     for r in (1.0, 2.0):
         est = mc.det_power(mc.MCConfig(n=args.n, r=r, trials=min(args.trials, 25), seed=args.seed))
-        checks.append(
-            {
-                "check": f"det_power_r{r}",
-                "measured": est.relative_gap,
-                "tolerance": 0.03,
-                "passed": est.relative_gap <= 0.03,
-            }
-        )
+        checks.append(_check(f"det_power_r{r}", est.relative_gap, 0.03))
     return checks
 
 
@@ -349,19 +321,15 @@ def _suite_covering(args) -> list[dict]:
     rate = rate_R(args.k / args.n, args.alpha)
     lo_rate = math.log(lower) / args.n
     up_rate = math.log(upper) / args.n
+    name = f"n{args.n}_k{args.k}"
     return [
-        {
-            "check": f"covering_lower_n{args.n}_k{args.k}",
-            "measured": lo_rate - rate,
-            "tolerance": 0.15,
-            "passed": abs(lo_rate - rate) <= 0.15 and lower <= upper,
-        },
-        {
-            "check": f"covering_upper_n{args.n}_k{args.k}",
-            "measured": up_rate - rate,
-            "tolerance": 0.15,
-            "passed": abs(up_rate - rate) <= 0.15,
-        },
+        _check(
+            f"covering_lower_{name}",
+            lo_rate - rate,
+            0.15,
+            abs(lo_rate - rate) <= 0.15 and lower <= upper,
+        ),
+        _check(f"covering_upper_{name}", up_rate - rate, 0.15, abs(up_rate - rate) <= 0.15),
     ]
 
 
@@ -369,14 +337,7 @@ def _suite_power_ratio(args) -> list[dict]:
     grid = np.geomspace(1e-3, 1.0, 50)
     scan = mc.power_ratio_scan(Gaussian(0.0, 1.0), 0.1, grid)
     gap = abs(scan[0][1] - math.pi / 6.0) / (math.pi / 6.0)
-    checks = [
-        {
-            "check": "power_ratio_gaussian_pi6",
-            "measured": gap,
-            "tolerance": 0.01,
-            "passed": gap <= 0.01,
-        }
-    ]
+    checks = [_check("power_ratio_gaussian_pi6", gap, 0.01)]
     for name, dist in [
         ("gaussian", Gaussian(0.0, 1.0)),
         ("uniform", Uniform(2.0, 1.0)),
@@ -386,12 +347,7 @@ def _suite_power_ratio(args) -> list[dict]:
         ratios = [r for _, r in mc.power_ratio_scan(dist, 0.1, grid)]
         ok = min(ratios) > 0.0 and math.isfinite(max(ratios))
         checks.append(
-            {
-                "check": f"power_ratio_bounded_{name}",
-                "measured": max(ratios) / min(ratios),
-                "tolerance": math.inf,
-                "passed": ok,
-            }
+            _check(f"power_ratio_bounded_{name}", max(ratios) / min(ratios), math.inf, ok)
         )
     return checks
 
@@ -403,18 +359,13 @@ def _suite_rank(args) -> list[dict]:
         for n in (8, 16, 32)
     ]
     return [
-        {
-            "check": "rank_gaussian_never_deficient",
-            "measured": p_gauss,
-            "tolerance": 0.0,
-            "passed": p_gauss == 0.0,
-        },
-        {
-            "check": "rank_rademacher_decreasing",
-            "measured": max(probs[1] - probs[0], probs[2] - probs[1]),
-            "tolerance": 0.0,
-            "passed": probs[0] > probs[1] > probs[2],
-        },
+        _check("rank_gaussian_never_deficient", p_gauss, 0.0),
+        _check(
+            "rank_rademacher_decreasing",
+            max(probs[1] - probs[0], probs[2] - probs[1]),
+            0.0,
+            probs[0] > probs[1] > probs[2],
+        ),
     ]
 
 

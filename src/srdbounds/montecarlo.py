@@ -2,9 +2,9 @@
 
 Random-matrix log-determinant and determinant-power limits, rank-deficiency
 decay for discrete matrix entries, exact pattern-counting with covering-number
-brackets, and the truncated-power ratio scan.  All routines are reproducible:
-per-trial randomness comes from a counter-based generator keyed by
-``seed XOR trial``.
+brackets, and the truncated-power ratio scan, plus the support enumeration
+and span residuals that every exhaustive search shares.  Per-trial randomness
+comes from a counter-based generator keyed by ``seed XOR trial``.
 """
 
 from __future__ import annotations
@@ -12,11 +12,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .distributions import DistributionSpec, decay_rate, moments, truncate
 from .ratefun import info_G
+
+
+_CHUNK_BYTES = 1 << 22  # size of one overlap block in covering_bracket
+_RANK_RTOL = 1e-8  # |R_jj| below this times the largest marks a deficient span
 
 
 class BudgetError(ValueError):
@@ -198,6 +203,43 @@ def rank_deficiency(
 
 
 # ---------------------------------------------------------------------------
+# Support enumeration and span residuals
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=8)
+def _support_array(n: int, k: int) -> np.ndarray:
+    """All size-k subsets of range(n), one per row in lexicographic order."""
+    total = math.comb(n, k)
+    arr = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), k)),
+        dtype=np.int64,
+        count=k * total,
+    ).reshape(total, k)
+    arr.setflags(write=False)
+    return arr
+
+
+def _projection_residuals(y: np.ndarray, mat: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Squared distance from y to the span of mat's columns for every row of
+    ``supports``, by one stacked QR.  Householder Q spans extra directions on
+    a rank-deficient support, which shows as a near-zero diagonal entry of R;
+    such supports take their basis from an SVD at least squares' default
+    cutoff (singular values up to eps * max(m, k) times the largest are zero).
+    """
+    cols = mat.T[supports].transpose(0, 2, 1)
+    basis, r = np.linalg.qr(cols)
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    deficient = np.any(diag <= _RANK_RTOL * diag.max(axis=1, keepdims=True), axis=1)
+    if deficient.any():
+        u, s, _ = np.linalg.svd(cols[deficient], full_matrices=False)
+        keep = s > np.finfo(float).eps * max(cols.shape[1:]) * s[:, :1]
+        basis[deficient] = u * keep[:, None, :]
+    resid = y - np.einsum("smr,sr->sm", basis, np.einsum("smr,m->sr", basis, y))
+    return np.einsum("sm,sm->s", resid, resid)
+
+
+# ---------------------------------------------------------------------------
 # Pattern counting and covering brackets
 # ---------------------------------------------------------------------------
 
@@ -213,51 +255,38 @@ def n_tilde(n: int, k: int, alpha: float) -> int:
     return sum(math.comb(k, a) * math.comb(n - k, a) for a in range(swaps + 1))
 
 
-def _support_neighbors(n: int, k: int, alpha: float):
-    """Lexicographic support list plus flattened neighbor lists (CSR layout)."""
-    supports = list(itertools.combinations(range(n), k))
-    index = {s: i for i, s in enumerate(supports)}
-    swaps = int(math.floor(alpha * k))
-    flat: list[int] = []
-    offsets = [0]
-    universe = set(range(n))
-    for s in supports:
-        s_set = set(s)
-        rest = sorted(universe - s_set)
-        mine: list[int] = []
-        for a in range(swaps + 1):
-            for out in itertools.combinations(s, a):
-                base = s_set.difference(out)
-                for inn in itertools.combinations(rest, a):
-                    mine.append(index[tuple(sorted(base.union(inn)))])
-        flat.extend(mine)
-        offsets.append(len(flat))
-    return supports, np.asarray(flat, dtype=np.int64), np.asarray(offsets, dtype=np.int64)
-
-
 def covering_bracket(n: int, k: int, alpha: float, seed: int = 0) -> tuple[int, int]:
     """Lower and upper bracket on the smallest covering of all size-k supports
     at distortion alpha.
 
     Lower end is the exact counting quotient ceil(C(n,k) / n_tilde); upper end
     is the size of a greedy cover (most uncovered supports first, ties to the
-    lexicographically smallest).  ``seed`` is reserved; the greedy cover is
-    deterministic.
+    lexicographically smallest).  Every support has exactly n_tilde neighbours
+    (the supports sharing at least k - floor(alpha k) of its indices), so the
+    neighbours form one (C(n,k), n_tilde) table, built from overlap counts of
+    0/1 incidence rows a few MB at a time.  ``seed`` is unused.
     """
     if n > 24:
         raise ValueError(f"exhaustive support enumeration requires n <= 24, got {n}")
     total = math.comb(n, k)
     if total > 200_000:
         raise BudgetError(f"C({n},{k}) = {total} exceeds the enumeration budget")
-    lower = -(-total // n_tilde(n, k, alpha))
-    _, flat, offsets = _support_neighbors(n, k, alpha)
+    width = n_tilde(n, k, alpha)
+    lower = -(-total // width)
+    # float32 products of 0/1 rows count overlaps exactly (at most n <= 24).
+    incidence = np.zeros((total, n), dtype=np.float32)
+    np.put_along_axis(incidence, _support_array(n, k), 1.0, axis=1)
+    min_overlap = k - int(math.floor(alpha * k))
+    rows = max(1, _CHUNK_BYTES // (incidence.itemsize * total))
+    table = np.empty((total, width), dtype=np.int32)
+    for start in range(0, total, rows):
+        overlap = incidence[start : start + rows] @ incidence.T
+        table[start : start + rows] = np.nonzero(overlap >= min_overlap)[1].reshape(-1, width)
     uncovered = np.ones(total, dtype=bool)
     cover_size = 0
     while uncovered.any():
-        # reduceat needs an integer view: summing booleans would saturate.
-        counts = np.add.reduceat(uncovered[flat].astype(np.int64), offsets[:-1])
-        choice = int(np.argmax(counts))
-        uncovered[flat[offsets[choice] : offsets[choice + 1]]] = False
+        choice = int(np.argmax(uncovered[table].sum(axis=1)))
+        uncovered[table[choice]] = False
         cover_size += 1
     return lower, cover_size
 

@@ -13,12 +13,11 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .distributions import DistributionSpec, sample_values, scale_to_power
-from .montecarlo import BudgetError, trial_rng
+from .montecarlo import BudgetError, _projection_residuals, _support_array, trial_rng
 
 SPAN_RTOL = 1e-9
 MAX_SUPPORTS = 1_000_000
@@ -160,18 +159,6 @@ def sample(x: np.ndarray, config: SimConfig, rng: np.random.Generator) -> Sample
     return SampleDraw(y, mat, zeroed)
 
 
-@lru_cache(maxsize=8)
-def _support_array(n: int, k: int) -> np.ndarray:
-    arr = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-        dtype=np.int64,
-        count=k * math.comb(n, k),
-    )
-    arr = arr.reshape(-1, k)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class MLResult:
     """Best support under exhaustive least-squares search plus diagnostics."""
@@ -184,8 +171,8 @@ class MLResult:
 def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
     """Search all size-k supports for the smallest projection residual.
 
-    Residuals come from batched Gram solves; supports whose Gram system is
-    numerically singular fall back to a least-squares projection onto the
+    Residuals come from one batched Gram solve; supports whose Gram system is
+    numerically singular are re-scored by their projection residual onto the
     actual column span.  Ties resolve to the lexicographically smallest
     support (the supports are enumerated in lexicographic order).
     """
@@ -207,10 +194,7 @@ def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
 
     bad = ~np.isfinite(residuals) | (residuals < -1e-6 * max(norm_y, 1.0))
     if bad.any():
-        for idx in np.nonzero(bad)[0]:
-            cols = mat[:, supports[idx]]
-            fit, *_ = np.linalg.lstsq(cols, y, rcond=None)
-            residuals[idx] = float(np.sum((y - cols @ fit) ** 2))
+        residuals[bad] = _projection_residuals(y, mat, supports[bad])
     residuals = np.maximum(residuals, 0.0)
 
     best = int(np.argmin(residuals))
@@ -232,35 +216,27 @@ def rate_sharing_recover(
     """Two-stage decoder for the rate-sharing ensemble.
 
     Stage 1 finds the smallest support inside the live columns whose span
-    contains y (exact search over subset sizes); several minimal spanning
-    supports raise :class:`MultipleMinimalSupportsError`.  Stage 2 fills the
-    remaining indices uniformly at random from the zeroed set.
+    contains y (exact search over subset sizes, all candidates of one size
+    scored at once); several minimal spanning supports raise
+    :class:`MultipleMinimalSupportsError`.  Stage 2 fills the remaining
+    indices uniformly at random from the zeroed set.
     """
-    n = mat.shape[1]
-    live = sorted(set(range(n)) - set(int(i) for i in zeroed))
+    live = np.setdiff1d(np.arange(mat.shape[1]), zeroed)
     norm_y = math.sqrt(float(y @ y))
-    if norm_y == 0.0:
-        stage1: tuple[int, ...] = ()
-    else:
-        stage1 = None
+    stage1: tuple[int, ...] = ()
+    if norm_y > 0.0:
         for size in range(1, min(len(live), mat.shape[0], k) + 1):
-            spanning = []
-            for cand in itertools.combinations(live, size):
-                cols = mat[:, cand]
-                fit, *_ = np.linalg.lstsq(cols, y, rcond=None)
-                resid = math.sqrt(float(np.sum((y - cols @ fit) ** 2)))
-                if resid <= SPAN_RTOL * norm_y:
-                    spanning.append(cand)
-                    if len(spanning) > 1:
-                        break
-            if len(spanning) == 1:
-                stage1 = spanning[0]
-                break
+            cands = live[_support_array(len(live), size)]
+            resid = np.sqrt(_projection_residuals(y, mat, cands))
+            spanning = np.flatnonzero(resid <= SPAN_RTOL * norm_y)
             if len(spanning) > 1:
                 raise MultipleMinimalSupportsError(
-                    f"{len(spanning)}+ spanning supports of size {size}"
+                    f"{len(spanning)} spanning supports of size {size}"
                 )
-        if stage1 is None:
+            if len(spanning) == 1:
+                stage1 = tuple(int(i) for i in cands[spanning[0]])
+                break
+        else:
             raise MultipleMinimalSupportsError(
                 "no unique minimal spanning support within the live columns"
             )
@@ -335,22 +311,15 @@ def discrete_single_sample_demo(
     """
     if n > 12:
         raise ValueError("demo is capped at n = 12")
+    supports = _support_array(n, k)
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=k)))
     exact = 0
-    patterns = [
-        (support, signs)
-        for support in itertools.combinations(range(n), k)
-        for signs in itertools.product((-1.0, 1.0), repeat=k)
-    ]
     for trial in range(trials):
         rng = trial_rng(seed, trial)
         row = rng.standard_normal(n)
         support = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-        signs = rng.choice([-1.0, 1.0], size=k)
-        y = float(row[list(support)] @ signs)
-        best, best_err = None, math.inf
-        for cand, cand_signs in patterns:
-            err = abs(float(row[list(cand)] @ np.asarray(cand_signs)) - y)
-            if err < best_err:
-                best, best_err = cand, err
-        exact += best == support
+        y = float(row[list(support)] @ rng.choice([-1.0, 1.0], size=k))
+        # argmin takes the first minimum in (support, sign) order, as a scan would.
+        best = int(np.argmin(np.abs(row[supports] @ signs.T - y))) // len(signs)
+        exact += tuple(supports[best].tolist()) == support
     return exact / trials

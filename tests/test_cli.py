@@ -93,6 +93,23 @@ def test_bounds_rerun_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_inversion_logs_one_crossing_line_per_rate(tmp_path, caplog):
+    args = [
+        "bounds",
+        "--invert",
+        "--bounds", "p4_iid,p6_iid_entropy",
+        "--grid", "1e-4:1e-2:8:log",
+        "--out", str(tmp_path / "inv.csv"),
+    ]
+    with caplog.at_level("WARNING", logger="srdbounds.bounds"):
+        assert run_cli(args) == 0
+    lines = [r.getMessage() for r in caplog.records if "crossing" in r.getMessage()]
+    assert lines
+    pairs = [(line.split(" at ")[0], line.split("rho=")[1].split(")")[0]) for line in lines]
+    assert len(set(pairs)) == len(pairs)
+    assert all(" values found more than one crossing" in line for line in lines)
+
+
 def test_simulate_command_and_summary(tmp_path):
     out = tmp_path / "sim.csv"
     code = run_cli(

@@ -151,6 +151,65 @@ def test_covering_bracket_order_holds_generally():
                 assert 1 <= lower <= upper
 
 
+def greedy_cover_by_sets(n, k, alpha):
+    """Independent oracle: the greedy cover over explicit neighbour sets,
+    most uncovered first, ties to the lexicographically smallest support."""
+    supports = [frozenset(s) for s in itertools.combinations(range(n), k)]
+    keep = k - math.floor(alpha * k)
+    balls = [{t for t in supports if len(s & t) >= keep} for s in supports]
+    uncovered = set(supports)
+    size = 0
+    while uncovered:
+        best = max(range(len(supports)), key=lambda i: (len(balls[i] & uncovered), -i))
+        uncovered -= balls[best]
+        size += 1
+    return size
+
+
+@pytest.mark.parametrize(
+    "n, k, alpha",
+    [
+        (8, 2, 0.0),
+        (8, 2, 1.0),
+        (9, 3, 0.34),
+        (10, 3, 0.7),
+        (10, 4, 0.5),
+        (11, 2, 0.5),
+        (12, 3, 0.4),
+    ],
+)
+def test_covering_bracket_matches_set_based_greedy(n, k, alpha):
+    lower, upper = mc.covering_bracket(n, k, alpha)
+    assert lower == -(-math.comb(n, k) // mc.n_tilde(n, k, alpha))
+    assert upper == greedy_cover_by_sets(n, k, alpha)
+
+
+def test_covering_bracket_pinned_reference_case():
+    assert mc.covering_bracket(22, 4, 0.5) == (8, 21)
+
+
+def lstsq_residuals(y, mat, supports):
+    """Reference: one least-squares fit per support."""
+    out = []
+    for cols in (mat[:, list(s)] for s in supports):
+        fit, *_ = np.linalg.lstsq(cols, y, rcond=None)
+        out.append(float(np.sum((y - cols @ fit) ** 2)))
+    return np.array(out)
+
+
+def test_projection_residuals_match_lstsq_on_deficient_spans():
+    rng = np.random.default_rng(8)
+    mat = rng.standard_normal((5, 8))
+    mat[:, 0] = 0.0  # a zero column ahead of others defeats a plain QR rank test
+    mat[:, 2] = mat[:, 1]
+    mat[:, 6] = 2.0 * mat[:, 4] - mat[:, 3]
+    y = rng.standard_normal(5)
+    for k in (1, 2, 3, 4, 6):  # k = 6 > m = 5 makes every support wide
+        supports = mc._support_array(8, k)
+        got = mc._projection_residuals(y, mat, supports)
+        assert np.allclose(got, lstsq_residuals(y, mat, supports), rtol=1e-10, atol=1e-12)
+
+
 def test_covering_budget_guard():
     with pytest.raises(ValueError):
         mc.covering_bracket(30, 5, 0.5)

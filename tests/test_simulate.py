@@ -1,5 +1,7 @@
 """Recovery simulations: source draws, sampling, ML search, rate sharing."""
 
+import copy
+import itertools
 import math
 
 import numpy as np
@@ -195,6 +197,52 @@ def test_rate_sharing_stage1_subset_of_truth():
             continue
         live = set(range(cfg.n)) - set(drawn.zeroed.tolist())
         assert set(est) & live <= truth
+
+
+def reference_rate_sharing(y, mat, k, zeroed, rng):
+    """Reference decoder: one least-squares fit per stage-1 candidate, in
+    lexicographic order.  Returns the support, or the declared error as
+    ("several", size) or ("none",)."""
+    live = sorted(set(range(mat.shape[1])) - set(int(i) for i in zeroed))
+    norm_y = math.sqrt(float(y @ y))
+    stage1 = ()
+    if norm_y > 0.0:
+        for size in range(1, min(len(live), mat.shape[0], k) + 1):
+            spanning = []
+            for cand in itertools.combinations(live, size):
+                cols = mat[:, cand]
+                fit, *_ = np.linalg.lstsq(cols, y, rcond=None)
+                if math.sqrt(float(np.sum((y - cols @ fit) ** 2))) <= sim.SPAN_RTOL * norm_y:
+                    spanning.append(cand)
+            if len(spanning) > 1:
+                return ("several", size)
+            if spanning:
+                stage1 = spanning[0]
+                break
+        else:
+            return ("none",)
+    fill = rng.choice(np.asarray(zeroed), size=k - len(stage1), replace=False)
+    return tuple(sorted(set(stage1) | set(int(i) for i in fill)))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1])
+def test_rate_sharing_matches_per_candidate_reference(epsilon):
+    cfg = config(n=24, omega=0.25, rho=0.15, matrix="rate_sharing", epsilon=epsilon, seed=17)
+    outcomes = set()
+    for trial in range(120):
+        rng = trial_rng(cfg.seed, trial)
+        drawn = sim.sample(sim.draw_source(cfg, rng), cfg, rng)
+        expected = reference_rate_sharing(
+            drawn.y, drawn.matrix, cfg.k, drawn.zeroed, copy.deepcopy(rng)
+        )
+        try:
+            got = sim.rate_sharing_recover(drawn.y, drawn.matrix, cfg.k, drawn.zeroed, rng)
+        except sim.MultipleMinimalSupportsError as exc:
+            msg = str(exc)
+            got = ("none",) if msg.startswith("no unique") else ("several", int(msg.split()[-1]))
+        assert got == expected, trial
+        outcomes.add(expected[0] if isinstance(expected[0], str) else "support")
+    assert {"support", "several"} <= outcomes
 
 
 def test_rate_sharing_matches_exact_conditional_mean():
