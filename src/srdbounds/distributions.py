@@ -441,7 +441,9 @@ def _montecarlo_oracle(dist, beta: float, budget: int, seed: int) -> OracleTrunc
     # within-sample spread.
     batches = 25
     per_batch = max(budget // batches, 10)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    from .montecarlo import trial_rng  # imported here: montecarlo imports this module
+
+    rng = trial_rng(seed, -1)  # no trial has index -1: the oracle's own stream
     means, variances, thresholds = [], [], []
     for _ in range(batches):
         x = sample_values(dist, per_batch, rng)

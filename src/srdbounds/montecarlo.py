@@ -4,7 +4,7 @@ Random-matrix log-determinant and determinant-power limits, rank-deficiency
 decay for discrete matrix entries, exact pattern-counting with covering-number
 brackets, and the truncated-power ratio scan, plus the support enumeration
 and span residuals that every exhaustive search shares.  Per-trial randomness
-comes from a counter-based generator keyed by ``seed XOR trial``.
+comes from a counter-based generator keyed by the (seed, trial) pair.
 """
 
 from __future__ import annotations
@@ -68,9 +68,10 @@ class MCEstimate:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Deterministic per-trial stream: counter-based generator keyed by
-    seed XOR trial, so results do not depend on execution order."""
-    key = (int(seed) ^ int(trial)) & ((1 << 128) - 1)
+    """Deterministic per-trial stream: Philox keyed by two 64-bit words, the
+    trial index and the seed (each modulo 2**64), so every (seed, trial) pair
+    has its own stream and results do not depend on execution order."""
+    key = (int(seed) % 2**64) << 64 | (int(trial) % 2**64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

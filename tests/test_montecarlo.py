@@ -29,6 +29,11 @@ def test_trial_rng_deterministic_and_distinct():
     assert not np.array_equal(a, c)
 
 
+def test_trial_rng_accepts_any_int_seed():
+    for seed in (-1, 2**64 + 5, -(2**70)):
+        assert np.isfinite(mc.trial_rng(seed, 0).standard_normal(2)).all()
+
+
 def test_estimates_reproducible_from_config():
     cfg = mc.MCConfig(n=64, r=0.5, gamma=3.0, trials=5, seed=42)
     assert mc.mp_logdet(cfg) == mc.mp_logdet(cfg)

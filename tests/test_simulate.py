@@ -281,6 +281,16 @@ def test_run_experiment_deterministic():
     assert first == second
 
 
+def test_seeds_give_distinct_trial_streams():
+    # Keyed by seed XOR trial, seeds 0-3 replayed one set of 8 trial streams.
+    multisets = set()
+    for seed in range(4):
+        cfg = config(n=20, omega=0.25, rho=0.5, snr_db=0.0, trials=8, seed=seed)
+        outcomes, _ = sim.run_experiment(cfg)
+        multisets.add(tuple(sorted(o.residual_min for o in outcomes)))
+    assert len(multisets) == 4
+
+
 def test_run_experiment_time_budget_flags_truncation():
     cfg = config(n=24, omega=0.25, rho=0.75, snr_db=10.0, trials=50, seed=13)
     _, summary = sim.run_experiment(cfg, time_budget_s=0.3)
