@@ -767,10 +767,9 @@ def alpha_curve(
 
 def source_at_snr(dist: DistributionSpec, omega: float, snr_db: float) -> SourceParams:
     """Scale a distribution to the per-sample SNR (dB) and wrap it as a source."""
-    from .distributions import scale_to_power
+    from .distributions import scale_to_snr
 
-    power = 10.0 ** (snr_db / 10.0)
-    return source_functionals(omega, scale_to_power(dist, omega, power))
+    return source_functionals(omega, scale_to_snr(dist, omega, snr_db))
 
 
 def _check_args(omega: float, alpha: float) -> None:

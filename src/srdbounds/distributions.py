@@ -525,6 +525,15 @@ def decay_rate(dist: DistributionSpec) -> float:
     raise TypeError(f"unsupported distribution {dist!r}")
 
 
+def scale_to_snr(dist: DistributionSpec, omega: float, snr_db: float) -> DistributionSpec:
+    """Rescale to the per-sample SNR ``10^(snr_db / 10)`` against unit noise."""
+    try:
+        power = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"an SNR of {snr_db} dB overflows the float range") from None
+    return scale_to_power(dist, omega, power)
+
+
 def scale_to_power(dist: DistributionSpec, omega: float, target_power: float) -> DistributionSpec:
     """Rescale so the vector-source power ``omega * E[X^2]`` equals the target.
 

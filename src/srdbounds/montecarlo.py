@@ -3,13 +3,13 @@
 Random-matrix log-determinant and determinant-power limits, rank-deficiency
 decay for discrete matrix entries, exact pattern-counting with covering-number
 brackets, and the truncated-power ratio scan, plus the support enumeration
-and span residuals that every exhaustive search shares.  Per-trial randomness
-comes from a counter-based generator keyed by the (seed, trial) pair.
+(a lexicographic prefix tree) and span residuals that every exhaustive search
+shares.  Per-trial randomness comes from a counter-based generator keyed by
+the (seed, trial) pair.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,6 +21,7 @@ from .ratefun import info_G
 
 
 _CHUNK_BYTES = 1 << 22  # size of one overlap block in covering_bracket
+_TABLE_ENTRIES = 1 << 26  # covering_bracket's neighbour table: 256 MB of int32
 _RANK_RTOL = 1e-8  # |R_jj| below this times the largest marks a deficient span
 
 
@@ -189,6 +190,8 @@ def rank_deficiency(
         raise ValueError(f"k = floor(omega * n) = {k} out of range for n = {n}")
     if entry_law not in ("gaussian", "rademacher"):
         raise ValueError(f"entry_law must be 'gaussian' or 'rademacher', got {entry_law}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     deficient = 0
     for trial in range(trials):
         rng = trial_rng(seed, trial)
@@ -209,14 +212,43 @@ def rank_deficiency(
 
 
 @lru_cache(maxsize=8)
+def _prefix_tree(n: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The lexicographic prefix tree of the size-k subsets of range(n), each
+    prefix followed by every element that can come after it.
+
+    Level j (j = 1..k) holds, in lexicographic order, every increasing
+    sequence of length j whose first j - 1 elements are a prefix of some
+    size-k subset, as two arrays: the index of those first j - 1 elements in
+    level j - 1 (level 0 is the empty sequence, index 0) and the last element.
+    A node has children only if its last element is at most n - k + j - 1.
+    They extend it by each larger element, are contiguous and end at n - 1,
+    so the sibling that ends in c instead of a sits c - a places later.
+    Level k is the size-k subsets themselves.
+    """
+    levels = []
+    last = np.full(1, -1)  # the empty sequence: its children start at 0
+    for j in range(1, k + 1):
+        counts = np.where(last <= n - k + j - 2, n - 1 - last, 0)
+        parent = np.repeat(np.arange(len(last)), counts)
+        first = np.cumsum(counts) - counts
+        last = last[parent] + 1 + np.arange(len(parent)) - first[parent]
+        parent.setflags(write=False)
+        last.setflags(write=False)
+        levels.append((parent, last))
+    return tuple(levels)
+
+
+@lru_cache(maxsize=8)
 def _support_array(n: int, k: int) -> np.ndarray:
-    """All size-k subsets of range(n), one per row in lexicographic order."""
-    total = math.comb(n, k)
-    arr = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-        dtype=np.int64,
-        count=k * total,
-    ).reshape(total, k)
+    """All size-k subsets of range(n), one per row in lexicographic order,
+    read off the leaves of the prefix tree."""
+    levels = _prefix_tree(n, k)
+    node = np.arange(math.comb(n, k))
+    arr = np.empty((len(node), k), dtype=np.int64)
+    for j in range(k - 1, -1, -1):
+        parent, last = levels[j]
+        arr[:, j] = last[node]
+        node = parent[node]
     arr.setflags(write=False)
     return arr
 
@@ -265,7 +297,9 @@ def covering_bracket(n: int, k: int, alpha: float, seed: int = 0) -> tuple[int, 
     lexicographically smallest).  Every support has exactly n_tilde neighbours
     (the supports sharing at least k - floor(alpha k) of its indices), so the
     neighbours form one (C(n,k), n_tilde) table, built from overlap counts of
-    0/1 incidence rows a few MB at a time.  ``seed`` is unused.
+    0/1 incidence rows a few MB at a time.  More than 200,000 supports, or a
+    table of more than 2**26 entries, raises BudgetError before anything is
+    allocated.  ``seed`` is unused.
     """
     if n > 24:
         raise ValueError(f"exhaustive support enumeration requires n <= 24, got {n}")
@@ -273,6 +307,11 @@ def covering_bracket(n: int, k: int, alpha: float, seed: int = 0) -> tuple[int, 
     if total > 200_000:
         raise BudgetError(f"C({n},{k}) = {total} exceeds the enumeration budget")
     width = n_tilde(n, k, alpha)
+    if total * width > _TABLE_ENTRIES:
+        raise BudgetError(
+            f"the neighbour table of C({n},{k}) = {total} supports with {width} "
+            f"neighbours each exceeds the budget of {_TABLE_ENTRIES} entries"
+        )
     lower = -(-total // width)
     # float32 products of 0/1 rows count overlaps exactly (at most n <= 24).
     incidence = np.zeros((total, n), dtype=np.float32)

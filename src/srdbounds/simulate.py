@@ -3,7 +3,10 @@
 Stochastic sparse sources, unit-row-power sampling matrices (i.i.d. Gaussian
 or the column-zeroing rate-sharing construction), exhaustive maximum-likelihood
 recovery over all candidate supports, and the two-stage rate-sharing decoder.
-Problem sizes are capped so the exhaustive search stays tractable; the point is
+The ML search scores every support by a bordered Cholesky factor of its Gram
+matrix, built once per prefix of the lexicographic prefix tree, so its cost
+depends on the number of samples only through one Gram product.  Problem
+sizes are capped so the exhaustive search stays tractable; the point is
 bound verification, not scalable estimation.
 """
 
@@ -16,11 +19,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionSpec, sample_values, scale_to_power
-from .montecarlo import BudgetError, _projection_residuals, _support_array, trial_rng
+from .distributions import DistributionSpec, sample_values, scale_to_snr
+from .montecarlo import (
+    BudgetError,
+    _prefix_tree,
+    _projection_residuals,
+    _support_array,
+    trial_rng,
+)
 
 SPAN_RTOL = 1e-9
 MAX_SUPPORTS = 1_000_000
+# exhaustive_ml's tolerances (see its docstring).  True residual gaps can be
+# tiny: on one noiseless draw at n=20, k=2, m=3 (seed 9, trial 32) a wrong
+# support comes within 5.4e-13 |y|^2 of the true one.  So ties stay well
+# below that, and above the few-eps round-off of the projection residuals
+# they are decided on.
+PIVOT_RTOL = 1e-3
+RESCORE_RTOL = 1e-10
+TIE_RTOL = 1e-14
+# Tree nodes extended per step: the temporaries are then small enough for
+# the allocator to reuse, instead of paging in fresh memory at each one.
+_CHUNK = 1 << 15
 
 
 class MultipleMinimalSupportsError(RuntimeError):
@@ -84,7 +104,7 @@ class SimConfig:
     def effective_dist(self) -> DistributionSpec:
         if self.snr_db is None:
             return self.dist
-        return scale_to_power(self.dist, self.omega, 10.0 ** (self.snr_db / 10.0))
+        return scale_to_snr(self.dist, self.omega, self.snr_db)
 
 
 @dataclass(frozen=True)
@@ -168,42 +188,107 @@ class MLResult:
     runner_up_gap: float
 
 
-def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
-    """Search all size-k supports for the smallest projection residual.
+def _extend(gram, col_norms, state, parent, a, col, keep):
+    """One step of :func:`exhaustive_ml`'s tree walk, for one chunk of a
+    level: extend the nodes ``parent``, each a prefix P' = P + a, by the
+    columns ``col``.
 
-    Residuals come from one batched Gram solve; supports whose Gram system is
-    numerically singular are re-scored by their projection residual onto the
-    actual column span.  Ties resolve to the lexicographically smallest
-    support (the supports are enumerated in lexicographic order).
+    A node keeps, at its own column c only, its prefix P's factor rows, the
+    Schur-complement diagonal d (column c's squared distance from span(A_P))
+    and the projected correlation e, with the residual of P + c and whether
+    P + c is deficient.  ``state`` holds these for the level above as
+    (residual, deficient, d, e, *rows); P's values at c sit with the
+    parent's sibling that ends in c.  From them,
+        w = (G[a, c] - sum_t rows_t[a] rows_t[c]) / sqrt(d_a),   z = e_a / sqrt(d_a),
+        d'_c = d_c - w^2,   e'_c = e_c - w z,
+        residual(P' + c) = residual(P') - e'_c^2 / d'_c,
+    and w joins the rows.  Returns the new nodes' fields, without d, e and
+    the rows unless ``keep``.
+    """
+    resid, deficient, d, e, *rows = state
+    at_col = parent + (col - a)
+    root = np.sqrt(d[parent])
+    w = gram.ravel()[a * len(gram) + col]
+    for r in rows:
+        w -= r[parent] * r[at_col]
+    w /= root
+    e_col = e[at_col] - w * (e[parent] / root)
+    d_col = d[at_col] - w * w
+    grown = (
+        resid[parent] - e_col * e_col / d_col,
+        deficient[parent] | (d_col <= PIVOT_RTOL * col_norms[col]),
+    )
+    if keep:
+        grown += (d_col, e_col, *(r[at_col] for r in rows), w)
+    return grown
+
+
+def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
+    """Search all size-k supports (1 <= k <= n) for the smallest projection
+    residual.
+
+    A support's residual is the last pivot of the Cholesky factor of its
+    bordered Gram matrix [[G_S, b_S], [b_S^T, |y|^2]] (G = A^T A, b = A^T y).
+    Supports that share a lexicographic prefix share that prefix's factor
+    rows, so the factors are built one level of the prefix tree at a time
+    (:func:`_extend`).  Only the last level touches all C(n, k) supports.
+    Levels run ``_CHUNK`` nodes at a time.
+
+    A pivot at or below ``PIVOT_RTOL`` times its column's squared norm marks
+    the support deficient (the column lies within ~0.03 rad of the span
+    before it).  Elsewhere the Gram residuals are good to about
+    n * eps / PIVOT_RTOL times |y|^2: enough to rank supports, not to tell a
+    spanning support from round-off.  So deficient supports, and those
+    within ``RESCORE_RTOL`` |y|^2 of the smallest Gram residual, are scored
+    again by projection onto their column span.  Residuals within
+    ``TIE_RTOL`` |y|^2 of the minimum tie, and ties go to the
+    lexicographically first support.  If the first two supports rescored
+    both span y, as every support does when m <= k, the first wins without
+    scoring the rest: no residual is below 0.  ``residual_min`` is the
+    chosen support's residual and ``runner_up_gap`` the gap between the two
+    smallest residuals (0 when they tie).
     """
     n = mat.shape[1]
-    supports = _support_array(n, k)
-    gram_full = mat.T @ mat
-    corr = mat.T @ y
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    gram = mat.T @ mat
+    col_norms = np.diag(gram)
     norm_y = float(y @ y)
+    levels = _prefix_tree(n, k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = mat.T @ y
+        state = (norm_y - e * e / col_norms, col_norms <= 0.0, col_norms, e)
+        for level, ((_, prev_last), (parent, col)) in enumerate(zip(levels, levels[1:]), 2):
+            grown: list[np.ndarray] = []
+            for start in range(0, len(parent), _CHUNK):
+                part = slice(start, start + _CHUNK)
+                fields = _extend(
+                    gram, col_norms, state, parent[part], prev_last[parent[part]], col[part], level < k
+                )
+                if not grown:
+                    grown = [np.empty(len(parent), f.dtype) for f in fields]
+                for out, f in zip(grown, fields):
+                    out[part] = f
+            state = tuple(grown)
+    resid, deficient = state[0], state[1]
+    supports = _support_array(n, k)
+    tie = TIE_RTOL * norm_y
+    gram_min = np.min(resid, where=~deficient, initial=np.inf)
+    again = np.flatnonzero(deficient | (resid <= gram_min + RESCORE_RTOL * norm_y))
+    first = _projection_residuals(y, mat, supports[again[:2]])
+    if len(first) == 2 and first.max() <= tie:
+        return MLResult(tuple(int(i) for i in supports[again[0]]), float(first[0]), 0.0)
+    resid[again[:2]] = first
+    if len(again) > 2:
+        resid[again[2:]] = _projection_residuals(y, mat, supports[again[2:]])
+    resid = np.maximum(resid, 0.0)
 
-    g = gram_full[supports[:, :, None], supports[:, None, :]]
-    b = corr[supports]
-    with np.errstate(all="ignore"):
-        try:
-            coef = np.linalg.solve(g, b[..., None])[..., 0]
-            quad = np.einsum("ij,ij->i", coef, b)
-        except np.linalg.LinAlgError:
-            quad = np.full(len(supports), np.nan)
-    residuals = norm_y - quad
-
-    bad = ~np.isfinite(residuals) | (residuals < -1e-6 * max(norm_y, 1.0))
-    if bad.any():
-        residuals[bad] = _projection_residuals(y, mat, supports[bad])
-    residuals = np.maximum(residuals, 0.0)
-
-    best = int(np.argmin(residuals))
-    best_val = float(residuals[best])
-    if len(residuals) > 1:
-        runner_up = float(np.partition(residuals, 1)[1])
-    else:
-        runner_up = best_val
-    return MLResult(tuple(int(i) for i in supports[best]), best_val, runner_up - best_val)
+    best = int(np.argmax(resid <= resid.min() + tie))
+    low = np.partition(resid, 1)[:2] if len(resid) > 1 else resid[[0, 0]]
+    gap = low[1] - low[0]
+    return MLResult(
+        tuple(int(i) for i in supports[best]), float(resid[best]), float(gap) if gap > tie else 0.0
+    )
 
 
 def rate_sharing_recover(

@@ -1,11 +1,14 @@
 """CLI contract: CSV schema, manifests, config precedence, exit codes."""
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import srdbounds
 from srdbounds.cli import _coerce, _parse_grid, _sliced_from_eta, main
 
 
@@ -146,6 +149,24 @@ def test_simulate_budget_refusal(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "rank", "--trials", "0"],
+        ["bounds", "--snr-db", "5000", "--grid", "0.1:0.2:2", "--out", "b.csv"],
+        ["simulate", "--n", "10", "--omega", "0.2", "--rho", "0.3", "--snr-db", "5000",
+         "--trials", "2", "--out", "s.csv"],
+    ],
+    ids=["rank-zero-trials", "bounds-snr-overflow", "simulate-snr-overflow"],
+)
+def test_out_of_range_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("omega = 0.25\nn = 20\nrho = 0.15\ntrials = 5\nnoiseless = true\n")
@@ -260,9 +281,15 @@ def test_verify_all_reaches_every_suite(tmp_path):
 
 
 def test_installed_entry_point_usage_error():
+    # The subprocess finds the package where this process imported it from,
+    # installed or not.
+    src = str(Path(srdbounds.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "srdbounds.cli", "bounds", "--grid", "bad"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 2

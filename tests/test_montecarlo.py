@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,11 +216,46 @@ def test_projection_residuals_match_lstsq_on_deficient_spans():
         assert np.allclose(got, lstsq_residuals(y, mat, supports), rtol=1e-10, atol=1e-12)
 
 
+def test_support_array_is_lexicographic_combinations():
+    for n in (1, 5, 9, 24):
+        for k in range(0, min(n, 6) + 1):
+            want = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+            assert np.array_equal(mc._support_array(n, k), want.reshape(math.comb(n, k), k))
+
+
+def test_prefix_tree_lists_every_extension_of_every_prefix():
+    n, k = 9, 4
+    levels = mc._prefix_tree(n, k)
+    prefixes = [()]
+    for j, (parent, last) in enumerate(levels, start=1):
+        nodes = [prefixes[p] + (int(c),) for p, c in zip(parent, last)]
+        want = sorted(
+            s[: j - 1] + (c,)
+            for s in {t[: j - 1] for t in itertools.combinations(range(n), k)}
+            for c in range(s[-1] + 1 if s else 0, n)
+        )
+        assert nodes == want
+        prefixes = nodes
+
+
 def test_covering_budget_guard():
     with pytest.raises(ValueError):
         mc.covering_bracket(30, 5, 0.5)
     with pytest.raises(mc.BudgetError):
         mc.covering_bracket(24, 12, 0.5)
+
+
+def test_covering_budget_counts_the_neighbour_table():
+    # 134,596 supports pass the support budget; their 18,724 neighbours each
+    # would need 10 GB of table.
+    tracemalloc.start()
+    try:
+        with pytest.raises(mc.BudgetError, match="neighbour table"):
+            mc.covering_bracket(24, 6, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,82 @@ def test_ml_handles_duplicate_columns():
     assert set(result.support) in ({1, 4}, {1, 5})
 
 
+def test_ml_breaks_ties_lexicographically_when_every_support_spans():
+    # m = 2 < k = 3: every support spans y, so every residual is round-off.
+    for seed in range(5):
+        rng = trial_rng(12, seed)
+        mat = rng.standard_normal((2, 7))
+        result = sim.exhaustive_ml(rng.standard_normal(2), mat, 3)
+        assert result.support == (0, 1, 2)
+        assert result.residual_min <= 1e-28
+
+
+def test_ml_ties_between_parallel_columns_go_to_the_first():
+    rng = trial_rng(15, 0)
+    mat = rng.standard_normal((6, 10))
+    mat[:, 5] = -3.0 * mat[:, 4]
+    y = mat[:, 1] + 2.0 * mat[:, 4] + 0.1 * rng.standard_normal(6)
+    result = sim.exhaustive_ml(y, mat, 2)
+    assert result.support == (1, 4)
+    assert result.residual_min > 1e-6 and result.runner_up_gap == 0.0
+
+
+def test_ml_scores_nearly_dependent_supports_by_projection():
+    # Column 2 lies ~1e-7 rad from column 0 and y needs both, with weights
+    # ~1e7: the Gram route's round-off there (eps times the squared weights,
+    # relative to |y|^2) is as large as the other supports' residuals.
+    for trial in range(8):
+        rng = trial_rng(14, trial)
+        mat = rng.standard_normal((5, 7))
+        mat[:, 2] = mat[:, 0] + 1e-7 * rng.standard_normal(5)
+        y = mat[:, 1] + (mat[:, 2] - mat[:, 0]) / 1e-7
+        result = sim.exhaustive_ml(y, mat, 3)
+        assert result.support == (0, 1, 2)
+        assert result.residual_min <= 1e-16 * float(y @ y)
+
+
+def lstsq_ml(y, mat, k):
+    """Reference: one least-squares fit per support, ties (within
+    ``sim.TIE_RTOL`` |y|^2) to the lexicographically first and a zero gap."""
+    supports = list(itertools.combinations(range(mat.shape[1]), k))
+    resid = []
+    for s in supports:
+        cols = mat[:, list(s)]
+        fit, *_ = np.linalg.lstsq(cols, y, rcond=None)
+        resid.append(float(np.sum((y - cols @ fit) ** 2)))
+    resid = np.array(resid)
+    tie = sim.TIE_RTOL * float(y @ y)
+    best = int(np.argmax(resid <= resid.min() + tie))
+    low = np.sort(resid)[:2]
+    return supports[best], resid[best], low[1] - low[0] if low[1] - low[0] > tie else 0.0
+
+
+@pytest.mark.parametrize("m", [6, 4, 3])  # m > k, m = k, m < k at k = 4
+@pytest.mark.parametrize("columns", ["generic", "zero", "duplicate", "dependent", "small"])
+def test_ml_matches_lstsq_per_support(m, columns):
+    rng = trial_rng(13, m)
+    n, k = 8, 4
+    for trial in range(6):
+        mat = rng.standard_normal((m, n))
+        if columns == "zero":
+            mat[:, 2] = 0.0
+        elif columns == "duplicate":
+            mat[:, 5] = mat[:, 1]
+        elif columns == "dependent":
+            mat[:, 3] = mat[:, 0] - 0.5 * mat[:, 6]
+        elif columns == "small":
+            mat[:, 4] *= 1e-6
+        x = np.zeros(n)
+        x[rng.choice(n, size=k, replace=False)] = rng.standard_normal(k)
+        y = mat @ x + (0.3 * rng.standard_normal(m) if trial % 2 else 0.0)
+        support, resid, gap = lstsq_ml(y, mat, k)
+        result = sim.exhaustive_ml(y, mat, k)
+        scale = 1e-12 * float(y @ y)
+        assert result.support == support
+        assert abs(result.residual_min - resid) <= scale
+        assert abs(result.runner_up_gap - gap) <= scale
+
+
 # ---------------------------------------------------------------------------
 # Rate sharing
 # ---------------------------------------------------------------------------
