@@ -299,11 +299,10 @@ def _suite_truncation(args) -> list[dict]:
 
 def _suite_mp_logdet(args) -> list[dict]:
     checks = []
+    gammas = (1.0, 10.0, 100.0)
     for r in (0.5, 1.0, 2.0):
-        for gamma in (1.0, 10.0, 100.0):
-            est = mc.mp_logdet(
-                mc.MCConfig(n=args.n, r=r, gamma=gamma, trials=args.trials, seed=args.seed)
-            )
+        config = mc.MCConfig(n=args.n, r=r, trials=args.trials, seed=args.seed)
+        for gamma, est in zip(gammas, mc._mp_logdets(config, gammas)):
             checks.append(_check(f"mp_logdet_r{r}_g{gamma}", est.relative_gap, 0.02))
     return checks
 
@@ -317,8 +316,11 @@ def _suite_det_power(args) -> list[dict]:
 
 
 def _suite_covering(args) -> list[dict]:
-    lower, upper = mc.covering_bracket(args.n, args.k, args.alpha, seed=args.seed)
+    if args.n < 1:
+        raise ValueError(f"n must be at least 1, got {args.n}")
+    # Checks omega = k/n and alpha before any cover is built.
     rate = rate_R(args.k / args.n, args.alpha)
+    lower, upper = mc.covering_bracket(args.n, args.k, args.alpha, seed=args.seed)
     lo_rate = math.log(lower) / args.n
     up_rate = math.log(upper) / args.n
     name = f"n{args.n}_k{args.k}"

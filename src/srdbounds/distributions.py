@@ -397,7 +397,7 @@ def _quadrature_oracle(dist, beta: float) -> OracleTruncation:
         raise AccuracyError(f"quadrature mass {mass} missed beta {beta}")
     m1, e1 = integrate_f(lambda x: x * pdf(x))
     m2, e2 = integrate_f(lambda x: x * x * pdf(x))
-    neg_ent, e3 = integrate_f(lambda x: pdf(x) * math.log(max(pdf(x), 1e-300)))
+    neg_ent, e3 = integrate_f(lambda x: (p := pdf(x)) * math.log(max(p, 1e-300)))
     mean = m1 / beta
     var = m2 / beta - mean * mean
     # Truncated density is pdf/beta on the kept region.

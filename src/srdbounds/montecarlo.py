@@ -20,8 +20,9 @@ from .distributions import DistributionSpec, decay_rate, moments, truncate
 from .ratefun import info_G
 
 
-_CHUNK_BYTES = 1 << 22  # size of one overlap block in covering_bracket
+_CHUNK_BYTES = 1 << 22  # covering_bracket's overlap blocks and gain updates
 _TABLE_ENTRIES = 1 << 26  # covering_bracket's neighbour table: 256 MB of int32
+_MATRIX_ENTRIES = 1 << 24  # mp_logdet and det_power: 128 MB of float64 per draw
 _RANK_RTOL = 1e-8  # |R_jj| below this times the largest marks a deficient span
 
 
@@ -88,43 +89,74 @@ def _estimate(values: np.ndarray, target: float, rejected: int = 0) -> MCEstimat
 # ---------------------------------------------------------------------------
 
 
-def _gram_logdet(mat: np.ndarray, gamma: float) -> float:
-    """log det(I + (gamma/n) M M^T) through a Cholesky factor of the smaller
-    Gram orientation."""
-    m, n = mat.shape
-    if m <= n:
-        gram = np.eye(m) + (gamma / n) * (mat @ mat.T)
-    else:
-        gram = np.eye(n) + (gamma / n) * (mat.T @ mat)
-    chol = np.linalg.cholesky(gram)
+def _check_matrix_budget(config: MCConfig) -> None:
+    """Refuse, before anything is drawn, a matrix of more than 2**24 entries."""
+    entries = config.m * config.n
+    if entries > _MATRIX_ENTRIES:
+        raise BudgetError(
+            f"the {config.m} x {config.n} matrix has {entries} entries, "
+            f"over the budget of {_MATRIX_ENTRIES}"
+        )
+
+
+def _shifted_logdet(gram: np.ndarray, scale: float) -> float:
+    """log det(I + scale * gram) through a Cholesky factor."""
+    shifted = scale * gram
+    shifted[np.diag_indices_from(shifted)] += 1.0
+    chol = np.linalg.cholesky(shifted)
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def _mp_logdets(config: MCConfig, gammas: tuple[float, ...]) -> list[MCEstimate]:
+    """:func:`mp_logdet` at each of ``gammas`` in turn (``config.gamma`` is
+    ignored), with each matrix drawn and its Gram formed once for all of them.
+
+    Per trial, every gamma still pending tries each new draw of the trial's
+    stream; a gamma whose Cholesky fails or whose log-determinant is not
+    finite waits for the next draw, exactly as a one-gamma run would, so each
+    estimate equals ``mp_logdet`` at that gamma, rejections included.
+    """
+    _check_matrix_budget(config)
+    n, m = config.n, config.m
+    values = np.empty((len(gammas), config.trials))
+    rejected = [0] * len(gammas)
+    for trial in range(config.trials):
+        rng = trial_rng(config.seed, trial)
+        pending = list(range(len(gammas)))
+        while pending:
+            mat = rng.standard_normal((m, n))
+            # The smaller Gram orientation has the same log-determinant.
+            gram = mat @ mat.T if m <= n else mat.T @ mat
+            waiting = []
+            for g in pending:
+                try:
+                    val = _shifted_logdet(gram, gammas[g] / n)
+                except np.linalg.LinAlgError:
+                    val = math.nan
+                if math.isfinite(val):
+                    values[g, trial] = val / (2.0 * n)
+                else:
+                    rejected[g] += 1
+                    waiting.append(g)
+            pending = waiting
+    return [
+        _estimate(values[g], info_G(m / n, gamma), rejected[g])
+        for g, gamma in enumerate(gammas)
+    ]
 
 
 def mp_logdet(config: MCConfig) -> MCEstimate:
     """Sample (1/2n) log det(I + (gamma/n) M M^T) for i.i.d. standard Gaussian
-    M and compare with the asymptotic log-determinant rate."""
-    n, m, gamma = config.n, config.m, config.gamma
-    values = np.empty(config.trials)
-    rejected = 0
-    for trial in range(config.trials):
-        rng = trial_rng(config.seed, trial)
-        while True:
-            mat = rng.standard_normal((m, n))
-            try:
-                val = _gram_logdet(mat, gamma)
-            except np.linalg.LinAlgError:
-                rejected += 1
-                continue
-            if math.isfinite(val):
-                break
-            rejected += 1
-        values[trial] = val / (2.0 * n)
-    return _estimate(values, info_G(m / n, gamma), rejected)
+    M and compare with the asymptotic log-determinant rate.  A matrix of more
+    than 2**24 entries raises BudgetError before the first draw."""
+    return _mp_logdets(config, (config.gamma,))[0]
 
 
 def det_power(config: MCConfig) -> MCEstimate:
     """Sample |(1/m) M^T M|^(1/n) in the log domain (sum of log singular
-    values) and compare with its almost-sure limit, defined for r >= 1."""
+    values) and compare with its almost-sure limit, defined for r >= 1.  A
+    matrix of more than 2**24 entries raises BudgetError before the first
+    draw."""
     n, m = config.n, config.m
     r = m / n
     if r < 1.0:
@@ -133,6 +165,7 @@ def det_power(config: MCConfig) -> MCEstimate:
         target = 1.0 / math.e
     else:
         target = (r / (r - 1.0)) ** (r - 1.0) / math.e
+    _check_matrix_budget(config)
     values = np.empty(config.trials)
     rejected = 0
     for trial in range(config.trials):
@@ -297,7 +330,9 @@ def covering_bracket(n: int, k: int, alpha: float, seed: int = 0) -> tuple[int, 
     lexicographically smallest).  Every support has exactly n_tilde neighbours
     (the supports sharing at least k - floor(alpha k) of its indices), so the
     neighbours form one (C(n,k), n_tilde) table, built from overlap counts of
-    0/1 incidence rows a few MB at a time.  More than 200,000 supports, or a
+    0/1 incidence rows a few MB at a time.  The greedy step keeps each
+    support's count of uncovered neighbours and lowers it through the table
+    rows of the supports each pick covers.  More than 200,000 supports, or a
     table of more than 2**26 entries, raises BudgetError before anything is
     allocated.  ``seed`` is unused.
     """
@@ -320,15 +355,27 @@ def covering_bracket(n: int, k: int, alpha: float, seed: int = 0) -> tuple[int, 
     rows = max(1, _CHUNK_BYTES // (incidence.itemsize * total))
     table = np.empty((total, width), dtype=np.int32)
     for start in range(0, total, rows):
-        overlap = incidence[start : start + rows] @ incidence.T
-        table[start : start + rows] = np.nonzero(overlap >= min_overlap)[1].reshape(-1, width)
+        near = incidence[start : start + rows] @ incidence.T >= min_overlap
+        # Flat positions, less each row's offset, are the column indices.
+        cols = np.flatnonzero(near).reshape(-1, width)
+        table[start : start + rows] = cols - total * np.arange(len(cols))[:, None]
+    # gain[i] counts the uncovered neighbours of support i.  The neighbour
+    # relation is symmetric, so covering j lowers the gain of each of j's
+    # neighbours by one; argmax takes the first of the largest gains.
+    gain = np.full(total, width, dtype=np.int64)
     uncovered = np.ones(total, dtype=bool)
+    left = total
     cover_size = 0
-    while uncovered.any():
-        choice = int(np.argmax(uncovered[table].sum(axis=1)))
-        uncovered[table[choice]] = False
+    while True:
+        ball = table[int(np.argmax(gain))]
+        newly = ball[uncovered[ball]]
+        uncovered[newly] = False
+        left -= len(newly)
         cover_size += 1
-    return lower, cover_size
+        if left == 0:
+            return lower, cover_size
+        for start in range(0, len(newly), rows):
+            gain -= np.bincount(table[newly[start : start + rows]].ravel(), minlength=total)
 
 
 # ---------------------------------------------------------------------------

@@ -149,15 +149,34 @@ def test_simulate_budget_refusal(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("suite", ["mp_logdet", "det_power"])
+def test_verify_matrix_budget_refusal(tmp_path, monkeypatch, capsys, suite):
+    # A 100000 x 100000 draw would need 80 GB; the refusal comes first.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["verify", "--suite", suite, "--n", "100000", "--trials", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("budget refused: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--suite", "rank", "--trials", "0"],
+        ["verify", "--suite", "covering", "--n", "0", "--k", "0"],
+        # omega = 12/22 is out of range; C(22,12) would also exceed the
+        # enumeration budget, so this exits 2 only if omega is checked first.
+        ["verify", "--suite", "covering", "--n", "22", "--k", "12"],
         ["bounds", "--snr-db", "5000", "--grid", "0.1:0.2:2", "--out", "b.csv"],
         ["simulate", "--n", "10", "--omega", "0.2", "--rho", "0.3", "--snr-db", "5000",
          "--trials", "2", "--out", "s.csv"],
     ],
-    ids=["rank-zero-trials", "bounds-snr-overflow", "simulate-snr-overflow"],
+    ids=[
+        "rank-zero-trials",
+        "covering-zero-n",
+        "covering-omega-before-cover",
+        "bounds-snr-overflow",
+        "simulate-snr-overflow",
+    ],
 )
 def test_out_of_range_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

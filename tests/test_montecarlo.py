@@ -64,6 +64,56 @@ def test_mp_logdet_gap_shrinks_with_n():
     assert gaps[2][0] <= gaps[1][0] + gaps[1][1]
 
 
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_mp_logdets_match_one_gamma_runs(r):
+    gammas = (0.0, 1.0, 10.0, 100.0)
+    config = mc.MCConfig(n=24, r=r, trials=4, seed=3)
+    got = mc._mp_logdets(config, gammas)
+    for gamma, est in zip(gammas, got):
+        assert est == mc.mp_logdet(mc.MCConfig(n=24, r=r, gamma=gamma, trials=4, seed=3))
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+@pytest.mark.parametrize("failure", ["raises", "zero_pivot"])
+def test_mp_logdets_reject_like_one_gamma_runs(monkeypatch, failure):
+    # Fail the Cholesky at gamma = 10 on the first draw of trial 1 only: that
+    # gamma must take the trial's second draw, the others keep the first.
+    n, r, seed = 16, 2.0, 5
+    first = mc.trial_rng(seed, 1).standard_normal((32, n))
+    marker = 1.0 + (10.0 / n) * (first.T @ first)[0, 0]
+    cholesky = np.linalg.cholesky
+
+    def flaky(a):
+        if a[0, 0] == marker:
+            if failure == "raises":
+                raise np.linalg.LinAlgError("forced")
+            return np.zeros_like(a)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", flaky)
+    gammas = (1.0, 10.0, 100.0)
+    got = mc._mp_logdets(mc.MCConfig(n=n, r=r, trials=3, seed=seed), gammas)
+    assert [est.rejected for est in got] == [0, 1, 0]
+    for gamma, est in zip(gammas, got):
+        assert est == mc.mp_logdet(mc.MCConfig(n=n, r=r, gamma=gamma, trials=3, seed=seed))
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    clean = mc.mp_logdet(mc.MCConfig(n=n, r=r, gamma=10.0, trials=3, seed=seed))
+    assert clean.rejected == 0 and clean.mean != got[1].mean
+
+
+@pytest.mark.parametrize("sampler", [mc.mp_logdet, mc.det_power])
+def test_matrix_budget_refuses_before_drawing(sampler):
+    # 10**10 entries: the draw alone would need 80 GB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(mc.BudgetError, match="matrix has"):
+            sampler(mc.MCConfig(n=100_000, r=1.0, trials=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_det_power_requires_wide_matrices():
     with pytest.raises(ValueError):
         mc.det_power(mc.MCConfig(n=100, r=0.5))
@@ -192,6 +242,17 @@ def test_covering_bracket_matches_set_based_greedy(n, k, alpha):
 
 def test_covering_bracket_pinned_reference_case():
     assert mc.covering_bracket(22, 4, 0.5) == (8, 21)
+
+
+@pytest.mark.parametrize(
+    "n, k, alpha, bracket",
+    [
+        (24, 3, 0.0, (2024, 2024)),  # every support is its own only neighbour
+        (16, 4, 1.0, (1, 1)),  # every support neighbours every other
+    ],
+)
+def test_covering_bracket_pinned_at_the_ends_of_alpha(n, k, alpha, bracket):
+    assert mc.covering_bracket(n, k, alpha) == bracket
 
 
 def lstsq_residuals(y, mat, supports):
