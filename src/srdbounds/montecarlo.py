@@ -3,8 +3,8 @@
 Random-matrix log-determinant and determinant-power limits, rank-deficiency
 decay for discrete matrix entries, exact pattern-counting with covering-number
 brackets, and the truncated-power ratio scan, plus the support enumeration
-(a lexicographic prefix tree) and span residuals that every exhaustive search
-shares.  Per-trial randomness comes from a counter-based generator keyed by
+(a lexicographic prefix tree) and the one-column Gram-Schmidt span step that
+every exhaustive search shares.  Per-trial randomness comes from a counter-based generator keyed by
 the (seed, trial) pair.
 """
 
@@ -23,7 +23,11 @@ from .ratefun import info_G
 _CHUNK_BYTES = 1 << 22  # covering_bracket's overlap blocks and gain updates
 _TABLE_ENTRIES = 1 << 26  # covering_bracket's neighbour table: 256 MB of int32
 _MATRIX_ENTRIES = 1 << 24  # mp_logdet and det_power: 128 MB of float64 per draw
-_RANK_RTOL = 1e-8  # |R_jj| below this times the largest marks a deficient span
+_RANK_RTOL = 1e-8  # a column this close to its span, relative to its norm, adds nothing
+# Tree nodes or supports handled per step of a search: the temporaries are
+# then small enough for the allocator to reuse, instead of paging in fresh
+# memory at each one.
+_CHUNK = 1 << 15
 
 
 class BudgetError(ValueError):
@@ -43,10 +47,10 @@ class MCConfig:
     def __post_init__(self):
         if self.n < 8:
             raise ValueError(f"n must be at least 8, got {self.n}")
-        if self.r <= 0:
-            raise ValueError(f"aspect ratio must be positive, got {self.r}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValueError(f"aspect ratio must be positive and finite, got {self.r}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.m < 1:
@@ -246,22 +250,21 @@ def rank_deficiency(
 
 @lru_cache(maxsize=8)
 def _prefix_tree(n: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The lexicographic prefix tree of the size-k subsets of range(n), each
-    prefix followed by every element that can come after it.
+    """The lexicographic prefix tree of the subsets of range(n) of size at
+    most k.
 
-    Level j (j = 1..k) holds, in lexicographic order, every increasing
-    sequence of length j whose first j - 1 elements are a prefix of some
-    size-k subset, as two arrays: the index of those first j - 1 elements in
-    level j - 1 (level 0 is the empty sequence, index 0) and the last element.
-    A node has children only if its last element is at most n - k + j - 1.
-    They extend it by each larger element, are contiguous and end at n - 1,
-    so the sibling that ends in c instead of a sits c - a places later.
-    Level k is the size-k subsets themselves.
+    Level j (j = 1..k) holds every size-j subset, as an increasing sequence,
+    in lexicographic order, as two arrays: the index of its first j - 1
+    elements in level j - 1 (level 0 is the empty sequence, index 0) and its
+    last element.  A node's children extend it by each larger element, are
+    contiguous and end at n - 1, so the sibling that ends in c instead of a
+    sits c - a places later.  Level k is the size-k subsets themselves, and
+    the tree to depth j < k is this one's first j levels.
     """
     levels = []
     last = np.full(1, -1)  # the empty sequence: its children start at 0
-    for j in range(1, k + 1):
-        counts = np.where(last <= n - k + j - 2, n - 1 - last, 0)
+    for _ in range(k):
+        counts = n - 1 - last
         parent = np.repeat(np.arange(len(last)), counts)
         first = np.cumsum(counts) - counts
         last = last[parent] + 1 + np.arange(len(parent)) - first[parent]
@@ -286,23 +289,39 @@ def _support_array(n: int, k: int) -> np.ndarray:
     return arr
 
 
-def _projection_residuals(y: np.ndarray, mat: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """Squared distance from y to the span of mat's columns for every row of
-    ``supports``, by one stacked QR.  Householder Q spans extra directions on
-    a rank-deficient support, which shows as a near-zero diagonal entry of R;
-    such supports take their basis from an SVD at least squares' default
-    cutoff (singular values up to eps * max(m, k) times the largest are zero).
+def _span_step(basis: np.ndarray, y_perp: np.ndarray, cols: np.ndarray):
+    """Extend N spans by one column each, the node index last throughout.
+
+    ``basis`` (j, m, N) holds each span's orthonormal columns, ``y_perp``
+    (m, N) the part of y orthogonal to it and ``cols`` (m, N) the columns to
+    add.  Classical Gram-Schmidt applied twice ("twice is enough") leaves v,
+    the part of a column orthogonal to its span.  If |v| is at most
+    ``_RANK_RTOL`` times the column's norm, the column adds nothing: q = 0 and
+    the span and y_perp stay as they are.  Otherwise q = v / |v| and
+    y_perp loses its component along q.  Returns q (m, N) and the new y_perp.
     """
-    cols = mat.T[supports].transpose(0, 2, 1)
-    basis, r = np.linalg.qr(cols)
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    deficient = np.any(diag <= _RANK_RTOL * diag.max(axis=1, keepdims=True), axis=1)
-    if deficient.any():
-        u, s, _ = np.linalg.svd(cols[deficient], full_matrices=False)
-        keep = s > np.finfo(float).eps * max(cols.shape[1:]) * s[:, :1]
-        basis[deficient] = u * keep[:, None, :]
-    resid = y - np.einsum("smr,sr->sm", basis, np.einsum("smr,m->sr", basis, y))
-    return np.einsum("sm,sm->s", resid, resid)
+    v = cols
+    for _ in range(2):
+        v = v - np.einsum("jmn,jn->mn", basis, np.einsum("jmn,mn->jn", basis, v))
+    norm = np.sqrt(np.einsum("mn,mn->n", v, v))
+    spans = norm > _RANK_RTOL * np.sqrt(np.einsum("mn,mn->n", cols, cols))
+    q = v * np.divide(1.0, norm, out=np.zeros_like(norm), where=spans)
+    return q, y_perp - q * np.einsum("mn,mn->n", q, y_perp)
+
+
+def _span_residuals(y: np.ndarray, mat: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Squared distance from y to the span of mat's columns for every row of
+    ``supports``, by one :func:`_span_step` per column, ``_CHUNK`` rows at a
+    time."""
+    out = np.empty(len(supports))
+    for start in range(0, len(supports), _CHUNK):
+        rows = supports[start : start + _CHUNK]
+        basis = np.empty((rows.shape[1], len(y), len(rows)))
+        y_perp = np.repeat(y[:, None], len(rows), axis=1)
+        for t in range(rows.shape[1]):
+            basis[t], y_perp = _span_step(basis[:t], y_perp, mat[:, rows[:, t]])
+        out[start : start + len(rows)] = np.einsum("mn,mn->n", y_perp, y_perp)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 Stochastic sparse sources, unit-row-power sampling matrices (i.i.d. Gaussian
 or the column-zeroing rate-sharing construction), exhaustive maximum-likelihood
 recovery over all candidate supports, and the two-stage rate-sharing decoder.
-The ML search scores every support by a bordered Cholesky factor of its Gram
-matrix, built once per prefix of the lexicographic prefix tree, so its cost
-depends on the number of samples only through one Gram product.  Problem
+Both searches walk the lexicographic prefix tree of the supports, doing the
+work a prefix shares once per prefix.  The ML search scores every support by
+a bordered Cholesky factor of its Gram matrix, so its cost depends on the
+number of samples only through one Gram product; the rate-sharing decoder
+extends each node's orthonormal span by one Gram-Schmidt step.  Problem
 sizes are capped so the exhaustive search stays tractable; the point is
 bound verification, not scalable estimation.
 """
@@ -21,9 +23,11 @@ import numpy as np
 
 from .distributions import DistributionSpec, sample_values, scale_to_snr
 from .montecarlo import (
+    _CHUNK,
     BudgetError,
     _prefix_tree,
-    _projection_residuals,
+    _span_residuals,
+    _span_step,
     _support_array,
     trial_rng,
 )
@@ -38,9 +42,6 @@ MAX_SUPPORTS = 1_000_000
 PIVOT_RTOL = 1e-3
 RESCORE_RTOL = 1e-10
 TIE_RTOL = 1e-14
-# Tree nodes extended per step: the temporaries are then small enough for
-# the allocator to reuse, instead of paging in fresh memory at each one.
-_CHUNK = 1 << 15
 
 
 class MultipleMinimalSupportsError(RuntimeError):
@@ -240,7 +241,9 @@ def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
     n * eps / PIVOT_RTOL times |y|^2: enough to rank supports, not to tell a
     spanning support from round-off.  So deficient supports, and those
     within ``RESCORE_RTOL`` |y|^2 of the smallest Gram residual, are scored
-    again by projection onto their column span.  Residuals within
+    again by projection onto their column span, built column by column
+    with the Gram-Schmidt step stage 1 of :func:`rate_sharing_recover` uses
+    (:func:`_span_residuals`).  Residuals within
     ``TIE_RTOL`` |y|^2 of the minimum tie, and ties go to the
     lexicographically first support.  If the first two supports rescored
     both span y, as every support does when m <= k, the first wins without
@@ -275,12 +278,12 @@ def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
     tie = TIE_RTOL * norm_y
     gram_min = np.min(resid, where=~deficient, initial=np.inf)
     again = np.flatnonzero(deficient | (resid <= gram_min + RESCORE_RTOL * norm_y))
-    first = _projection_residuals(y, mat, supports[again[:2]])
+    first = _span_residuals(y, mat, supports[again[:2]])
     if len(first) == 2 and first.max() <= tie:
         return MLResult(tuple(int(i) for i in supports[again[0]]), float(first[0]), 0.0)
     resid[again[:2]] = first
     if len(again) > 2:
-        resid[again[2:]] = _projection_residuals(y, mat, supports[again[2:]])
+        resid[again[2:]] = _span_residuals(y, mat, supports[again[2:]])
     resid = np.maximum(resid, 0.0)
 
     best = int(np.argmax(resid <= resid.min() + tie))
@@ -289,6 +292,31 @@ def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
     return MLResult(
         tuple(int(i) for i in supports[best]), float(resid[best]), float(gap) if gap > tie else 0.0
     )
+
+
+def _grow_spans(basis, y_perp, cols, parent, last, keep):
+    """One level of stage 1's prefix-tree walk, ``_CHUNK`` nodes at a time:
+    node i adds column ``last[i]`` to the span of node ``parent[i]`` of the
+    level above, whose orthonormal ``basis`` (j, m, N) and residual ``y_perp``
+    (m, N) are laid out as in :func:`_span_step`.  Returns every node's
+    |y_perp| and, if ``keep``, the level's own basis and y_perp (else None
+    for both).
+    """
+    resid = np.empty(len(parent))
+    if keep:
+        grown = np.empty((len(basis) + 1, len(y_perp), len(parent)))
+        grown_perp = np.empty((len(y_perp), len(parent)))
+    for start in range(0, len(parent), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        node_basis = np.take(basis, parent[part], axis=2)
+        node_perp = np.take(y_perp, parent[part], axis=1)
+        q, perp = _span_step(node_basis, node_perp, cols[:, last[part]])
+        resid[part] = np.sqrt(np.einsum("mn,mn->n", perp, perp))
+        if keep:
+            grown[:-1, :, part] = node_basis
+            grown[-1, :, part] = q
+            grown_perp[:, part] = perp
+    return (resid, grown, grown_perp) if keep else (resid, None, None)
 
 
 def rate_sharing_recover(
@@ -301,25 +329,36 @@ def rate_sharing_recover(
     """Two-stage decoder for the rate-sharing ensemble.
 
     Stage 1 finds the smallest support inside the live columns whose span
-    contains y (exact search over subset sizes, all candidates of one size
-    scored at once); several minimal spanning supports raise
-    :class:`MultipleMinimalSupportsError`.  Stage 2 fills the remaining
-    indices uniformly at random from the zeroed set.
+    contains y (|y_perp| <= ``SPAN_RTOL`` |y|), by an exact search over
+    subset sizes; several minimal spanning supports raise
+    :class:`MultipleMinimalSupportsError`.  The search walks the prefix tree
+    of the live columns one level, so one subset size, at a time, and each
+    node extends its parent's span by one Gram-Schmidt step
+    (:func:`_span_step`); it stops at the first level with a spanning node.
+    Stage 2 fills the remaining indices uniformly at random from the zeroed
+    set.
     """
     live = np.setdiff1d(np.arange(mat.shape[1]), zeroed)
     norm_y = math.sqrt(float(y @ y))
     stage1: tuple[int, ...] = ()
     if norm_y > 0.0:
-        for size in range(1, min(len(live), mat.shape[0], k) + 1):
-            cands = live[_support_array(len(live), size)]
-            resid = np.sqrt(_projection_residuals(y, mat, cands))
+        depth = min(len(live), mat.shape[0], k)
+        levels = _prefix_tree(len(live), depth)
+        cols = mat[:, live]
+        # Level 0, the empty support: no basis, and all of y is residual.
+        basis, y_perp = np.empty((0, len(y), 1)), y[:, None]
+        for size, (parent, last) in enumerate(levels, 1):
+            resid, basis, y_perp = _grow_spans(basis, y_perp, cols, parent, last, size < depth)
             spanning = np.flatnonzero(resid <= SPAN_RTOL * norm_y)
             if len(spanning) > 1:
                 raise MultipleMinimalSupportsError(
                     f"{len(spanning)} spanning supports of size {size}"
                 )
             if len(spanning) == 1:
-                stage1 = tuple(int(i) for i in cands[spanning[0]])
+                node = int(spanning[0])
+                for parent, last in reversed(levels[:size]):
+                    stage1 = (int(live[last[node]]),) + stage1
+                    node = int(parent[node])
                 break
         else:
             raise MultipleMinimalSupportsError(

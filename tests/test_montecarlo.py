@@ -22,6 +22,15 @@ def test_config_validation():
     assert mc.MCConfig(n=100, r=0.5).m == 50
 
 
+@pytest.mark.parametrize("field", ["r", "gamma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_ratio_and_gamma(field, value):
+    # Checked at construction only: mp_logdet at a non-finite gamma would
+    # reject every draw and never return.
+    with pytest.raises(ValueError, match="finite"):
+        mc.MCConfig(n=100, **{field: value})
+
+
 def test_trial_rng_deterministic_and_distinct():
     a = mc.trial_rng(123, 0).standard_normal(4)
     b = mc.trial_rng(123, 0).standard_normal(4)
@@ -273,8 +282,24 @@ def test_projection_residuals_match_lstsq_on_deficient_spans():
     y = rng.standard_normal(5)
     for k in (1, 2, 3, 4, 6):  # k = 6 > m = 5 makes every support wide
         supports = mc._support_array(8, k)
-        got = mc._projection_residuals(y, mat, supports)
+        got = mc._span_residuals(y, mat, supports)
         assert np.allclose(got, lstsq_residuals(y, mat, supports), rtol=1e-10, atol=1e-12)
+
+
+def test_span_residuals_on_nearly_dependent_columns():
+    # Four columns within 1e-5 of each other (condition number ~1e5): one
+    # Gram-Schmidt pass loses orthogonality in proportion to its square and
+    # leaves a residual far above round-off on the support that spans y.
+    rng = np.random.default_rng(11)
+    supports = mc._support_array(5, 4)
+    for _ in range(10):
+        base = rng.standard_normal(5)
+        mat = np.column_stack([base + d * rng.standard_normal(5) for d in (0, 1e-5, 1e-5, 1e-5, 1)])
+        y = mat[:, :4] @ rng.standard_normal(4)
+        got = mc._span_residuals(y, mat, supports) / (y @ y)
+        assert got[0] <= 1e-26
+        want = lstsq_residuals(y, mat, supports[1:]) / (y @ y)
+        assert np.allclose(got[1:], want, rtol=1e-5, atol=0)
 
 
 def test_support_array_is_lexicographic_combinations():
@@ -290,12 +315,7 @@ def test_prefix_tree_lists_every_extension_of_every_prefix():
     prefixes = [()]
     for j, (parent, last) in enumerate(levels, start=1):
         nodes = [prefixes[p] + (int(c),) for p, c in zip(parent, last)]
-        want = sorted(
-            s[: j - 1] + (c,)
-            for s in {t[: j - 1] for t in itertools.combinations(range(n), k)}
-            for c in range(s[-1] + 1 if s else 0, n)
-        )
-        assert nodes == want
+        assert nodes == list(itertools.combinations(range(n), j))
         prefixes = nodes
 
 

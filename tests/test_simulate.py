@@ -3,9 +3,12 @@
 import copy
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srdbounds import simulate as sim
 from srdbounds.distributions import Gaussian
@@ -319,6 +322,69 @@ def test_rate_sharing_matches_per_candidate_reference(epsilon):
         assert got == expected, trial
         outcomes.add(expected[0] if isinstance(expected[0], str) else "support")
     assert {"support", "several"} <= outcomes
+
+
+def decode_both(y, mat, k, zeroed, rng):
+    """The decoder's outcome, in the reference's form, and the reference's."""
+    expected = reference_rate_sharing(y, mat, k, zeroed, copy.deepcopy(rng))
+    try:
+        got = sim.rate_sharing_recover(y, mat, k, zeroed, rng)
+    except sim.MultipleMinimalSupportsError as exc:
+        msg = str(exc)
+        got = ("none",) if msg.startswith("no unique") else ("several", int(msg.split()[-1]))
+    return got, expected
+
+
+@st.composite
+def stage1_instances(draw):
+    """A small rate-sharing instance.  Its live columns may include a zero
+    column and a duplicated pair, and y may be 0, sparse in the columns, or
+    a generic vector."""
+    n, m, k = draw(st.integers(6, 10)), draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    order = draw(st.permutations(range(n)))
+    n_live = n - k - draw(st.integers(0, n - k))
+    live, zeroed = sorted(order[:n_live]), sorted(order[n_live:])
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = data.standard_normal((m, n))
+    mat[:, zeroed] = 0.0
+    if len(live) > 1 and draw(st.booleans()):
+        first, second = draw(st.lists(st.sampled_from(live), min_size=2, max_size=2, unique=True))
+        mat[:, second] = mat[:, first]
+    if live and draw(st.booleans()):
+        mat[:, draw(st.sampled_from(live))] = 0.0
+    kind = draw(st.sampled_from(["sparse", "generic", "zero"]))
+    if kind == "sparse" and live:
+        support = sorted(draw(st.sets(st.sampled_from(live), min_size=1, max_size=k)))
+        y = mat[:, support] @ data.standard_normal(len(support))
+    elif kind == "generic":
+        y = data.standard_normal(m)
+    else:
+        y = np.zeros(m)
+    return y, mat, k, np.array(zeroed), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@given(stage1_instances())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_rate_sharing_matches_reference_on_small_instances(instance):
+    got, expected = decode_both(*instance)
+    assert got == expected
+
+
+def test_rate_sharing_stage1_memory_stays_small():
+    # 26 live columns and k = m = 6: C(26, 6) = 230,230 candidates of the
+    # last size, every one of them spanning.
+    cfg = config(n=28, omega=0.2143, rho=0.2, matrix="rate_sharing", epsilon=0.0, seed=3)
+    rng = trial_rng(cfg.seed, 0)
+    drawn = sim.sample(sim.draw_source(cfg, rng), cfg, rng)
+    assert (cfg.k, cfg.m, cfg.n - len(drawn.zeroed)) == (6, 6, 26)
+    tracemalloc.start()
+    try:
+        with pytest.raises(sim.MultipleMinimalSupportsError, match="^230230 spanning supports of size 6$"):
+            sim.rate_sharing_recover(drawn.y, drawn.matrix, cfg.k, drawn.zeroed, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 << 20
 
 
 def test_rate_sharing_matches_exact_conditional_mean():
