@@ -10,11 +10,11 @@ is written once: the rate functions of ``ratefun`` take a float or an array,
 so the same deficit scans the grid as an array and bisects one float at a
 time.  p4, p6 and the genie-aided i.i.d. bound t4 share one deficit: p6 is t4
 at ``beta = 1``, where the genie reveals nothing, and p4 is p6 without a
-density.  t4 sweeps 200 retained fractions ``beta``: each row is scanned on
-its own, then every bracketed row is bisected together in one vectorized
-loop, with one ``gamma`` per row.  Those values only rank the rows; the top
-row is bisected again one float at a time, so the value reported is the one a
-single solve gives.
+density.  t4 sweeps 200 retained fractions ``beta`` and scans each row.  A
+row's solved rate lies in its scan bracket, so only the rows whose bracket
+reaches above the largest lower end of any row can hold the maximum; only
+those are bisected, so every value t4 compares is the one a single solve
+gives.
 
 One table (``_BOUNDS``) says which bounds exist, how each is evaluated, which
 sources it applies to and which matrix class ``best_lower`` uses it for.
@@ -48,6 +48,7 @@ RHO_RANGE_CAP = 1e9
 BISECTION_STEPS = 80
 BETA_GRID_POINTS = 200
 BETA_REFINE_RTOL = 1e-6
+ALPHA_FLOOR = 1e-6  # the smallest distortion alpha_curve searches
 
 
 class BoundId(str, enum.Enum):
@@ -226,25 +227,6 @@ def _bisect(deficit, crossings: int, bracket) -> ImplicitSolveReport:
     return ImplicitSolveReport(lo, crossings, (lo, hi), deficit(lo))
 
 
-def _bisect_rows(deficit_rows, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Bisect many brackets at once, row by row as :func:`_bisect` does, with
-    ``deficit_rows`` taking one rate per row; returns the rows' lower ends.
-
-    NumPy's ``log1p`` and ``exp`` may differ from ``math``'s in the last
-    bits, so a row can end a few ulps away from its scalar bisection.
-    """
-    live = np.ones(lo.shape, dtype=bool)
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        live &= (mid != lo) & (mid != hi)
-        if not live.any():
-            break
-        neg = deficit_rows(mid) < 0.0
-        lo = np.where(live & neg, mid, lo)
-        hi = np.where(live & ~neg, mid, hi)
-    return lo
-
-
 # ---------------------------------------------------------------------------
 # Noiseless bounds
 # ---------------------------------------------------------------------------
@@ -349,21 +331,22 @@ def _genie_params(source: SourceParams, beta: float):
 
 
 def _beta_grid(alpha: float) -> np.ndarray:
-    lo = max(1e-12, alpha * 1e-9)
+    """``alpha``, then geometric offsets from ``alpha`` up to 1 (never past 1)."""
+    lo = min(max(1e-12, alpha * 1e-9), 1.0 - alpha)
     offsets = np.geomspace(lo, 1.0 - alpha, BETA_GRID_POINTS - 1)
     grid = np.concatenate(([alpha], alpha + offsets))
     grid[-1] = 1.0
     return grid
 
 
-def _golden_max(f, lo: float, hi: float, rtol: float = BETA_REFINE_RTOL):
-    """Golden-section maximization with relative interval tolerance."""
+def _golden_max(f, lo: float, hi: float):
+    """Golden-section maximization to a relative interval of BETA_REFINE_RTOL."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > rtol * max(abs(a), abs(b), 1e-300):
+    while (b - a) > BETA_REFINE_RTOL * max(abs(a), abs(b), 1e-300):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -425,9 +408,9 @@ def _genie_deficit(pref, om_b, v_eff, vh_eff, r_target):
     """Deficit of the genie-aided entropy-power inequality, as a function of
     the rate.
 
-    The arguments are those of :func:`_genie_params` and the target rate:
-    floats for one solve, or one column entry per row for the batched
-    bisection of :func:`t4_genie_iid`.  At ``beta = 1`` the genie reveals
+    The arguments are those of :func:`_genie_params` and the target rate.
+    The deficit takes a float or an array of rates, as
+    :func:`_solve_implicit` needs.  At ``beta = 1`` the genie reveals
     nothing (``pref = 1``, ``om_b = omega``), which is p6; with no density
     (``vh_eff = 0``) as well, it is p4.
     """
@@ -510,79 +493,61 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     """Genie-aided entropy-power bound for i.i.d. matrices.
 
     Maximizes the solved rate over the retained fraction ``beta``; returns the
-    best solve report and ``beta_star``.  The grid rows are scanned one by one
-    and their brackets bisected together; golden-section steps solve singly.
+    best solve report and ``beta_star``.  Every grid row is scanned, and only
+    the rows that can hold the maximum are bisected; golden-section steps
+    solve singly.
     """
     omega = source.omega
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     _check_args(omega, alpha)
-    zero_report = ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0)
-    multi: set[float] = set()  # beta values whose solve found several crossings
+    multi: set[float] = set()  # beta values whose scan found several crossings
 
-    def params_for(beta):
-        """(pref, om_b, v_eff, vh_eff, r_target), or None when the genie
-        parameters cannot be computed."""
+    def scan(beta):
+        """Scan one row; returns ``(report, pending)``.  ``report`` is set when
+        the scan settles the row, and ``pending`` holds the ``(deficit,
+        crossings, bracket)`` to bisect otherwise; both are None when the
+        genie parameters cannot be computed."""
         try:
             pref, om_b, v_eff, vh_eff = _genie_params(source, beta)
         except (ValueError, ArithmeticError) as exc:
             log.warning("t4: skipping beta=%g (%s)", beta, exc)
-            return None
-        return pref, om_b, v_eff, vh_eff, rate_R(om_b / pref, min(alpha / beta, 1.0))
-
-    def is_zero(params):
-        return params[4] == 0.0 and params[3] == 0.0
-
-    def solve_for(beta) -> ImplicitSolveReport | None:
-        params = params_for(beta)
-        if params is None:
-            return None
-        if is_zero(params):
-            return zero_report
-        report = _solve_implicit(_genie_deficit(*params), omega)
-        if report.crossings_found > 1:
-            multi.add(float(beta))
-        return report
-
-    grid = _beta_grid(alpha)
-    reports: list[ImplicitSolveReport | None] = [None] * len(grid)
-    values = np.full(len(grid), -math.inf)
-    pending = {}  # grid index -> (params, crossings, bracket) of rows to bisect
-    for i, beta in enumerate(grid):
-        params = params_for(beta)
-        if params is None:
-            continue
-        if is_zero(params):
-            reports[i], values[i] = zero_report, 0.0
-            continue
-        crossings, report, bracket = _scan_implicit(_genie_deficit(*params), omega)
+            return None, None
+        r_target = rate_R(om_b / pref, min(alpha / beta, 1.0))
+        if r_target == 0.0 and vh_eff == 0.0:
+            return ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0), None
+        deficit = _genie_deficit(pref, om_b, v_eff, vh_eff, r_target)
+        crossings, report, bracket = _scan_implicit(deficit, omega)
         if crossings > 1:
             multi.add(float(beta))
-        if report is None:
-            pending[i] = (params, crossings, bracket)
-        else:
-            reports[i], values[i] = report, report.rho_lower
+        return report, ((deficit, crossings, bracket) if report is None else None)
 
-    if pending:
-        cols = np.array([params for params, _, _ in pending.values()]).T
-        brackets = np.array([bracket for _, _, bracket in pending.values()]).T
-        values[list(pending)] = _bisect_rows(_genie_deficit(*cols), *brackets)
-    # The batched values only rank the rows: the top row is bisected again
-    # with the scalar functions, so the value, bracket and residual reported
-    # are those of a single solve.
-    best = int(np.argmax(values))
-    while best in pending:
-        params, crossings, bracket = pending.pop(best)
-        reports[best] = _bisect(_genie_deficit(*params), crossings, bracket)
-        values[best] = reports[best].rho_lower
-        best = int(np.argmax(values))
+    def solve(beta) -> ImplicitSolveReport | None:
+        report, pending = scan(beta)
+        return _bisect(*pending) if pending else report
+
+    grid = _beta_grid(alpha)
+    rows = [scan(beta) for beta in grid]
+    reports = [report for report, _ in rows]
+    # Each row's solved rate lies in [values, upper]: the rate itself when the
+    # scan settles the row, its bracket when it is pending, -inf if skipped.
+    values = np.array([-math.inf if rep is None else rep.rho_lower for rep in reports])
+    upper = values.copy()
+    for i, (_, pending) in enumerate(rows):
+        if pending:
+            values[i], upper[i] = pending[2]
+    # A bisection ends inside its bracket, so a row whose upper end does not
+    # exceed the largest lower end stays strictly below the maximum.
+    for i in np.flatnonzero(upper > values.max()):
+        reports[i] = _bisect(*rows[i][1])
+        values[i] = reports[i].rho_lower
 
     def value_of(beta):
-        rep = solve_for(beta)
+        rep = solve(beta)
         return -math.inf if rep is None else rep.rho_lower
 
     beta_star, _, kept = _maximize_over_beta(value_of, grid, values)
-    report = solve_for(beta_star) if kept is None else reports[kept]
+    report = solve(beta_star) if kept is None else reports[kept]
     if multi:
         _warn_crossings(
             BoundId.T4_IID_GENIE,
@@ -722,25 +687,29 @@ def alpha_curve(
     source: SourceParams,
     bound: BoundId,
     rho_grid: list[float],
-    alpha_floor: float = 1e-6,
 ) -> BoundCurve:
     """Invert a bound to distortion-versus-rate: for each rate, the smallest
     distortion whose bound does not exceed it.
 
-    Rates where the bound fails to be monotone across the bisection bracket
-    are omitted with a diagnostic entry in ``solver_meta``.  The
+    Distortions are searched in ``[ALPHA_FLOOR, 1)``.  Rates where the bound
+    fails to be monotone across the bisection bracket are omitted with a
+    diagnostic entry in ``solver_meta``.  A NaN, infinite or negative rate
+    raises ValueError before anything is evaluated.  The
     multi-crossing warnings of one rate's inversion are logged as one line
     naming the bound, the rate, their count and their alpha range.
     """
+    bad = [rho for rho in rho_grid if not 0.0 <= rho < math.inf]
+    if bad:
+        raise ValueError(f"rates must be finite and nonnegative, got {bad[0]}")
     points: list[tuple[float, float]] = []
-    meta: dict = {"omitted": [], "alpha_floor": alpha_floor, "beta_star": {}}
+    meta: dict = {"omitted": [], "alpha_floor": ALPHA_FLOOR, "beta_star": {}}
 
     def rho_of(alpha):
         return evaluate_bound(source, bound, alpha)
 
     for rho in sorted(rho_grid):
         with _crossing_summary(bound, rho):
-            lo, hi = alpha_floor, 1.0 - 1e-9
+            lo, hi = ALPHA_FLOOR, 1.0 - 1e-9
             val_lo, _ = rho_of(lo)
             val_hi, _ = rho_of(hi)
             if val_lo < val_hi:

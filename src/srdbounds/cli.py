@@ -36,6 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY_FAIL = 3
 EXIT_BUDGET = 4
+GRID_MAX_POINTS = 1_000_000
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -79,13 +80,15 @@ def _write_manifest(out_path: str, command: str, args_dict: dict, seed) -> None:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """Grid spec 'start:stop:count[:log]'."""
+    """Grid spec 'start:stop:count[:log]', of at most GRID_MAX_POINTS points."""
     parts = spec.split(":")
     if len(parts) not in (3, 4):
         raise ValueError(f"grid spec must be start:stop:count[:log], got {spec!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise ValueError("grid count must be at least 1")
+    if count > GRID_MAX_POINTS:
+        raise BudgetError(f"grid count {count} exceeds the budget of {GRID_MAX_POINTS} points")
     if len(parts) == 4:
         if parts[3] != "log":
             raise ValueError(f"unknown grid qualifier {parts[3]!r}")

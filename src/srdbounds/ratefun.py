@@ -6,7 +6,8 @@ a float or an ndarray.  A float runs ``math`` code: an implicit solve bisects
 with single rates, and ``math`` is about ten times faster than NumPy on one
 value.  An array runs NumPy code that broadcasts ``r`` against a scalar
 ``gamma`` or one ``gamma`` per row, which lets a solver scan a whole rate grid
-or bisect many rows at once.  Both branches raise the same errors.
+at once, or several grids with one ``gamma`` each.  Both branches raise the
+same errors.
 """
 
 from __future__ import annotations

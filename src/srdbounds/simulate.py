@@ -24,6 +24,7 @@ import numpy as np
 from .distributions import DistributionSpec, sample_values, scale_to_snr
 from .montecarlo import (
     _CHUNK,
+    _MATRIX_ENTRIES,
     BudgetError,
     _prefix_tree,
     _span_residuals,
@@ -74,6 +75,14 @@ class SimConfig:
             raise ValueError(f"omega must lie in (0, 0.5], got {self.omega}")
         if self.k < 1:
             raise ValueError("k = floor(omega * n) must be at least 1")
+        if not math.isfinite(self.rho):
+            raise ValueError(f"rho must be finite, got {self.rho}")
+        # m * n > budget exactly when rho * n > budget // n.  This is checked
+        # before m is formed: ceil fails when rho * n overflows to inf.
+        if self.rho * self.n > _MATRIX_ENTRIES // self.n:
+            raise BudgetError(
+                f"rho={self.rho} asks for a matrix of more than {_MATRIX_ENTRIES} entries"
+            )
         if self.m < 1:
             raise ValueError("m = ceil(rho * n) must be at least 1")
         if math.comb(self.n, self.k) > MAX_SUPPORTS:

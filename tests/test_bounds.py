@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srdbounds import bounds as bd
 from srdbounds.bounds import BoundId
@@ -277,7 +279,10 @@ T4_FAMILIES = {
         for alpha in (1e-3, 0.03, 0.6)
     ]
     # zero rows (no density, beta <= alpha) beside range-exceeded rows
-    + [("pointmass", 0.3, -80.0, 1e-3), ("gaussian", 0.3, -30.0, 1e-3)],
+    + [("pointmass", 0.3, -80.0, 1e-3), ("gaussian", 0.3, -30.0, 1e-3)]
+    # 8, 7 and 6 rows whose scan bracket reaches above every row's lower end
+    + [("pointmass", 1e-4, -30.0, 0.01), ("pointmass", 1e-4, 0.0, 3e-3),
+       ("sliced", 1e-4, 10.0, 3e-3)],
 )
 def test_t4_batched_sweep_matches_per_beta_solves(family, omega, snr_db, alpha):
     src = bd.source_at_snr(T4_FAMILIES[family], omega, snr_db)
@@ -462,6 +467,57 @@ def test_best_lower_iid_dominates_any():
             assert iid_val >= any_val - 1e-12
 
 
+BOUND_DOMAIN_FAMILIES = st.one_of(
+    st.just(Gaussian(0.0, 1.0)),
+    st.just(Uniform(math.sqrt(2.3), 1.0)),
+    st.builds(PointMass, st.just(0.2), st.just(1.0), st.floats(1e-3, 0.5)),
+    st.just(_sliced_from_eta(0.2)),
+)
+
+
+def _check_best_lower_properties(dist, omega, snr_db, alpha_lo, alpha_hi):
+    src = bd.source_at_snr(dist, omega, snr_db)
+    iid, _ = bd.best_lower(src, alpha_lo, "iid")
+    any_val, _ = bd.best_lower(src, alpha_lo, "any")
+    assert math.isfinite(iid) and iid >= 0.0
+    assert iid >= any_val
+    assert bd.best_lower(src, alpha_hi, "iid")[0] <= iid
+
+
+@given(
+    dist=BOUND_DOMAIN_FAMILIES,
+    omega=st.floats(1e-6, 0.5),
+    snr_db=st.floats(-30.0, 80.0),
+    alphas=st.lists(st.floats(1e-3, 1.0, exclude_max=True), min_size=2, max_size=2),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_best_lower_properties_over_the_bound_domain(dist, omega, snr_db, alphas):
+    """best_lower is finite, nonnegative, i.i.d. >= any, and nonincreasing in
+    alpha, for alpha in [1e-3, 1); the smaller alphas below still fail."""
+    alpha_lo, alpha_hi = sorted(alphas)
+    _check_best_lower_properties(dist, omega, snr_db, alpha_lo, alpha_hi)
+
+
+@pytest.mark.xfail(strict=True, reason="open defects at small alpha, see CHANGES.md")
+@pytest.mark.parametrize(
+    "dist, omega, snr_db, alpha_lo, alpha_hi",
+    [
+        # t2 raises: the Gaussian truncation of beta = alpha takes log(0)
+        (Gaussian(0.0, 1.0), 0.5, 0.0, 5e-324, 0.5),
+        # the Gaussian truncation loses r = Var/variance to cancellation at
+        # beta ~ 5e-6, and the genie bounds follow that noise up and down
+        (Gaussian(0.0, 1.0), 1.7801471416452694e-06, 69.72342990973904,
+         4.323090122222269e-09, 2.2033686778946125e-07),
+        # the beta grid misses the sharp maximum at beta = 1 - outer_mass
+        (PointMass(0.2, 1.0, outer_mass=0.1), 0.0003580125055937264, 11.225325847303935,
+         2.5396476758501306e-06, 9.02146833240461e-05),
+    ],
+    ids=["gaussian-alpha-underflow", "gaussian-truncation-cancellation", "pointmass-kink"],
+)
+def test_best_lower_properties_fail_at_small_alpha(dist, omega, snr_db, alpha_lo, alpha_hi):
+    _check_best_lower_properties(dist, omega, snr_db, alpha_lo, alpha_hi)
+
+
 def test_best_lower_discrete_high_snr():
     dist = PointMass(0.2, 1.0, limit=True)
     lo = bd.best_lower(bd.source_at_snr(dist, 1e-4, 0.0), 0.3, "iid")
@@ -487,6 +543,12 @@ def test_alpha_curve_roundtrip():
         if alpha > 0:
             value, _ = bd.evaluate_bound(src, BoundId.P6_IID_ENTROPY, alpha)
             assert value <= rho * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -1e-3])
+def test_alpha_curve_rejects_bad_rates(rho):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        bd.alpha_curve(gaussian_source(1e-4, 20.0), BoundId.P4_IID, [1e-3, rho])
 
 
 def test_alpha_curve_saturates_at_zero():

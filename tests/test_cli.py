@@ -169,6 +169,11 @@ def test_verify_matrix_budget_refusal(tmp_path, monkeypatch, capsys, suite):
         ["bounds", "--snr-db", "5000", "--grid", "0.1:0.2:2", "--out", "b.csv"],
         ["simulate", "--n", "10", "--omega", "0.2", "--rho", "0.3", "--snr-db", "5000",
          "--trials", "2", "--out", "s.csv"],
+        ["bounds", "--invert", "--grid", "nan:1:3", "--out", "b.csv"],
+        ["bounds", "--invert", "--grid", "0.5:inf:3", "--out", "b.csv"],
+        ["bounds", "--invert", "--grid=-5:1:3", "--out", "b.csv"],
+        ["simulate", "--n", "20", "--omega", "0.1", "--rho", "nan", "--noiseless",
+         "--trials", "1", "--out", "s.csv"],
     ],
     ids=[
         "rank-zero-trials",
@@ -176,6 +181,10 @@ def test_verify_matrix_budget_refusal(tmp_path, monkeypatch, capsys, suite):
         "covering-omega-before-cover",
         "bounds-snr-overflow",
         "simulate-snr-overflow",
+        "invert-nan-rate",
+        "invert-inf-rate",
+        "invert-negative-rate",
+        "simulate-nan-rho",
     ],
 )
 def test_out_of_range_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
@@ -183,6 +192,26 @@ def test_out_of_range_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--grid", "1e-3:0.9:1000000000000", "--out", "b.csv"],
+        ["snr-curve", "--grid", "0:10:1000001", "--out", "s.csv"],
+        ["truncate-table", "--grid", "0.01:1:1000000000000", "--out", "t.csv"],
+        ["simulate", "--n", "20", "--omega", "0.1", "--rho", "1e308", "--noiseless",
+         "--trials", "1", "--out", "s.csv"],
+    ],
+    ids=["bounds-grid", "snr-curve-grid", "truncate-table-grid", "simulate-huge-rho"],
+)
+def test_oversized_input_is_refused(tmp_path, monkeypatch, capsys, argv):
+    # Each is refused before anything is allocated or drawn.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("budget refused: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -39,6 +39,20 @@ def test_config_validation():
         config(matrix="rate_sharing", rho=0.2, omega=0.1)  # needs rho < omega
 
 
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_rho(rho):
+    with pytest.raises(ValueError, match="rho must be finite"):
+        config(rho=rho)
+
+
+def test_config_refuses_a_matrix_over_budget():
+    # m * n entries above 2**24 are refused before anything is drawn.
+    for n, rho in ((20, 1e308), (24, 1e6), (16, 65536.0 + 1 / 16)):
+        with pytest.raises(BudgetError):
+            config(n=n, rho=rho)
+    assert config(n=16, rho=65536.0).m * 16 == 2**24
+
+
 # ---------------------------------------------------------------------------
 # Source and sampling
 # ---------------------------------------------------------------------------
