@@ -504,8 +504,9 @@ def test_best_lower_properties_over_the_bound_domain(dist, omega, snr_db, alphas
     [
         # t2 raises: the Gaussian truncation of beta = alpha takes log(0)
         (Gaussian(0.0, 1.0), 0.5, 0.0, 5e-324, 0.5),
-        # the Gaussian truncation loses r = Var/variance to cancellation at
-        # beta ~ 5e-6, and the genie bounds follow that noise up and down
+        # the Gaussian truncation computes its kept variance fraction by
+        # cancellation, wrong by 25 % at beta = 1e-5, and the genie bounds
+        # (beta* ~ 5e-6 here) follow that error up and down
         (Gaussian(0.0, 1.0), 1.7801471416452694e-06, 69.72342990973904,
          4.323090122222269e-09, 2.2033686778946125e-07),
         # the beta grid misses the sharp maximum at beta = 1 - outer_mass

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import srdbounds
-from srdbounds.cli import _coerce, _parse_grid, _sliced_from_eta, main
+from srdbounds.cli import GRID_MAX_POINTS, _coerce, _parse_grid, _sliced_from_eta, main
+from srdbounds.montecarlo import BudgetError
 
 
 def run_cli(args):
@@ -199,7 +200,7 @@ def test_out_of_range_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     "argv",
     [
         ["bounds", "--grid", "1e-3:0.9:1000000000000", "--out", "b.csv"],
-        ["snr-curve", "--grid", "0:10:1000001", "--out", "s.csv"],
+        ["snr-curve", "--grid", "0:10:1000000000000", "--out", "s.csv"],
         ["truncate-table", "--grid", "0.01:1:1000000000000", "--out", "t.csv"],
         ["simulate", "--n", "20", "--omega", "0.1", "--rho", "1e308", "--noiseless",
          "--trials", "1", "--out", "s.csv"],
@@ -213,6 +214,12 @@ def test_oversized_input_is_refused(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("budget refused: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_grid_budget_edge():
+    assert len(_parse_grid(f"0:1:{GRID_MAX_POINTS}")) == GRID_MAX_POINTS
+    with pytest.raises(BudgetError):
+        _parse_grid(f"0:1:{GRID_MAX_POINTS + 1}")
 
 
 def test_config_file_precedence(tmp_path):
