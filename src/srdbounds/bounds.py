@@ -10,11 +10,14 @@ is written once: the rate functions of ``ratefun`` take a float or an array,
 so the same deficit scans the grid as an array and bisects one float at a
 time.  p4, p6 and the genie-aided i.i.d. bound t4 share one deficit: p6 is t4
 at ``beta = 1``, where the genie reveals nothing, and p4 is p6 without a
-density.  t4 sweeps 200 retained fractions ``beta`` and scans each row.  A
-row's solved rate lies in its scan bracket, so only the rows whose bracket
-reaches above the largest lower end of any row can hold the maximum; only
-those are bisected, so every value t4 compares is the one a single solve
-gives.
+density.  t4 sweeps 200 retained fractions ``beta`` and scans them four rows
+at a time, as one (4 x 2000) array with one set of parameters per row; each
+element goes through the same float operations as in a single-row scan, so
+every row reads as if scanned alone.  One classification reads every scan,
+of one row or of a block, and refuses a NaN or infinite deficit.  A row's
+solved rate lies in its scan bracket, so only the rows whose bracket reaches
+above the largest lower end of any row can hold the maximum; only those are
+bisected, so every value t4 compares is the one a single solve gives.
 
 One table (``_BOUNDS``) says which bounds exist, how each is evaluated, which
 sources it applies to and which matrix class ``best_lower`` uses it for.
@@ -47,6 +50,7 @@ RHO_GRID_FLOOR = 1e-8
 RHO_RANGE_CAP = 1e9
 BISECTION_STEPS = 80
 BETA_GRID_POINTS = 200
+BETA_BLOCK_ROWS = 4  # t4 scans its beta rows this many at a time
 BETA_REFINE_RTOL = 1e-6
 ALPHA_FLOOR = 1e-6  # the smallest distortion alpha_curve searches
 
@@ -88,6 +92,10 @@ class ImplicitSolveReport:
     diagnostic: str | None = None
 
 
+class NonFiniteDeficitError(ValueError):
+    """A deficit is NaN or infinite on its scan grid, so its sign says nothing."""
+
+
 @dataclass
 class BoundCurve:
     """A computed curve of bound values with its solver metadata."""
@@ -125,31 +133,63 @@ def _scan_implicit(deficit, omega: float):
     answer when there is no crossing to refine; otherwise it is None and
     ``bracket`` holds the grid points around the last crossing.
     """
-    hi = max(8.0, 40.0 * omega)
+    hi = _scan_start(omega)
     while True:
         grid = _rho_grid(hi)
         vals = deficit(grid)
-        neg = vals < 0.0
-        if neg[-1] and hi < RHO_RANGE_CAP:
+        if vals[-1] < 0.0 and hi < RHO_RANGE_CAP:
             hi = min(hi * 100.0, RHO_RANGE_CAP)
             continue
-        break
-    crossings = int(np.count_nonzero(neg[:-1] & ~neg[1:]))
-    if not neg.any():
-        # Not even the smallest rate in range is ruled out.
-        report = ImplicitSolveReport(0.0, 0, (0.0, RHO_GRID_FLOOR), float(vals[0]))
-        return crossings, report, None
-    if neg[-1]:
-        report = ImplicitSolveReport(
-            float(grid[-1]),
-            crossings,
-            (float(grid[-1]), math.inf),
-            float(vals[-1]),
-            diagnostic="range-exceeded: inequality still violated at scan end",
+        return _classify_scans(grid, vals[None, :])[0]
+
+
+def _scan_start(omega: float) -> float:
+    """The upper end of the first rate grid a scan evaluates."""
+    return max(8.0, 40.0 * omega)
+
+
+def _classify_scans(grid: np.ndarray, vals: np.ndarray) -> list:
+    """Read each row of ``vals``, one deficit on ``grid`` per row, as
+    :func:`_scan_implicit` reports it: one ``(crossings, report, bracket)``
+    per row, where a row still negative at the grid's end is range-exceeded.
+
+    Raises NonFiniteDeficitError, naming the first such rate, when any value
+    is NaN or infinite.
+    """
+    finite = np.isfinite(vals)
+    if not finite.all():
+        rho = float(grid[np.argmin(finite.all(axis=0))])
+        raise NonFiniteDeficitError(
+            f"the deficit is not finite at rho={rho:g} "
+            "(the rate functions lose precision at this SNR)"
         )
-        return crossings, report, None
-    last_neg = int(np.nonzero(neg)[0][-1])
-    return crossings, None, (float(grid[last_neg]), float(grid[last_neg + 1]))
+    neg = vals < 0.0
+    # Every negative value of a row that ends nonnegative is followed by a
+    # crossing, so the row's last crossing sits at its last negative value.
+    width = grid.size - 1
+    crossings = [0] * len(vals)
+    last_neg = [-1] * len(vals)
+    for pos in np.flatnonzero(neg[:, :-1] & ~neg[:, 1:]).tolist():
+        row, last_neg[row] = divmod(pos, width)
+        crossings[row] += 1
+    scans = []
+    for row, count, last, violated_at_end in zip(vals, crossings, last_neg, neg[:, -1].tolist()):
+        if violated_at_end:
+            report = ImplicitSolveReport(
+                float(grid[-1]),
+                count,
+                (float(grid[-1]), math.inf),
+                float(row[-1]),
+                diagnostic="range-exceeded: inequality still violated at scan end",
+            )
+            scans.append((count, report, None))
+        elif last < 0:
+            # Not even the smallest rate in range is ruled out.
+            report = ImplicitSolveReport(0.0, 0, (0.0, RHO_GRID_FLOOR), float(row[0]))
+            scans.append((count, report, None))
+        else:
+            scans.append((count, None, (float(grid[last]), float(grid[last + 1]))))
+    return scans
 
 
 def _solve_implicit(
@@ -280,13 +320,13 @@ def t3_noiseless_iid(source: SourceParams, alpha: float) -> float:
     if deficit(omega * (1.0 - 1e-12)) < 0.0:
         return omega
 
+    # The deficit is nonnegative at the grid's last point (checked above), so
+    # the scan either brackets a crossing or finds no violated rate.
     grid = np.linspace(omega * 1e-6, omega * (1.0 - 1e-12), 4000)
     vals = np.array([deficit(r) for r in grid])
-    neg = vals < 0.0
-    if not neg.any():
+    _, _, bracket = _classify_scans(grid, vals[None, :])[0]
+    if bracket is None:
         return 0.0
-    last_neg = int(np.nonzero(neg)[0][-1])
-    bracket = (float(grid[last_neg]), float(grid[min(last_neg + 1, len(grid) - 1)]))
     return _bisect(deficit, 0, bracket).rho_lower
 
 
@@ -489,45 +529,64 @@ def s_cor_thm2(source: SourceParams, alpha: float) -> float:
     return 2.0 * r / (big_l - c)
 
 
+def _scan_genie_rows(source: SourceParams, alpha: float, betas, multi: set) -> list:
+    """Scan t4's deficit for each retained fraction in ``betas`` as one array.
+
+    Returns one ``(report, pending)`` per beta.  ``report`` is set when the
+    scan settles the row, and ``pending`` holds the ``(deficit, crossings,
+    bracket)`` to bisect otherwise; both are None when the genie parameters
+    cannot be computed.  A row still violated at the end of the first grid is
+    scanned again alone, so its range grows as in :func:`_scan_implicit`.
+    Each beta whose scan finds several crossings is added to ``multi``.
+    """
+    omega = source.omega
+    rows: list = [(None, None)] * len(betas)
+    live, params = [], []
+    for i, beta in enumerate(betas):
+        try:
+            pref, om_b, v_eff, vh_eff = _genie_params(source, beta)
+        except (ValueError, ArithmeticError) as exc:
+            log.warning("t4: skipping beta=%g (%s)", beta, exc)
+            continue
+        r_target = rate_R(om_b / pref, min(alpha / beta, 1.0))
+        if r_target == 0.0 and vh_eff == 0.0:
+            rows[i] = (ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0), None)
+            continue
+        live.append(i)
+        params.append((pref, om_b, v_eff, vh_eff, r_target))
+    if not live:
+        return rows
+    grid = _rho_grid(_scan_start(omega))
+    # One column per parameter broadcasts the deficit to one row per beta.
+    block = _genie_deficit(*np.array(params).T[:, :, None])
+    for i, p, scan in zip(live, params, _classify_scans(grid, block(grid))):
+        deficit = _genie_deficit(*p)
+        crossings, report, bracket = scan
+        if report is not None and report.diagnostic:  # still violated at the end
+            crossings, report, bracket = _scan_implicit(deficit, omega)
+        if crossings > 1:
+            multi.add(float(betas[i]))
+        rows[i] = (report, None) if report else (None, (deficit, crossings, bracket))
+    return rows
+
+
 def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveReport, float]:
     """Genie-aided entropy-power bound for i.i.d. matrices.
 
     Maximizes the solved rate over the retained fraction ``beta``; returns the
-    best solve report and ``beta_star``.  Every grid row is scanned, and only
-    the rows that can hold the maximum are bisected; golden-section steps
-    solve singly.
+    best solve report and ``beta_star``.  The grid rows are scanned
+    BETA_BLOCK_ROWS at a time, and only the rows that can hold the maximum
+    are bisected; each golden-section step scans its beta as a block of one.
     """
     omega = source.omega
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     _check_args(omega, alpha)
     multi: set[float] = set()  # beta values whose scan found several crossings
-
-    def scan(beta):
-        """Scan one row; returns ``(report, pending)``.  ``report`` is set when
-        the scan settles the row, and ``pending`` holds the ``(deficit,
-        crossings, bracket)`` to bisect otherwise; both are None when the
-        genie parameters cannot be computed."""
-        try:
-            pref, om_b, v_eff, vh_eff = _genie_params(source, beta)
-        except (ValueError, ArithmeticError) as exc:
-            log.warning("t4: skipping beta=%g (%s)", beta, exc)
-            return None, None
-        r_target = rate_R(om_b / pref, min(alpha / beta, 1.0))
-        if r_target == 0.0 and vh_eff == 0.0:
-            return ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0), None
-        deficit = _genie_deficit(pref, om_b, v_eff, vh_eff, r_target)
-        crossings, report, bracket = _scan_implicit(deficit, omega)
-        if crossings > 1:
-            multi.add(float(beta))
-        return report, ((deficit, crossings, bracket) if report is None else None)
-
-    def solve(beta) -> ImplicitSolveReport | None:
-        report, pending = scan(beta)
-        return _bisect(*pending) if pending else report
-
     grid = _beta_grid(alpha)
-    rows = [scan(beta) for beta in grid]
+    rows = []
+    for start in range(0, len(grid), BETA_BLOCK_ROWS):
+        rows += _scan_genie_rows(source, alpha, grid[start : start + BETA_BLOCK_ROWS], multi)
     reports = [report for report, _ in rows]
     # Each row's solved rate lies in [values, upper]: the rate itself when the
     # scan settles the row, its bracket when it is pending, -inf if skipped.
@@ -541,6 +600,10 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     for i in np.flatnonzero(upper > values.max()):
         reports[i] = _bisect(*rows[i][1])
         values[i] = reports[i].rho_lower
+
+    def solve(beta) -> ImplicitSolveReport | None:
+        ((report, pending),) = _scan_genie_rows(source, alpha, [beta], multi)
+        return _bisect(*pending) if pending else report
 
     def value_of(beta):
         rep = solve(beta)
@@ -653,11 +716,16 @@ def evaluate_bound(
 
     Raises ValueError for bounds inapplicable to the source (no density, not
     Gaussian), which ``best_lower`` skips, and for ``C1_TEST``, which is a
-    condition, not a rate bound.
+    condition, not a rate bound.  Raises NonFiniteDeficitError (a ValueError)
+    naming the bound, ``alpha`` and the rate when an implicit bound's deficit
+    is NaN or infinite on its scan grid.
     """
     if bound not in _BOUNDS:
         raise ValueError(f"bound {bound} is not an evaluatable rate bound")
-    return _BOUNDS[bound].evaluate(source, alpha)
+    try:
+        return _BOUNDS[bound].evaluate(source, alpha)
+    except NonFiniteDeficitError as exc:
+        raise NonFiniteDeficitError(f"{bound.value} at alpha={alpha:g}: {exc}") from None
 
 
 def best_lower(

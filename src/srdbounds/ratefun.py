@@ -6,8 +6,11 @@ a float or an ndarray.  A float runs ``math`` code: an implicit solve bisects
 with single rates, and ``math`` is about ten times faster than NumPy on one
 value.  An array runs NumPy code that broadcasts ``r`` against a scalar
 ``gamma`` or one ``gamma`` per row, which lets a solver scan a whole rate grid
-at once, or several grids with one ``gamma`` each.  Both branches raise the
-same errors.
+at once, or a block of grids with one ``gamma`` each (t4 scans its retained
+fractions four rows at a time).  Each element of an array goes through the
+same float operations whatever the broadcast, so a row of a block is
+bit-identical to the same row scanned alone.  Both branches raise the same
+errors.
 """
 
 from __future__ import annotations
@@ -114,18 +117,26 @@ def info_V(r: float | np.ndarray, gamma: float | np.ndarray) -> float | np.ndarr
     zero = _zero_gamma_rows(info_V, r, gamma)
     if zero is not None:
         return zero
-    low = np.minimum(r, 1.0)
-    high = np.maximum(r, 1.0)
-    val_low = 0.5 * r * np.log1p(gamma * _delta_array(low) / math.e)
-    val_high = 0.5 * np.log1p(r * gamma * _delta_array(1.0 / high) / math.e)
-    return np.where(r <= 1.0, val_low, val_high)
+    # One delta per rate: delta(r) where r <= 1 and delta(1/r) above, each
+    # branch evaluated only where some rate needs it.
+    d = _delta_array(np.minimum(r, 1.0 / np.maximum(r, 1.0)))
+    low = r <= 1.0
+    if low.all():
+        return 0.5 * r * np.log1p(gamma * d / math.e)
+    val_high = 0.5 * np.log1p(r * gamma * d / math.e)
+    if not low.any():
+        return val_high
+    return np.where(low, 0.5 * r * np.log1p(gamma * d / math.e), val_high)
 
 
 def _delta_array(r: np.ndarray) -> np.ndarray:
     """:func:`delta` on an array already known to lie in (0, 1]."""
-    out = np.ones_like(r)
     inner = r < 1.0
-    out[inner] = np.exp((1.0 - 1.0 / r[inner]) * np.log1p(-r[inner]))
+    if inner.all():
+        return np.exp((1.0 - 1.0 / r) * np.log1p(-r))
+    out = np.ones_like(r)
+    r_inner = r[inner]
+    out[inner] = np.exp((1.0 - 1.0 / r_inner) * np.log1p(-r_inner))
     return out
 
 

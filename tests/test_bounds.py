@@ -323,6 +323,147 @@ def test_t4_logs_one_multi_crossing_line(caplog):
     assert lines[0].startswith("t4_iid_genie at alpha=0.6: ") and "beta in [" in lines[0]
 
 
+def _single_row_scan(source, alpha, beta):
+    """One beta scanned alone: None when skipped, else (crossings, report, bracket)."""
+    try:
+        pref, om_b, v_eff, vh_eff = bd._genie_params(source, beta)
+    except (ValueError, ArithmeticError):
+        return None
+    r_target = rate_R(om_b / pref, min(alpha / beta, 1.0))
+    if r_target == 0.0 and vh_eff == 0.0:
+        return 0, bd.ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0), None
+    deficit = bd._genie_deficit(pref, om_b, v_eff, vh_eff, r_target)
+    return bd._scan_implicit(deficit, source.omega)
+
+
+def _block_rows_by_kind(source, alpha, blocks):
+    """Scan each block of betas as t4 does and check every row against the
+    same beta scanned alone; returns the betas of each kind of row."""
+    kinds: dict[str, list] = {}
+    for betas in blocks:
+        multi = set()
+        rows = bd._scan_genie_rows(source, alpha, betas, multi)
+        assert len(rows) == len(betas)
+        for beta, (report, pending) in zip(betas, rows):
+            want = _single_row_scan(source, alpha, beta)
+            if want is None:
+                assert report is None and pending is None
+                kinds.setdefault("skipped", []).append(beta)
+                continue
+            crossings, want_report, bracket = want
+            assert report == want_report
+            assert (beta in multi) == (crossings > 1)
+            if crossings > 1:
+                kinds.setdefault("several crossings", []).append(beta)
+            if pending is None:
+                assert bracket is None
+            else:
+                assert pending[1:] == (crossings, bracket)
+                assert pending[0](float(bracket[0])) < 0.0
+            if report is None:
+                kind = "pending"
+            elif report.diagnostic:
+                kind = "range-exceeded"
+            elif report.bracket == (0.0, 0.0):
+                kind = "zero"
+            else:
+                kind = "no-negative"
+            kinds.setdefault(kind, []).append(beta)
+    return kinds
+
+
+def _t4_blocks(alpha):
+    """t4's blocks of the beta grid, then a short last block and a block of one."""
+    grid = bd._beta_grid(alpha)
+    step = bd.BETA_BLOCK_ROWS
+    return [grid[i : i + step] for i in range(0, len(grid), step)] + [grid[-3:], grid[7:8]]
+
+
+@pytest.mark.parametrize(
+    "family, omega, snr_db, alpha, kinds",
+    [
+        # every gamma of info_V is 0 (no density), with zero rows
+        ("pointmass", 1e-4, -10.0, 0.03, {"pending", "zero"}),
+        # zero rows beside rows still violated at the end of the range cap
+        ("pointmass", 0.3, -80.0, 1e-3, {"range-exceeded", "zero"}),
+        # beta = alpha needs no rate (r_target = 0) but has a density
+        ("gaussian", 1e-4, 20.0, 0.03, {"pending", "no-negative"}),
+        ("sliced", 1e-2, 0.0, 0.3, {"pending", "no-negative"}),
+        ("gaussian", 1e-4, 10.0, 0.6, {"pending", "several crossings"}),
+    ],
+)
+def test_block_scan_matches_single_row_scans(family, omega, snr_db, alpha, kinds):
+    src = bd.source_at_snr(T4_FAMILIES[family], omega, snr_db)
+    assert kinds <= set(_block_rows_by_kind(src, alpha, _t4_blocks(alpha)))
+
+
+def test_block_scan_with_skipped_rows_and_mixed_zero_gamma(monkeypatch):
+    # Within each block, some rows lose their density (info_V's gamma is 0
+    # beside nonzero ones), one row has no variance (info_G's gamma is 0, so
+    # it stays violated to the range cap) and one row's parameters fail.
+    src = gaussian_source(1e-4, 20.0)
+    grid = bd._beta_grid(0.03)
+    genie_params = bd._genie_params
+
+    def patched(source, beta):
+        pref, om_b, v_eff, vh_eff = genie_params(source, beta)
+        if beta == grid[41]:
+            raise ValueError("patched failure")
+        if beta == grid[42]:
+            return pref, om_b, 0.0, vh_eff
+        if int(np.searchsorted(grid, beta)) % 3 == 0:
+            return pref, om_b, v_eff, 0.0
+        return pref, om_b, v_eff, vh_eff
+
+    monkeypatch.setattr(bd, "_genie_params", patched)
+    kinds = _block_rows_by_kind(src, 0.03, _t4_blocks(0.03))
+    assert kinds["skipped"] == [grid[41]]
+    assert grid[42] in kinds["range-exceeded"]
+    assert len(kinds["pending"]) > 100
+
+
+def test_classify_scans_reads_each_row():
+    grid = bd._rho_grid(8.0)
+    n = grid.size
+    vals = np.ones((5, n))
+    vals[0, [2, 3, 6]] = -1.0  # two crossings, the last after index 6
+    vals[1, :] = 0.0  # zero is not a violation
+    vals[2, [100, 1500]] = -1.0  # one crossing, then violated to the end
+    vals[2, 1501:] = -2.0
+    vals[3, :40] = -0.5  # violated from the first rate, one crossing
+    vals[4, -2] = -0.0  # negative zero is not a violation either
+    floor = bd.RHO_GRID_FLOOR
+    exceeded = "range-exceeded: inequality still violated at scan end"
+    assert bd._classify_scans(grid, vals) == [
+        (2, None, (grid[6], grid[7])),
+        (0, bd.ImplicitSolveReport(0.0, 0, (0.0, floor), 0.0), None),
+        (1, bd.ImplicitSolveReport(grid[-1], 1, (grid[-1], math.inf), -2.0, exceeded), None),
+        (1, None, (grid[39], grid[40])),
+        (0, bd.ImplicitSolveReport(0.0, 0, (0.0, floor), 1.0), None),
+    ]
+    # a row alone reads the same as in the block
+    for row, want in zip(vals, bd._classify_scans(grid, vals)):
+        assert bd._classify_scans(grid, row[None, :]) == [want]
+
+
+def test_scan_refuses_a_non_finite_deficit():
+    grid = bd._rho_grid(8.0)
+    vals = np.ones((3, grid.size))
+    vals[2, 5] = math.nan
+    vals[0, 9] = -math.inf
+    vals[1, 700] = math.inf
+    with pytest.raises(bd.NonFiniteDeficitError, match=f"rho={grid[5]:g} "):
+        bd._classify_scans(grid, vals)
+    # info_G loses its precision at gamma ~ 1e16 and returns NaN
+    src = gaussian_source(1e-4, 200.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="deficit is not finite at rho="):
+            bd.p4_iid(src, 0.1)
+        for bound in (BoundId.P4_IID, BoundId.P6_IID_ENTROPY, BoundId.T4_IID_GENIE):
+            with pytest.raises(bd.NonFiniteDeficitError, match=f"^{bound.value} at alpha=0.1: "):
+                bd.evaluate_bound(src, bound, 0.1)
+
+
 @pytest.mark.parametrize("info", [info_G, info_V])
 def test_rate_functions_take_per_row_gamma(info):
     r = np.geomspace(1e-6, 1e6, 37)

@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,28 @@ def test_out_of_range_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--bounds", "p4_iid", "--snr-db", "200", "--grid", "0.1:0.1:1",
+         "--out", "b.csv"],
+        ["snr-curve", "--grid=200:200:1", "--out", "s.csv"],
+    ],
+    ids=["bounds", "snr-curve"],
+)
+def test_non_finite_deficit_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # At 200 dB info_G returns NaN on the scan grid; the solve says so
+    # instead of counting NaN as nonnegative and failing later.
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: p4_iid at alpha=0.1: the deficit is not finite at rho=")
+    assert err.count("\n") == 1 and "crossing" not in err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -1,6 +1,7 @@
 """Scalar rate functions: entropy, pattern rate, and the log-det functionals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,34 @@ def test_delta_array_branch_domain():
             delta(np.array([0.5, bad]))
     r = np.array([1e-10, 0.5, 0.9, 1.0])
     np.testing.assert_allclose(delta(r), [delta(float(x)) for x in r], rtol=1e-14)
+
+
+def test_info_v_array_branch_is_the_two_branch_formula():
+    """One delta per rate gives what evaluating both branches everywhere gave."""
+
+    def delta_written_out(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.exp((1.0 - 1.0 / x) * np.log1p(-x))
+        return np.where(x < 1.0, inner, 1.0)
+
+    def two_branches(r, gamma):
+        val_low = 0.5 * r * np.log1p(gamma * delta_written_out(np.minimum(r, 1.0)) / math.e)
+        high = np.maximum(r, 1.0)
+        val_high = 0.5 * np.log1p(r * gamma * delta_written_out(1.0 / high) / math.e)
+        return np.where(r <= 1.0, val_low, val_high)
+
+    # both sides of 1, exactly 1, and a subnormal rate whose reciprocal is finite
+    mixed = np.array([1e-308, 1e-9, 0.3, 1.0 - 1e-16, 1.0, 1.0 + 2e-16, 2.0, 1e7])
+    rows = np.stack([mixed, np.geomspace(1e-8, 1.0, 8), np.geomspace(1.5, 1e9, 8)])
+    gamma = np.array([[0.0], [3.0], [1e6]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for r in (mixed, rows[1], rows[2], rows):
+            for g in (0.7, 1e12, gamma):
+                want = two_branches(r, g)
+                np.testing.assert_array_equal(info_V(r, g), want)
+        got = info_V(rows, gamma)
+    assert np.all(got[0] == 0.0) and np.all(got[1:] > 0.0)
 
 
 def test_xi_values():
