@@ -716,16 +716,17 @@ def evaluate_bound(
 
     Raises ValueError for bounds inapplicable to the source (no density, not
     Gaussian), which ``best_lower`` skips, and for ``C1_TEST``, which is a
-    condition, not a rate bound.  Raises NonFiniteDeficitError (a ValueError)
-    naming the bound, ``alpha`` and the rate when an implicit bound's deficit
-    is NaN or infinite on its scan grid.
+    condition, not a rate bound.  Every ValueError raised by the evaluator
+    keeps its type and gains the bound and ``alpha`` as a prefix; among them
+    is NonFiniteDeficitError, naming the rate where an implicit bound's
+    deficit is NaN or infinite on its scan grid.
     """
     if bound not in _BOUNDS:
         raise ValueError(f"bound {bound} is not an evaluatable rate bound")
     try:
         return _BOUNDS[bound].evaluate(source, alpha)
-    except NonFiniteDeficitError as exc:
-        raise NonFiniteDeficitError(f"{bound.value} at alpha={alpha:g}: {exc}") from None
+    except ValueError as exc:
+        raise type(exc)(f"{bound.value} at alpha={alpha:g}: {exc}") from None
 
 
 def best_lower(

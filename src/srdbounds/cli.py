@@ -85,6 +85,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) not in (3, 4):
         raise ValueError(f"grid spec must be start:stop:count[:log], got {spec!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid ends must be finite, got {spec!r}")
     if count < 1:
         raise ValueError("grid count must be at least 1")
     if count > GRID_MAX_POINTS:

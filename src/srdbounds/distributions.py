@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special, stats
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
 
@@ -191,41 +192,10 @@ def q_function(x: float) -> float:
 
 
 def q_inverse(p: float) -> float:
-    """Inverse of ``q_function`` on (0, 1), bisection-initialized Newton.
-
-    Iterates until ``|q_function(x) - p| <= 1e-13``.
-    """
+    """Inverse of ``q_function`` on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    lo, hi = -10.0, 10.0
-    # q_function is decreasing, so the sign convention is f(lo) > 0 > f(hi).
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        if q_function(mid) > p:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(60):
-        err = q_function(x) - p
-        if abs(err) <= 1e-13:
-            return x
-        step = err / _phi(x)
-        x_new = x + step
-        if not lo <= x_new <= hi:
-            x_new = 0.5 * (lo + hi)
-        if q_function(x_new) > p:
-            lo = x_new
-        else:
-            hi = x_new
-        x = x_new
-    if abs(q_function(x) - p) > 1e-13:
-        raise AccuracyError(f"q_inverse failed to converge for p={p}")
-    return x
-
-
-def _phi(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return -float(special.ndtri(p))
 
 
 # ---------------------------------------------------------------------------
@@ -256,31 +226,32 @@ def moments(dist: DistributionSpec) -> Moments:
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_r(t: float, beta: float) -> float:
-    """Variance fraction kept when a standard Gaussian is cut at |x| <= t."""
-    return 1.0 - (t / beta) * SQRT_2_OVER_PI * math.exp(-0.5 * t * t)
-
-
 def truncate(dist: DistributionSpec, beta: float) -> TruncationResult:
     """Closed-form moments of the smallest-magnitude fraction ``beta``.
 
-    ``beta = 1`` reproduces the untruncated moments exactly; ``beta = 0`` is a
-    domain error.  The Gaussian closed form requires a zero mean.
+    ``beta = 1`` gives the untruncated moments up to rounding (the Gaussian
+    returns them exactly); ``beta = 0`` is a domain error.  The Gaussian
+    closed form requires a zero mean.
+
+    A standard Gaussian cut at ``|x| <= t`` keeps mass ``beta`` when
+    ``t = sqrt(2) * erfinv(beta)``, and keeps the variance fraction
+    ``r = P(chi2_3 <= t^2) / beta = gammainc(3/2, t^2 / 2) / beta``.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
+
+    if isinstance(dist, (Gaussian, SlicedGaussian)):
+        e = float(special.erfinv(beta))  # t / sqrt(2); inf at beta = 1
+        t = SQRT2 * e
+        r = float(special.gammainc(1.5, e * e)) / beta
 
     if isinstance(dist, Gaussian):
         if dist.mean != 0.0:
             raise ValueError("closed-form truncation requires a zero-mean Gaussian")
         if beta == 1.0:
-            m = moments(dist)
-            return TruncationResult(1.0, math.inf, 0.0, dist.variance, m.diff_entropy)
-        t = q_inverse(0.5 * (1.0 - beta))
-        r = _gaussian_r(t, beta)
-        var = r * dist.variance
+            return TruncationResult(1.0, math.inf, 0.0, dist.variance, moments(dist).diff_entropy)
         h = 0.5 * (math.log(2.0 * math.pi * beta * beta * dist.variance) + r)
-        return TruncationResult(beta, t, 0.0, var, h)
+        return TruncationResult(beta, t, 0.0, r * dist.variance, h)
 
     if isinstance(dist, Uniform):
         a = dist.mean - SQRT3 * math.sqrt(dist.variance)
@@ -313,14 +284,9 @@ def truncate(dist: DistributionSpec, beta: float) -> TruncationResult:
 
     if isinstance(dist, SlicedGaussian):
         sz2 = dist.slice_variance
-        sz = math.sqrt(sz2)
-        if beta == 1.0:
-            t, r, r_tilde = math.inf, 1.0, SQRT_2_OVER_PI
-        else:
-            t = q_inverse(0.5 * (1.0 - beta))
-            r = _gaussian_r(t, beta)
-            r_tilde = SQRT_2_OVER_PI * (-math.expm1(-0.5 * t * t)) / beta
-        var = dist.floor**2 + r * sz2 + 2.0 * dist.floor * sz * r_tilde
+        # E[|Z|; |Z| <= t] / beta for a standard Gaussian Z
+        r_tilde = SQRT_2_OVER_PI * (-math.expm1(-e * e)) / beta
+        var = dist.floor**2 + r * sz2 + 2.0 * dist.floor * math.sqrt(sz2) * r_tilde
         h = 0.5 * (math.log(2.0 * math.pi * beta * beta * sz2) + r)
         return TruncationResult(beta, t, 0.0, var, h)
 

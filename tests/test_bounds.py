@@ -569,16 +569,19 @@ def test_p7_log_growth_for_floored_sources():
 
 
 def test_p7_brackets_the_genie_bound():
-    # the shape carries an unknowable constant; record the bracketing ratio
-    # against the genie bound and assert only that it stays positive and finite
+    # the shape carries an unknowable constant, so the ratio of the genie
+    # bound to it is not pinned; but both grow alike as alpha -> 0 (the
+    # bounds are tight as a function of the fraction of errors), so the
+    # ratio stays within a narrow band down to alpha = 1e-9
     src = gaussian_source(1e-4, 0.0)
     ratios = []
-    for alpha in np.geomspace(1e-3, 0.249, 8):
+    for alpha in np.geomspace(1e-9, 0.249, 12):
         shape = bd.p7_shape(src, float(alpha), src.power)
         genie, _ = bd.t2_genie(src, float(alpha))
         ratios.append(genie / shape)
     assert min(ratios) > 0.0
     assert math.isfinite(max(ratios))
+    assert max(ratios) / min(ratios) < 1.5
 
 
 def test_p8_condition_and_scaling():
@@ -639,22 +642,27 @@ def test_best_lower_properties_over_the_bound_domain(dist, omega, snr_db, alphas
     _check_best_lower_properties(dist, omega, snr_db, alpha_lo, alpha_hi)
 
 
+def test_best_lower_properties_hold_where_the_gaussian_cut_once_cancelled():
+    # The kept variance fraction was once computed by cancellation, wrong by
+    # 25 % at beta = 1e-5; the genie bounds (beta* ~ 5e-6 here) followed
+    # that error up and down.
+    _check_best_lower_properties(
+        Gaussian(0.0, 1.0), 1.7801471416452694e-06, 69.72342990973904,
+        4.323090122222269e-09, 2.2033686778946125e-07,
+    )
+
+
 @pytest.mark.xfail(strict=True, reason="open defects at small alpha, see CHANGES.md")
 @pytest.mark.parametrize(
     "dist, omega, snr_db, alpha_lo, alpha_hi",
     [
         # t2 raises: the Gaussian truncation of beta = alpha takes log(0)
         (Gaussian(0.0, 1.0), 0.5, 0.0, 5e-324, 0.5),
-        # the Gaussian truncation computes its kept variance fraction by
-        # cancellation, wrong by 25 % at beta = 1e-5, and the genie bounds
-        # (beta* ~ 5e-6 here) follow that error up and down
-        (Gaussian(0.0, 1.0), 1.7801471416452694e-06, 69.72342990973904,
-         4.323090122222269e-09, 2.2033686778946125e-07),
         # the beta grid misses the sharp maximum at beta = 1 - outer_mass
         (PointMass(0.2, 1.0, outer_mass=0.1), 0.0003580125055937264, 11.225325847303935,
          2.5396476758501306e-06, 9.02146833240461e-05),
     ],
-    ids=["gaussian-alpha-underflow", "gaussian-truncation-cancellation", "pointmass-kink"],
+    ids=["gaussian-alpha-underflow", "pointmass-kink"],
 )
 def test_best_lower_properties_fail_at_small_alpha(dist, omega, snr_db, alpha_lo, alpha_hi):
     _check_best_lower_properties(dist, omega, snr_db, alpha_lo, alpha_hi)

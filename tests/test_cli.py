@@ -34,6 +34,13 @@ def test_grid_parsing():
         _parse_grid("1:2:3:cubic")
 
 
+def test_grid_refuses_non_finite_ends():
+    # refused before numpy sees them, so no RuntimeWarning is raised
+    for spec in ("0.5:inf:3", "nan:1:3", "1e-3:inf:4:log", "-inf:1:2"):
+        with pytest.raises(ValueError, match="grid ends must be finite"):
+            _parse_grid(spec)
+
+
 def test_coerce_types():
     assert _coerce("3") == 3
     assert _coerce("3.5") == 3.5
@@ -216,6 +223,16 @@ def test_non_finite_deficit_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: p4_iid at alpha=0.1: the deficit is not finite at rho=")
     assert err.count("\n") == 1 and "crossing" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_evaluator_error_names_the_bound_and_alpha(tmp_path, monkeypatch, capsys):
+    # At alpha = 1e-300 the Gaussian cut keeps no variance and t2 takes log(0).
+    monkeypatch.chdir(tmp_path)
+    argv = ["bounds", "--bounds", "t2_genie", "--grid", "1e-300:1e-299:2", "--out", "b.csv"]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t2_genie at alpha=1e-300: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -178,6 +178,50 @@ def test_gaussian_small_beta_quadratic_shrinkage():
     assert tr.variance / 1e-6 == pytest.approx(math.pi / 6.0, rel=1e-3)
 
 
+# (beta, kept variance fraction r and entropy of a standard Gaussian, variance
+# of SlicedGaussian(0.3, 1.1)), at the float beta shown
+GAUSSIAN_CUT_REFERENCE = [
+    (1e-12, 5.2359877559829885e-25, -26.712082582723875, 0.090000000000394339),
+    (1e-09, 5.2359877559829894e-19, -19.804327303741738, 0.090000000394346081),
+    (1e-06, 5.2359877559846332e-13, -12.89657202475934, 0.090000394346662978),
+    (0.001, 5.2359894009178556e-7, -5.9888164839779942, 0.090394922097479866),
+    (0.05, 0.0013100262742689852, -2.0761387272121837, 0.1111647916456751),
+    (0.5, 0.1426518354885188, 0.29711727038898683, 0.45122256884998732),
+    (0.95, 0.75884161706989729, 1.2470660473520708, 1.3758202889883696),
+    (0.999999999, 0.99999996172265634, 1.4189385130660009, 1.6920969867673924),
+]
+
+
+@pytest.mark.parametrize(
+    "beta, r, h, sliced_var",
+    GAUSSIAN_CUT_REFERENCE,
+    ids=[repr(row[0]) for row in GAUSSIAN_CUT_REFERENCE],
+)
+def test_gaussian_cut_matches_reference_values(beta, r, h, sliced_var):
+    """The Gaussian and sliced-Gaussian cuts agree with values computed once
+    by direct quadrature at 50 digits:
+
+        import mpmath as mp
+        mp.mp.dps = 50
+        floor, sv = mp.mpf(0.3), mp.mpf(1.1)
+        for beta in (1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.95, 1 - 1e-9):
+            b = mp.mpf(beta)
+            t = mp.sqrt(2) * mp.erfinv(b)
+            phi = lambda x: mp.exp(-x * x / 2) / mp.sqrt(2 * mp.pi)
+            r = 2 * mp.quad(lambda x: x * x * phi(x), [0, t]) / b
+            r_abs = 2 * mp.quad(lambda x: x * phi(x), [0, t]) / b
+            h = (mp.log(2 * mp.pi * b * b) + r) / 2
+            var = floor**2 + r * sv + 2 * floor * mp.sqrt(sv) * r_abs
+            print(beta, mp.nstr(r, 17), mp.nstr(h, 17), mp.nstr(var, 17))
+    """
+    tr = truncate(Gaussian(0.0, 1.0), beta)
+    assert tr.variance == pytest.approx(r, rel=1e-13, abs=0)
+    assert tr.diff_entropy == pytest.approx(h, rel=1e-13, abs=0)
+    assert truncate(SlicedGaussian(0.3, 1.1), beta).variance == pytest.approx(
+        sliced_var, rel=1e-13, abs=0
+    )
+
+
 @pytest.mark.parametrize("dist", CONTINUOUS)
 @pytest.mark.parametrize("beta", [0.05, 0.3, 0.7, 1.0])
 def test_truncate_matches_quadrature(dist, beta):
