@@ -642,10 +642,10 @@ def test_best_lower_properties_over_the_bound_domain(dist, omega, snr_db, alphas
     _check_best_lower_properties(dist, omega, snr_db, alpha_lo, alpha_hi)
 
 
-def test_best_lower_properties_hold_where_the_gaussian_cut_once_cancelled():
-    # The kept variance fraction was once computed by cancellation, wrong by
-    # 25 % at beta = 1e-5; the genie bounds (beta* ~ 5e-6 here) followed
-    # that error up and down.
+def test_best_lower_properties_at_a_small_gaussian_beta_star():
+    # beta* ~ 5e-6 here, where a cancelling form of the kept variance
+    # fraction errs by 25 %; the genie bounds follow such an error up and
+    # down and break monotonicity in alpha.
     _check_best_lower_properties(
         Gaussian(0.0, 1.0), 1.7801471416452694e-06, 69.72342990973904,
         4.323090122222269e-09, 2.2033686778946125e-07,
