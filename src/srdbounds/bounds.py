@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DistributionSpec, truncate
-from .ratefun import SourceParams, delta, info_G, info_V, rate_R, source_functionals
+from .ratefun import SourceParams, _check_args, delta, info_G, info_V, rate_R, source_functionals
 
 log = logging.getLogger(__name__)
 
@@ -136,7 +136,9 @@ def _scan_implicit(deficit, omega: float):
     hi = _scan_start(omega)
     while True:
         grid = _rho_grid(hi)
-        vals = deficit(grid)
+        # A NaN or infinite value is refused below, so numpy need not warn.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = deficit(grid)
         if vals[-1] < 0.0 and hi < RHO_RANGE_CAP:
             hi = min(hi * 100.0, RHO_RANGE_CAP)
             continue
@@ -312,10 +314,8 @@ def t3_noiseless_iid(source: SourceParams, alpha: float) -> float:
     log_inv_theta = math.log(1.0 / theta)
 
     def deficit(rho):
-        val = 0.5 * rho * (
-            log_inv_theta + math.log(delta(rho)) - math.log(delta(rho / omega))
-        )
-        return val - r_target
+        log = np.log if isinstance(rho, np.ndarray) else math.log
+        return 0.5 * rho * (log_inv_theta + log(delta(rho)) - log(delta(rho / omega))) - r_target
 
     if deficit(omega * (1.0 - 1e-12)) < 0.0:
         return omega
@@ -323,8 +323,7 @@ def t3_noiseless_iid(source: SourceParams, alpha: float) -> float:
     # The deficit is nonnegative at the grid's last point (checked above), so
     # the scan either brackets a crossing or finds no violated rate.
     grid = np.linspace(omega * 1e-6, omega * (1.0 - 1e-12), 4000)
-    vals = np.array([deficit(r) for r in grid])
-    _, _, bracket = _classify_scans(grid, vals[None, :])[0]
+    _, _, bracket = _classify_scans(grid, deficit(grid)[None, :])[0]
     if bracket is None:
         return 0.0
     return _bisect(deficit, 0, bracket).rho_lower
@@ -559,7 +558,9 @@ def _scan_genie_rows(source: SourceParams, alpha: float, betas, multi: set) -> l
     grid = _rho_grid(_scan_start(omega))
     # One column per parameter broadcasts the deficit to one row per beta.
     block = _genie_deficit(*np.array(params).T[:, :, None])
-    for i, p, scan in zip(live, params, _classify_scans(grid, block(grid))):
+    with np.errstate(divide="ignore", invalid="ignore"):  # as in _scan_implicit
+        vals = block(grid)
+    for i, p, scan in zip(live, params, _classify_scans(grid, vals)):
         deficit = _genie_deficit(*p)
         crossings, report, bracket = scan
         if report is not None and report.diagnostic:  # still violated at the end
@@ -780,7 +781,7 @@ def alpha_curve(
         with _crossing_summary(bound, rho):
             lo, hi = ALPHA_FLOOR, 1.0 - 1e-9
             val_lo, _ = rho_of(lo)
-            val_hi, _ = rho_of(hi)
+            val_hi, beta = rho_of(hi)
             if val_lo < val_hi:
                 meta["omitted"].append((rho, "non-monotone bracket"))
                 continue
@@ -792,12 +793,13 @@ def alpha_curve(
                 continue
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                val_mid, beta = rho_of(mid)
+                if mid == lo or mid == hi:
+                    break
+                val_mid, beta_mid = rho_of(mid)
                 if val_mid <= rho:
-                    hi = mid
+                    hi, beta = mid, beta_mid
                 else:
                     lo = mid
-            val_hi, beta = rho_of(hi)
             meta["beta_star"][rho] = beta
             points.append((rho, hi))
     return BoundCurve(bound, source, "alpha_vs_rho", points, meta)
@@ -808,10 +810,3 @@ def source_at_snr(dist: DistributionSpec, omega: float, snr_db: float) -> Source
     from .distributions import scale_to_snr
 
     return source_functionals(omega, scale_to_snr(dist, omega, snr_db))
-
-
-def _check_args(omega: float, alpha: float) -> None:
-    if not 0.0 < omega <= 0.5:
-        raise ValueError(f"omega must lie in (0, 0.5], got {omega}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")

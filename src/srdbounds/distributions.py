@@ -257,9 +257,7 @@ def truncate(dist: DistributionSpec, beta: float) -> TruncationResult:
         a = dist.mean - SQRT3 * math.sqrt(dist.variance)
         b = dist.mean + SQRT3 * math.sqrt(dist.variance)
         width = beta * (b - a)
-        if a >= 0:
-            lo, hi = a, a + width
-        elif width <= -2 * a:
+        if a < 0 and width <= -2 * a:
             lo, hi = -0.5 * width, 0.5 * width
         else:
             lo, hi = a, a + width

@@ -2,15 +2,16 @@
 
 All entropies and rates are in nats.  The functions are pure.  The
 random-matrix rate functions (``delta``, ``xi``, ``info_G``, ``info_V``) take
-a float or an ndarray.  A float runs ``math`` code: an implicit solve bisects
-with single rates, and ``math`` is about ten times faster than NumPy on one
-value.  An array runs NumPy code that broadcasts ``r`` against a scalar
-``gamma`` or one ``gamma`` per row, which lets a solver scan a whole rate grid
-at once, or a block of grids with one ``gamma`` each (t4 scans its retained
-fractions four rows at a time).  Each element of an array goes through the
-same float operations whatever the broadcast, so a row of a block is
-bit-identical to the same row scanned alone.  Both branches raise the same
-errors.
+a float or an ndarray; ``xi``, ``info_G`` and ``info_V`` are each one formula,
+evaluated with ``math`` or NumPy as the argument's type picks.  A float runs
+``math``: an implicit solve bisects with single rates, and ``math`` is about
+ten times faster than NumPy on one value.  An array runs NumPy, broadcasting
+``r`` against a scalar ``gamma`` or one ``gamma`` per row, which lets a solver
+scan a whole rate grid at once, or a block of grids with one ``gamma`` each
+(t4 scans its retained fractions four rows at a time).  Each element of an
+array goes through the same float operations whatever the broadcast, so a row
+of a block is bit-identical to the same row scanned alone.  Both evaluations
+raise the same errors.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ def binary_entropy(p: float) -> float:
 def rate_R(omega: float, alpha: float) -> float:
     """Nats per dimension needed to encode a sparsity pattern of rate ``omega``
     to within relative-overlap distortion ``alpha``."""
-    _check_omega(omega)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_args(omega, alpha)
     if alpha >= 1.0 - omega:
         return 0.0
     return (
@@ -54,9 +53,7 @@ def rate_R_hamming(omega: float, alpha: float) -> float:
 
     Documented alternate form only; the bound evaluators use :func:`rate_R`.
     """
-    _check_omega(omega)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_args(omega, alpha)
     return max(0.0, binary_entropy(omega) - binary_entropy(alpha))
 
 
@@ -107,26 +104,20 @@ def info_G(r: float | np.ndarray, gamma: float | np.ndarray) -> float | np.ndarr
 
 def info_V(r: float | np.ndarray, gamma: float | np.ndarray) -> float | np.ndarray:
     """Entropy-power lower envelope of :func:`info_G`; equals 0 at gamma = 0
-    and approaches :func:`info_G` as gamma grows."""
-    if not _check_rate_args(r, gamma):
-        if gamma == 0.0:
-            return 0.0
-        if r <= 1.0:
-            return 0.5 * r * math.log1p(gamma * delta(r) / math.e)
-        return 0.5 * math.log1p(r * gamma * delta(1.0 / r) / math.e)
-    zero = _zero_gamma_rows(info_V, r, gamma)
-    if zero is not None:
-        return zero
-    # One delta per rate: delta(r) where r <= 1 and delta(1/r) above, each
-    # branch evaluated only where some rate needs it.
-    d = _delta_array(np.minimum(r, 1.0 / np.maximum(r, 1.0)))
-    low = r <= 1.0
-    if low.all():
-        return 0.5 * r * np.log1p(gamma * d / math.e)
-    val_high = 0.5 * np.log1p(r * gamma * d / math.e)
-    if not low.any():
-        return val_high
-    return np.where(low, 0.5 * r * np.log1p(gamma * d / math.e), val_high)
+    and approaches :func:`info_G` as gamma grows.  With lo = min(r, 1) and
+    hi = max(r, 1), it is 0.5*lo*log1p(hi*gamma*delta(lo/hi)/e)."""
+    if _check_rate_args(r, gamma):
+        zero = _zero_gamma_rows(info_V, r, gamma)
+        if zero is not None:
+            return zero
+        lo, hi = np.minimum(r, 1.0), np.maximum(r, 1.0)
+        d, log1p = _delta_array(lo / hi), np.log1p
+    elif gamma == 0.0:
+        return 0.0
+    else:
+        lo, hi = (r, 1.0) if r <= 1.0 else (1.0, r)
+        d, log1p = delta(lo / hi), math.log1p
+    return 0.5 * lo * log1p(hi * gamma * d / math.e)
 
 
 def _delta_array(r: np.ndarray) -> np.ndarray:
@@ -135,8 +126,7 @@ def _delta_array(r: np.ndarray) -> np.ndarray:
     if inner.all():
         return np.exp((1.0 - 1.0 / r) * np.log1p(-r))
     out = np.ones_like(r)
-    r_inner = r[inner]
-    out[inner] = np.exp((1.0 - 1.0 / r_inner) * np.log1p(-r_inner))
+    out[inner] = _delta_array(r[inner])
     return out
 
 
@@ -211,3 +201,10 @@ def source_functionals(omega: float, dist: DistributionSpec) -> SourceParams:
 def _check_omega(omega: float) -> None:
     if not 0.0 < omega <= 0.5:
         raise ValueError(f"omega must lie in (0, 0.5], got {omega}")
+
+
+def _check_args(omega: float, alpha: float) -> None:
+    """Reject a sparsity rate outside (0, 0.5] and a distortion outside [0, 1]."""
+    _check_omega(omega)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")

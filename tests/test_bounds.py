@@ -11,7 +11,7 @@ from srdbounds import bounds as bd
 from srdbounds.bounds import BoundId
 from srdbounds.cli import _sliced_from_eta
 from srdbounds.distributions import Gaussian, PointMass, Uniform
-from srdbounds.ratefun import info_G, info_V, rate_R, source_functionals
+from srdbounds.ratefun import delta, info_G, info_V, rate_R, source_functionals
 
 
 def gaussian_source(omega=1e-4, snr_db=50.0):
@@ -57,6 +57,43 @@ def test_noiseless_simplified_below_full():
                 simple = bd.s_noiseless_simple(src, alpha)
                 full = bd.t3_noiseless_iid(src, alpha)
                 assert simple <= full * (1 + 1e-9) + 1e-12
+
+
+def test_t3_array_scan_matches_a_scalar_loop():
+    """t3 scans its grid as one array; a loop of float deficits, classified
+    and bisected the same way, gives the same value."""
+
+    def t3_by_loop(src, alpha):
+        omega = src.omega
+        if src.theta == 0.0 or rate_R(omega, alpha) == 0.0:
+            return 0.0, False
+        r_target = rate_R(omega, alpha)
+        log_inv_theta = math.log(1.0 / src.theta)
+
+        def deficit(rho):
+            val = 0.5 * rho * (
+                log_inv_theta + math.log(delta(rho)) - math.log(delta(rho / omega))
+            )
+            return val - r_target
+
+        if deficit(omega * (1.0 - 1e-12)) < 0.0:
+            return omega, False
+        grid = np.linspace(omega * 1e-6, omega * (1.0 - 1e-12), 4000)
+        vals = np.array([deficit(r) for r in grid])
+        _, _, bracket = bd._classify_scans(grid, vals[None, :])[0]
+        if bracket is None:
+            return 0.0, False
+        return bd._bisect(deficit, 0, bracket).rho_lower, True
+
+    bisected = 0
+    for dist in (Gaussian(0.0, 1.0), Uniform(2.0, 1.0), _sliced_from_eta(0.2)):
+        for omega in (1e-3, 0.05, 0.25):
+            src = bd.source_at_snr(dist, omega, 20.0)
+            for alpha in (0.05, 0.2, 0.5):
+                want, scanned = t3_by_loop(src, alpha)
+                assert bd.t3_noiseless_iid(src, alpha) == want
+                bisected += scanned
+    assert bisected == 6  # the rest return omega or 0 before the scan
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +493,11 @@ def test_scan_refuses_a_non_finite_deficit():
         bd._classify_scans(grid, vals)
     # info_G loses its precision at gamma ~ 1e16 and returns NaN
     src = gaussian_source(1e-4, 200.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="deficit is not finite at rho="):
-            bd.p4_iid(src, 0.1)
-        for bound in (BoundId.P4_IID, BoundId.P6_IID_ENTROPY, BoundId.T4_IID_GENIE):
-            with pytest.raises(bd.NonFiniteDeficitError, match=f"^{bound.value} at alpha=0.1: "):
-                bd.evaluate_bound(src, bound, 0.1)
+    with pytest.raises(ValueError, match="deficit is not finite at rho="):
+        bd.p4_iid(src, 0.1)
+    for bound in (BoundId.P4_IID, BoundId.P6_IID_ENTROPY, BoundId.T4_IID_GENIE):
+        with pytest.raises(bd.NonFiniteDeficitError, match=f"^{bound.value} at alpha=0.1: "):
+            bd.evaluate_bound(src, bound, 0.1)
 
 
 @pytest.mark.parametrize("info", [info_G, info_V])

@@ -4,7 +4,6 @@ import csv
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -217,9 +216,7 @@ def test_non_finite_deficit_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     # At 200 dB info_G returns NaN on the scan grid; the solve says so
     # instead of counting NaN as nonnegative and failing later.
     monkeypatch.chdir(tmp_path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert run_cli(argv) == 2
+    assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: p4_iid at alpha=0.1: the deficit is not finite at rho=")
     assert err.count("\n") == 1 and "crossing" not in err

@@ -116,7 +116,18 @@ def test_delta_array_branch_domain():
 
 
 def test_info_v_array_branch_is_the_two_branch_formula():
-    """One delta per rate gives what evaluating both branches everywhere gave."""
+    """The one formula in lo = min(r, 1) and hi = max(r, 1) gives, on floats
+    and on arrays, what the two branches r <= 1 and r > 1 gave."""
+
+    def float_delta(x):
+        return 1.0 if x == 1.0 else math.exp((1.0 - 1.0 / x) * math.log1p(-x))
+
+    def float_branches(r, gamma):
+        if gamma == 0.0:
+            return 0.0
+        if r <= 1.0:
+            return 0.5 * r * math.log1p(gamma * float_delta(r) / math.e)
+        return 0.5 * math.log1p(r * gamma * float_delta(1.0 / r) / math.e)
 
     def delta_written_out(x):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -131,6 +142,9 @@ def test_info_v_array_branch_is_the_two_branch_formula():
 
     # both sides of 1, exactly 1, and a subnormal rate whose reciprocal is finite
     mixed = np.array([1e-308, 1e-9, 0.3, 1.0 - 1e-16, 1.0, 1.0 + 2e-16, 2.0, 1e7])
+    for r in mixed.tolist():
+        for g in (0.0, 0.7, 1e12):
+            assert info_V(r, g) == float_branches(r, g)
     rows = np.stack([mixed, np.geomspace(1e-8, 1.0, 8), np.geomspace(1.5, 1e9, 8)])
     gamma = np.array([[0.0], [3.0], [1e6]])
     with warnings.catch_warnings():
