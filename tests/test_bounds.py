@@ -64,10 +64,9 @@ def test_t3_array_scan_matches_a_scalar_loop():
     and bisected the same way, gives the same value."""
 
     def t3_by_loop(src, alpha):
-        omega = src.omega
-        if src.theta == 0.0 or rate_R(omega, alpha) == 0.0:
+        omega, r_target = src.omega, rate_R(src.omega, alpha)
+        if src.theta == 0.0 or r_target == 0.0:
             return 0.0, False
-        r_target = rate_R(omega, alpha)
         log_inv_theta = math.log(1.0 / src.theta)
 
         def deficit(rho):
@@ -513,6 +512,10 @@ def test_rate_functions_take_per_row_gamma(info):
     table = info(r[None, :], gamma[:, None])
     assert table.shape == (37, 37)
     np.testing.assert_array_equal(table[3], info(r, gamma[3]))
+    # a float rate against an array of gammas
+    for rate in (0.5, 1.0, 2.0):
+        want = [info(rate, float(gi)) for gi in gamma]
+        np.testing.assert_allclose(info(rate, gamma), want, rtol=1e-14, atol=0.0)
     assert np.all(info(r, 0.0) == 0.0)
 
 
