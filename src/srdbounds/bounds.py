@@ -10,14 +10,13 @@ is written once: the rate functions of ``ratefun`` take a float or an array,
 so the same deficit scans the grid as an array and bisects one float at a
 time.  p4, p6 and the genie-aided i.i.d. bound t4 share one deficit: p6 is t4
 at ``beta = 1``, where the genie reveals nothing, and p4 is p6 without a
-density.  t4 sweeps 200 retained fractions ``beta`` and scans them four rows
-at a time, as one (4 x 2000) array with one set of parameters per row; each
-element goes through the same float operations as in a single-row scan, so
-every row reads as if scanned alone.  One classification reads every scan,
-of one row or of a block, and refuses a NaN or infinite deficit.  A row's
-solved rate lies in its scan bracket, so only the rows whose bracket reaches
-above the largest lower end of any row can hold the maximum; only those are
-bisected, so every value t4 compares is the one a single solve gives.
+density.  t4 sweeps 200 retained fractions ``beta``, scans them four rows
+at a time as one (4 x 2000) array, each row reading as if scanned alone, and
+bisects only the rows whose scan bracket can hold the maximum.  It refines the
+best row by the envelope condition: golden section over ``beta`` on the
+deficit at the best rate found, one scalar deficit per step, then one full
+solve at the ``beta`` found, repeated from the new rate while it rises.  One
+classification reads every scan and refuses a NaN or infinite deficit.
 
 One table (``_BOUNDS``) says which bounds exist, how each is evaluated, which
 sources it applies to and which matrix class ``best_lower`` uses it for.
@@ -40,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DistributionSpec, truncate
+from .distributions import DistributionSpec, decay_rate, scale_to_snr, truncate
 from .ratefun import SourceParams, _check_args, delta, info_G, info_V, rate_R, source_functionals
 
 log = logging.getLogger(__name__)
@@ -52,6 +51,7 @@ BISECTION_STEPS = 80
 BETA_GRID_POINTS = 200
 BETA_BLOCK_ROWS = 4  # t4 scans its beta rows this many at a time
 BETA_REFINE_RTOL = 1e-6
+BETA_REFINE_ROUNDS = 4  # t4's envelope refinements, each from the last rate found
 ALPHA_FLOOR = 1e-6  # the smallest distortion alpha_curve searches
 
 
@@ -235,23 +235,20 @@ def _warn_crossings(bound: BoundId, alpha: float, message: str, *args) -> None:
 
 
 @contextlib.contextmanager
-def _crossing_summary(bound: BoundId, rho: float):
-    """Replace the multi-crossing warnings of one rate's inversion by one line."""
+def _crossing_summary(bound: BoundId, rho: float | None):
+    """Hold back the multi-crossing warnings of one rate's inversion and log
+    them as one line; with ``rho`` None, only hold them.  Yields the held set."""
     held: set[float] = set()
     token = _held_crossings.set(held)
     try:
-        yield
+        yield held
     finally:
         _held_crossings.reset(token)
-    if held:
+    if held and rho is not None:
         log.warning(
             "%s at alpha=%g..%g (inverting rho=%g): %d alpha values found more than one "
             "crossing; kept the largest violated rate for each",
-            bound.value,
-            min(held),
-            max(held),
-            rho,
-            len(held),
+            bound.value, min(held), max(held), rho, len(held),
         )
 
 
@@ -398,23 +395,6 @@ def _golden_max(f, lo: float, hi: float):
     return x, max(fc, fd)
 
 
-def _maximize_over_beta(objective, grid: np.ndarray, values: np.ndarray):
-    """Refine the grid maximum of ``values`` (``objective`` on ``grid``) by
-    golden section over the neighbouring grid points.
-
-    Returns ``(beta_star, value, index)``: ``index`` is the grid position when
-    the grid value is at least as large as the refined one and is kept, and
-    None when the refined point wins.
-    """
-    best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    beta_star, val = _golden_max(objective, lo, hi)
-    if values[best] >= val:
-        return float(grid[best]), float(values[best]), best
-    return beta_star, val, None
-
-
 def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
     """Genie bound for any matrix, maximized over the retained fraction.
 
@@ -432,9 +412,14 @@ def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
             return 0.0
         return 2.0 * pref * r / math.log1p(v_eff)
 
+    # The grid maximum, refined by golden section over its neighbours.
     grid = _beta_grid(alpha)
     values = np.array([objective(b) for b in grid])
-    beta_star, val, _ = _maximize_over_beta(objective, grid, values)
+    best = int(np.argmax(values))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    beta_star, val = _golden_max(objective, lo, hi)
+    if values[best] >= val:
+        return float(values[best]), float(grid[best])
     return val, beta_star
 
 
@@ -577,7 +562,11 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     Maximizes the solved rate over the retained fraction ``beta``; returns the
     best solve report and ``beta_star``.  The grid rows are scanned
     BETA_BLOCK_ROWS at a time, and only the rows that can hold the maximum
-    are bisected; each golden-section step scans its beta as a block of one.
+    are bisected.  The best row is refined by the envelope condition (the
+    deficit's beta-derivative vanishes at the maximizer's rate): golden section
+    over the neighbouring grid points finds the beta most violated at the best
+    rate so far, and a full solve there replaces that rate only if larger.
+    This repeats, at most BETA_REFINE_ROUNDS times, until the rate stops rising.
     """
     omega = source.omega
     if not 0.0 < alpha < 1.0:
@@ -602,25 +591,38 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
         reports[i] = _bisect(*rows[i][1])
         values[i] = reports[i].rho_lower
 
-    def solve(beta) -> ImplicitSolveReport | None:
-        ((report, pending),) = _scan_genie_rows(source, alpha, [beta], multi)
-        return _bisect(*pending) if pending else report
+    best = int(np.argmax(values))
+    report, beta_star = reports[best], float(grid[best])
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
 
-    def value_of(beta):
-        rep = solve(beta)
-        return -math.inf if rep is None else rep.rho_lower
+    def violation(beta, rho):  # minus the deficit at a fixed rate
+        try:
+            pref, om_b, v_eff, vh_eff = _genie_params(source, beta)
+        except (ValueError, ArithmeticError):
+            return -math.inf  # skipped, as in the block scan
+        r_target = rate_R(om_b / pref, min(alpha / beta, 1.0))
+        return -_genie_deficit(pref, om_b, v_eff, vh_eff, r_target)(rho)
 
-    beta_star, _, kept = _maximize_over_beta(value_of, grid, values)
-    report = solve(beta_star) if kept is None else reports[kept]
+    for _ in range(BETA_REFINE_ROUNDS):
+        # The deficit is not defined at rate 0; a range-exceeded row ends its scan.
+        if report is None or report.rho_lower == 0.0 or report.diagnostic:
+            break
+        beta, _ = _golden_max(functools.partial(violation, rho=report.rho_lower), lo, hi)
+        if beta == beta_star:
+            break
+        ((solved, pending),) = _scan_genie_rows(source, alpha, [beta], multi)
+        if pending:
+            solved = _bisect(*pending)
+        if solved is None or not solved.rho_lower > report.rho_lower:
+            break
+        report, beta_star = solved, beta
     if multi:
         _warn_crossings(
             BoundId.T4_IID_GENIE,
             alpha,
             "%d beta values found more than one crossing "
             "(beta in [%g, %g]); kept the largest violated rate for each",
-            len(multi),
-            min(multi),
-            max(multi),
+            len(multi), min(multi), max(multi),
         )
     return report, beta_star
 
@@ -638,8 +640,6 @@ def p7_shape(source: SourceParams, alpha: float, power: float) -> float:
     """
     if not 0.0 < alpha < 0.25:
         raise ValueError(f"alpha must lie in (0, 1/4), got {alpha}")
-    from .distributions import decay_rate
-
     big_l = decay_rate(source.dist)
     x = alpha * source.omega
     return x * math.log(1.0 / x) / math.log1p(alpha ** (2.0 * big_l + 1.0) * power)
@@ -773,15 +773,16 @@ def alpha_curve(
         raise ValueError(f"rates must be finite and nonnegative, got {bad[0]}")
     points: list[tuple[float, float]] = []
     meta: dict = {"omitted": [], "alpha_floor": ALPHA_FLOOR, "beta_star": {}}
-
-    def rho_of(alpha):
-        return evaluate_bound(source, bound, alpha)
-
+    if not rho_grid:
+        return BoundCurve(bound, source, "alpha_vs_rho", points, meta)
+    # The bracket ends serve every rate; each rate's summary counts their warnings.
+    with _crossing_summary(bound, None) as ends_held:
+        val_lo, _ = evaluate_bound(source, bound, ALPHA_FLOOR)
+        val_hi, beta_hi = evaluate_bound(source, bound, 1.0 - 1e-9)
     for rho in sorted(rho_grid):
-        with _crossing_summary(bound, rho):
-            lo, hi = ALPHA_FLOOR, 1.0 - 1e-9
-            val_lo, _ = rho_of(lo)
-            val_hi, beta = rho_of(hi)
+        with _crossing_summary(bound, rho) as held:
+            held |= ends_held
+            lo, hi, beta = ALPHA_FLOOR, 1.0 - 1e-9, beta_hi
             if val_lo < val_hi:
                 meta["omitted"].append((rho, "non-monotone bracket"))
                 continue
@@ -795,7 +796,7 @@ def alpha_curve(
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
                     break
-                val_mid, beta_mid = rho_of(mid)
+                val_mid, beta_mid = evaluate_bound(source, bound, mid)
                 if val_mid <= rho:
                     hi, beta = mid, beta_mid
                 else:
@@ -807,6 +808,4 @@ def alpha_curve(
 
 def source_at_snr(dist: DistributionSpec, omega: float, snr_db: float) -> SourceParams:
     """Scale a distribution to the per-sample SNR (dB) and wrap it as a source."""
-    from .distributions import scale_to_snr
-
     return source_functionals(omega, scale_to_snr(dist, omega, snr_db))

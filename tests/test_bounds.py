@@ -264,38 +264,31 @@ def test_t4_zero_when_distortion_saturates():
     assert rep.rho_lower == 0.0
 
 
-def _reference_t4(source, alpha):
-    """t4 as one scalar-bisection solve per beta, then the golden step."""
+def _solve_t4_row(source, alpha, beta):
+    """t4's deficit at one beta, solved alone by scalar bisection; None when
+    the genie parameters cannot be computed."""
+    try:
+        pref, om_b, v_eff, vh_eff = bd._genie_params(source, beta)
+    except (ValueError, ArithmeticError):
+        return None
+    r_target = rate_R(om_b / pref, min(alpha / beta, 1.0))
+    if r_target == 0.0 and vh_eff == 0.0:
+        return bd.ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0)
+    om_t = om_b / pref
 
-    def solve_for(beta):
-        try:
-            pref, om_b, v_eff, vh_eff = bd._genie_params(source, beta)
-        except (ValueError, ArithmeticError):
-            return None
-        r_target = rate_R(om_b / pref, min(alpha / beta, 1.0))
-        if r_target == 0.0 and vh_eff == 0.0:
-            return bd.ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0)
-        om_t = om_b / pref
+    def deficit(rho):
+        return info_G(rho / pref, v_eff) - r_target - om_t * info_V(rho / om_b, vh_eff)
 
-        def deficit(rho):
-            return info_G(rho / pref, v_eff) - r_target - om_t * info_V(rho / om_b, vh_eff)
+    return bd._solve_implicit(deficit, source.omega)
 
-        return bd._solve_implicit(deficit, source.omega)
 
-    def value_of(beta):
-        rep = solve_for(beta)
-        return -math.inf if rep is None else rep.rho_lower
-
+def _best_grid_row(source, alpha):
+    """The largest of t4's grid rows, each solved alone: ``(report, beta)``."""
     grid = bd._beta_grid(alpha)
-    reports = [solve_for(b) for b in grid]
+    reports = [_solve_t4_row(source, alpha, b) for b in grid]
     values = np.array([-math.inf if rep is None else rep.rho_lower for rep in reports])
     best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    beta_star, val = bd._golden_max(value_of, lo, hi)
-    if values[best] >= val:
-        return reports[best], float(grid[best])
-    return solve_for(beta_star), beta_star
+    return reports[best], float(grid[best])
 
 
 T4_FAMILIES = {
@@ -321,11 +314,78 @@ T4_FAMILIES = {
        ("sliced", 1e-4, 10.0, 3e-3)],
 )
 def test_t4_batched_sweep_matches_per_beta_solves(family, omega, snr_db, alpha):
+    # t4 is a full solve at its beta, no smaller than the best grid row solved
+    # alone, and that very row when the refinement does not beat it.
     src = bd.source_at_snr(T4_FAMILIES[family], omega, snr_db)
     rep, beta = bd.t4_genie_iid(src, alpha)
-    ref, ref_beta = _reference_t4(src, alpha)
-    assert beta == ref_beta
-    assert rep == ref
+    row, row_beta = _best_grid_row(src, alpha)
+    assert rep == _solve_t4_row(src, alpha, beta)
+    assert rep.rho_lower >= row.rho_lower
+    if beta == row_beta:
+        assert rep == row
+    else:
+        assert rep.rho_lower > row.rho_lower
+
+
+@pytest.mark.parametrize(
+    "family, snr_db, alpha",
+    [("gaussian", 20.0, 0.03), ("uniform", 20.0, 0.03), ("pointmass", 0.0, 3e-3),
+     ("sliced", 0.0, 3e-3)],
+)
+def test_t4_is_the_maximum_over_a_dense_beta_grid(family, snr_db, alpha):
+    # Full solves at 20 x BETA_GRID_POINTS betas across the two grid intervals
+    # around the best grid row, where t4's refinement searches.
+    src = bd.source_at_snr(T4_FAMILIES[family], 1e-4, snr_db)
+    rep, beta = bd.t4_genie_iid(src, alpha)
+    _, row_beta = _best_grid_row(src, alpha)
+    assert beta != row_beta  # the refinement moved beta
+    grid = bd._beta_grid(alpha)
+    i = int(np.searchsorted(grid, row_beta))
+    dense = np.linspace(grid[i - 1], grid[i + 1], 20 * bd.BETA_GRID_POINTS)
+    best = max(_solve_t4_row(src, alpha, float(b)).rho_lower for b in dense)
+    assert rep.rho_lower >= best * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize(
+    "case, family, omega, snr_db, alpha",
+    [
+        ("zero", "gaussian", 0.3, 10.0, 0.95),
+        ("range-exceeded", "pointmass", 0.3, -80.0, 1e-3),
+        ("bracket-params-fail", "gaussian", 1e-4, 20.0, 0.03),
+    ],
+)
+def test_t4_keeps_the_grid_row_when_it_cannot_refine(
+    monkeypatch, case, family, omega, snr_db, alpha
+):
+    src = bd.source_at_snr(T4_FAMILIES[family], omega, snr_db)
+    row, row_beta = _best_grid_row(src, alpha)
+    golden_steps = []
+    golden = bd._golden_max
+
+    def spy(f, lo, hi):
+        return golden(lambda beta: golden_steps.append(beta) or f(beta), lo, hi)
+
+    monkeypatch.setattr(bd, "_golden_max", spy)
+    if case == "bracket-params-fail":
+        # Only the grid's own betas keep their parameters, so every golden
+        # step and the solve at the beta found are skipped.
+        grid = set(bd._beta_grid(alpha).tolist())
+        genie_params = bd._genie_params
+
+        def patched(source, beta):
+            if beta not in grid:
+                raise ValueError("patched failure")
+            return genie_params(source, beta)
+
+        monkeypatch.setattr(bd, "_genie_params", patched)
+    rep, beta = bd.t4_genie_iid(src, alpha)
+    assert (rep, beta) == (row, row_beta)
+    if case == "zero":
+        assert row.rho_lower == 0.0 and not golden_steps
+    elif case == "range-exceeded":
+        assert row.diagnostic and not golden_steps
+    else:
+        assert row.rho_lower > 0.0 and len(golden_steps) > 20
 
 
 def test_t4_rows_reach_zero_and_range_exceeded_paths():
@@ -732,6 +792,46 @@ def test_alpha_curve_roundtrip():
         if alpha > 0:
             value, _ = bd.evaluate_bound(src, BoundId.P6_IID_ENTROPY, alpha)
             assert value <= rho * (1 + 1e-6)
+
+
+def test_alpha_curve_evaluates_the_bracket_ends_once(monkeypatch, caplog):
+    # One call over several rates evaluates the two bracket ends once, and
+    # gives the points, beta* and warning lines of one call per rate.  Each
+    # end is made to hold a multi-crossing alpha, which every rate's line
+    # must count.
+    src = gaussian_source(1e-4, 10.0)
+    rates = list(np.geomspace(1e-4, 1e-2, 8))
+    ends = (bd.ALPHA_FLOOR, 1.0 - 1e-9)
+    calls = []
+    evaluate = bd.evaluate_bound
+
+    def counting(source, bound, alpha):
+        calls.append(alpha)
+        if alpha in ends:
+            bd._warn_crossings(bound, alpha, "found %d crossings", 2)
+        return evaluate(source, bound, alpha)
+
+    monkeypatch.setattr(bd, "evaluate_bound", counting)
+    with caplog.at_level("WARNING", logger="srdbounds.bounds"):
+        single = [bd.alpha_curve(src, BoundId.P6_IID_ENTROPY, [rho]) for rho in rates]
+        single_calls = len(calls)
+        single_lines = [r.getMessage() for r in caplog.records]
+        calls.clear()
+        caplog.clear()
+        joint = bd.alpha_curve(src, BoundId.P6_IID_ENTROPY, rates)
+        joint_lines = [r.getMessage() for r in caplog.records]
+    assert [alpha for alpha in calls if alpha in ends] == list(ends)
+    assert len(calls) == single_calls - 2 * (len(rates) - 1)
+    assert joint.points == [point for curve in single for point in curve.points]
+    assert joint.solver_meta == {
+        "omitted": [],
+        "alpha_floor": bd.ALPHA_FLOOR,
+        "beta_star": {k: v for curve in single for k, v in curve.solver_meta["beta_star"].items()},
+    }
+    assert joint_lines == single_lines
+    assert len(joint_lines) == len(rates)
+    assert all(line.startswith("p6_iid_entropy at alpha=1e-06..1 ") for line in joint_lines)
+    assert bd.alpha_curve(src, BoundId.P6_IID_ENTROPY, []).points == []
 
 
 @pytest.mark.parametrize("rho", [math.nan, math.inf, -1e-3])
