@@ -10,13 +10,16 @@ is written once: the rate functions of ``ratefun`` take a float or an array,
 so the same deficit scans the grid as an array and bisects one float at a
 time.  p4, p6 and the genie-aided i.i.d. bound t4 share one deficit: p6 is t4
 at ``beta = 1``, where the genie reveals nothing, and p4 is p6 without a
-density.  t4 sweeps 200 retained fractions ``beta``, scans them four rows
-at a time as one (4 x 2000) array, each row reading as if scanned alone, and
-bisects only the rows whose scan bracket can hold the maximum.  It refines the
-best row by the envelope condition: golden section over ``beta`` on the
-deficit at the best rate found, one scalar deficit per step, then one full
-solve at the ``beta`` found, repeated from the new rate while it rises.  One
-classification reads every scan and refuses a NaN or infinite deficit.
+density.  t4 sweeps 200 retained fractions ``beta``.  One top-down pass
+evaluates all of them on the top of the rate grid, 64 rates at a time, until
+some row goes negative; a row still nonnegative there cannot hold the maximum
+and is dropped.  t4 scans the rest four rows at a time as one (4 x 2000)
+array, each row reading as if scanned alone, and bisects only the rows whose
+scan bracket can hold the maximum.  It refines the best row by the envelope
+condition: golden section over ``beta`` on the deficit at the best rate found,
+one scalar deficit per step, then one full solve at the ``beta`` found,
+repeated from the new rate while it rises.  One classification reads every
+scan and refuses a NaN or infinite deficit.
 
 One table (``_BOUNDS``) says which bounds exist, how each is evaluated, which
 sources it applies to and which matrix class ``best_lower`` uses it for.
@@ -50,6 +53,7 @@ RHO_RANGE_CAP = 1e9
 BISECTION_STEPS = 80
 BETA_GRID_POINTS = 200
 BETA_BLOCK_ROWS = 4  # t4 scans its beta rows this many at a time
+TOP_PASS_POINTS = 64  # t4's top-down pass evaluates this many rates at a time
 BETA_REFINE_RTOL = 1e-6
 BETA_REFINE_ROUNDS = 4  # t4's envelope refinements, each from the last rate found
 ALPHA_FLOOR = 1e-6  # the smallest distortion alpha_curve searches
@@ -408,7 +412,8 @@ def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
     def objective(beta):
         pref, om_b, v_eff, _ = _genie_params(source, beta)
         r = rate_R(om_b / pref, min(alpha / beta, 1.0))
-        if r == 0.0:
+        # A variance that underflowed to 0 rules out no rate here: 0 errs low.
+        if r == 0.0 or v_eff == 0.0:
             return 0.0
         return 2.0 * pref * r / math.log1p(v_eff)
 
@@ -513,6 +518,48 @@ def s_cor_thm2(source: SourceParams, alpha: float) -> float:
     return 2.0 * r / (big_l - c)
 
 
+def _t4_params(source: SourceParams, alpha: float, beta: float) -> tuple:
+    """The arguments of :func:`_genie_deficit` for t4 at one retained
+    fraction: those of :func:`_genie_params`, then the target rate."""
+    pref, om_b, v_eff, vh_eff = _genie_params(source, beta)
+    return pref, om_b, v_eff, vh_eff, rate_R(om_b / pref, min(alpha / beta, 1.0))
+
+
+def _rows_to_scan(source: SourceParams, alpha: float, betas) -> np.ndarray:
+    """Which of t4's beta rows can hold the maximum, by one top-down pass.
+
+    Evaluates every row's deficit on the top of the first rate grid, one
+    chunk of TOP_PASS_POINTS rates at a time from the grid's end down, and
+    stops at the first chunk where some row goes negative.  A row still
+    nonnegative there has its last negative value below that chunk, so its
+    scan bracket ends at or below the lower end of the row that went
+    negative: t4 would not bisect it, and the returned mask drops it.  Rows
+    whose genie parameters fail stay in, for :func:`_scan_genie_rows` to skip
+    and log.  So does every row when none goes negative on the whole grid, or
+    when a value is NaN or infinite, which the full scan refuses.
+    """
+    keep = np.ones(len(betas), dtype=bool)
+    live, params = [], []
+    for i, beta in enumerate(betas):
+        with contextlib.suppress(ValueError, ArithmeticError):
+            params.append(_t4_params(source, alpha, beta))
+            live.append(i)
+    if not live:
+        return keep
+    grid = _rho_grid(_scan_start(source.omega))
+    block = _genie_deficit(*np.array(params).T[:, :, None])
+    for stop in range(grid.size, 0, -TOP_PASS_POINTS):
+        with np.errstate(divide="ignore", invalid="ignore"):  # as in _scan_implicit
+            vals = block(grid[max(stop - TOP_PASS_POINTS, 0) : stop])
+        if not np.isfinite(vals).all():
+            break
+        neg = (vals < 0.0).any(axis=1)
+        if neg.any():
+            keep[live] = neg
+            break
+    return keep
+
+
 def _scan_genie_rows(source: SourceParams, alpha: float, betas, multi: set) -> list:
     """Scan t4's deficit for each retained fraction in ``betas`` as one array.
 
@@ -528,11 +575,10 @@ def _scan_genie_rows(source: SourceParams, alpha: float, betas, multi: set) -> l
     live, params = [], []
     for i, beta in enumerate(betas):
         try:
-            pref, om_b, v_eff, vh_eff = _genie_params(source, beta)
+            pref, om_b, v_eff, vh_eff, r_target = _t4_params(source, alpha, beta)
         except (ValueError, ArithmeticError) as exc:
             log.warning("t4: skipping beta=%g (%s)", beta, exc)
             continue
-        r_target = rate_R(om_b / pref, min(alpha / beta, 1.0))
         if r_target == 0.0 and vh_eff == 0.0:
             rows[i] = (ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0), None)
             continue
@@ -560,23 +606,31 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     """Genie-aided entropy-power bound for i.i.d. matrices.
 
     Maximizes the solved rate over the retained fraction ``beta``; returns the
-    best solve report and ``beta_star``.  The grid rows are scanned
-    BETA_BLOCK_ROWS at a time, and only the rows that can hold the maximum
-    are bisected.  The best row is refined by the envelope condition (the
-    deficit's beta-derivative vanishes at the maximizer's rate): golden section
-    over the neighbouring grid points finds the beta most violated at the best
-    rate so far, and a full solve there replaces that rate only if larger.
-    This repeats, at most BETA_REFINE_ROUNDS times, until the rate stops rising.
+    best solve report and ``beta_star``.  One top-down pass over the top of
+    the rate grid (:func:`_rows_to_scan`) drops the grid rows that cannot
+    hold the maximum; the rest are scanned in full BETA_BLOCK_ROWS at a time,
+    and only those whose bracket can hold the maximum are bisected.  The best
+    row is refined by the envelope condition (the deficit's beta-derivative
+    vanishes at the maximizer's rate): golden section over the neighbouring
+    grid points finds the beta most violated at the best rate so far, and a
+    full solve there replaces that rate only if larger.  This repeats, at
+    most BETA_REFINE_ROUNDS times, until the rate stops rising.  The
+    multi-crossing warning counts the rows bisected and the refinement's
+    solves, whose crossings can reach the result.
     """
     omega = source.omega
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     _check_args(omega, alpha)
-    multi: set[float] = set()  # beta values whose scan found several crossings
+    multi: set[float] = set()  # beta values whose solve found several crossings
     grid = _beta_grid(alpha)
-    rows = []
-    for start in range(0, len(grid), BETA_BLOCK_ROWS):
-        rows += _scan_genie_rows(source, alpha, grid[start : start + BETA_BLOCK_ROWS], multi)
+    scanned = np.flatnonzero(_rows_to_scan(source, alpha, grid))
+    rows: list = [(None, None)] * len(grid)  # a dropped row reads as skipped
+    for start in range(0, len(scanned), BETA_BLOCK_ROWS):
+        block = scanned[start : start + BETA_BLOCK_ROWS]
+        # Only the rows bisected below count towards the warning.
+        for i, row in zip(block, _scan_genie_rows(source, alpha, grid[block], set())):
+            rows[i] = row
     reports = [report for report, _ in rows]
     # Each row's solved rate lies in [values, upper]: the rate itself when the
     # scan settles the row, its bracket when it is pending, -inf if skipped.
@@ -588,7 +642,10 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     # A bisection ends inside its bracket, so a row whose upper end does not
     # exceed the largest lower end stays strictly below the maximum.
     for i in np.flatnonzero(upper > values.max()):
-        reports[i] = _bisect(*rows[i][1])
+        deficit, crossings, bracket = rows[i][1]
+        if crossings > 1:
+            multi.add(float(grid[i]))
+        reports[i] = _bisect(deficit, crossings, bracket)
         values[i] = reports[i].rho_lower
 
     best = int(np.argmax(values))
@@ -597,11 +654,10 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
 
     def violation(beta, rho):  # minus the deficit at a fixed rate
         try:
-            pref, om_b, v_eff, vh_eff = _genie_params(source, beta)
+            params = _t4_params(source, alpha, beta)
         except (ValueError, ArithmeticError):
             return -math.inf  # skipped, as in the block scan
-        r_target = rate_R(om_b / pref, min(alpha / beta, 1.0))
-        return -_genie_deficit(pref, om_b, v_eff, vh_eff, r_target)(rho)
+        return -_genie_deficit(*params)(rho)
 
     for _ in range(BETA_REFINE_ROUNDS):
         # The deficit is not defined at rate 0; a range-exceeded row ends its scan.

@@ -299,8 +299,7 @@ T4_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize(
-    "family, omega, snr_db, alpha",
+T4_SWEEP_CASES = (
     [
         (family, 1e-4, snr, alpha)
         for family in T4_FAMILIES
@@ -311,8 +310,11 @@ T4_FAMILIES = {
     + [("pointmass", 0.3, -80.0, 1e-3), ("gaussian", 0.3, -30.0, 1e-3)]
     # 8, 7 and 6 rows whose scan bracket reaches above every row's lower end
     + [("pointmass", 1e-4, -30.0, 0.01), ("pointmass", 1e-4, 0.0, 3e-3),
-       ("sliced", 1e-4, 10.0, 3e-3)],
+       ("sliced", 1e-4, 10.0, 3e-3)]
 )
+
+
+@pytest.mark.parametrize("family, omega, snr_db, alpha", T4_SWEEP_CASES)
 def test_t4_batched_sweep_matches_per_beta_solves(family, omega, snr_db, alpha):
     # t4 is a full solve at its beta, no smaller than the best grid row solved
     # alone, and that very row when the refinement does not beat it.
@@ -411,12 +413,14 @@ def test_t4_rows_reach_zero_and_range_exceeded_paths():
 
 
 def test_t4_logs_one_multi_crossing_line(caplog):
-    src = gaussian_source(1e-4, 10.0)
+    # The line counts the rows bisected and the refinement's solves; here a
+    # row with several crossings holds the maximum.
+    src = gaussian_source(0.1, 0.0)
     with caplog.at_level("WARNING", logger="srdbounds.bounds"):
-        bd.t4_genie_iid(src, 0.6)
+        bd.t4_genie_iid(src, 0.7)
     lines = [r.getMessage() for r in caplog.records if "crossing" in r.getMessage()]
     assert len(lines) == 1
-    assert lines[0].startswith("t4_iid_genie at alpha=0.6: ") and "beta in [" in lines[0]
+    assert lines[0].startswith("t4_iid_genie at alpha=0.7: ") and "beta in [" in lines[0]
 
 
 def _single_row_scan(source, alpha, beta):
@@ -430,6 +434,41 @@ def _single_row_scan(source, alpha, beta):
         return 0, bd.ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0), None
     deficit = bd._genie_deficit(pref, om_b, v_eff, vh_eff, r_target)
     return bd._scan_implicit(deficit, source.omega)
+
+
+def _scan_ends(scan):
+    """The lower and upper ends of a row's solved rate, read off its scan."""
+    if scan is None:
+        return -math.inf, -math.inf
+    _, report, bracket = scan
+    return bracket if report is None else (report.rho_lower, report.rho_lower)
+
+
+@pytest.mark.parametrize("family, omega, snr_db, alpha", T4_SWEEP_CASES)
+def test_t4_scans_in_full_only_rows_that_can_hold_the_maximum(
+    monkeypatch, family, omega, snr_db, alpha
+):
+    src = bd.source_at_snr(T4_FAMILIES[family], omega, snr_db)
+    grid = bd._beta_grid(alpha)
+    keep = bd._rows_to_scan(src, alpha, grid)
+    ends = [_scan_ends(_single_row_scan(src, alpha, b)) for b in grid]
+    largest_lower = max(lower for lower, _ in ends)
+    # A dropped row's bracket ends at or below the largest lower end, so t4
+    # would never bisect it.
+    for kept, (_, upper) in zip(keep, ends):
+        assert kept or upper <= largest_lower
+    scanned = []
+    scan_rows = bd._scan_genie_rows
+
+    def spy(source, alpha, betas, multi):
+        scanned.extend(float(b) for b in betas)
+        return scan_rows(source, alpha, betas, multi)
+
+    monkeypatch.setattr(bd, "_scan_genie_rows", spy)
+    bd.t4_genie_iid(src, alpha)
+    grid_rows = [b for b in scanned if b in set(grid.tolist())]
+    assert sorted(grid_rows) == grid[keep].tolist()
+    assert len(grid_rows) < bd.BETA_GRID_POINTS
 
 
 def _block_rows_by_kind(source, alpha, blocks):

@@ -223,6 +223,33 @@ def test_non_finite_deficit_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_t4_non_finite_deficit_is_usage_error(tmp_path, monkeypatch, capsys):
+    # t4's top-down pass meets the NaN and hands every row to the full scan,
+    # which refuses it and names the first rate that is not finite.
+    monkeypatch.chdir(tmp_path)
+    argv = ["bounds", "--bounds", "t4_iid_genie", "--snr-db", "200", "--grid", "0.1:0.1:1",
+            "--out", "b.csv"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: t4_iid_genie at alpha=0.1: the deficit is not finite at rho=0.0450749 "
+        "(the rate functions lose precision at this SNR)\n"
+    )
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_t2_skips_a_beta_whose_variance_underflows(tmp_path, monkeypatch, capsys):
+    # At alpha = 1e-150 the smallest betas keep a variance of 0, which rules
+    # out no rate.  t2 stays finite and raises no RuntimeWarning, which the
+    # test filter would turn into an error.
+    monkeypatch.chdir(tmp_path)
+    argv = ["bounds", "--dist", "uniform", "--mean", "1.51657508881031", "--bounds", "t2_genie",
+            "--grid", "1e-150:1e-150:1", "--out", "b.csv"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().err == ""
+    (row,) = read_csv(tmp_path / "b.csv")[1:]
+    assert row[0] == "t2_genie" and 0.0 < float(row[2]) < float("inf")
+
+
 def test_evaluator_error_names_the_bound_and_alpha(tmp_path, monkeypatch, capsys):
     # At alpha = 1e-300 the Gaussian cut keeps no variance and t2 takes log(0).
     monkeypatch.chdir(tmp_path)
