@@ -466,7 +466,8 @@ def test_t4_scans_in_full_only_rows_that_can_hold_the_maximum(
 
     monkeypatch.setattr(bd, "_scan_genie_rows", spy)
     bd.t4_genie_iid(src, alpha)
-    grid_rows = [b for b in scanned if b in set(grid.tolist())]
+    on_grid = set(grid.tolist())
+    grid_rows = [b for b in scanned if b in on_grid]
     assert sorted(grid_rows) == grid[keep].tolist()
     assert len(grid_rows) < bd.BETA_GRID_POINTS
 
