@@ -12,14 +12,12 @@ time.  p4, p6 and the genie-aided i.i.d. bound t4 share one deficit: p6 is t4
 at ``beta = 1``, where the genie reveals nothing, and p4 is p6 without a
 density.  t4 sweeps 200 retained fractions ``beta``.  One top-down pass
 evaluates all of them on the top of the rate grid, 64 rates at a time, until
-some row goes negative; a row still nonnegative there cannot hold the maximum
-and is dropped.  t4 scans the rest four rows at a time as one (4 x 2000)
-array, each row reading as if scanned alone, and bisects only the rows whose
-scan bracket can hold the maximum.  It refines the best row by the envelope
-condition: golden section over ``beta`` on the deficit at the best rate found,
-one scalar deficit per step, then one full solve at the ``beta`` found,
-repeated from the new rate while it rises.  One classification reads every
-scan and refuses a NaN or infinite deficit.
+some row goes negative; it reads each such row's bracket there, and only the
+rows whose bracket can hold the maximum are solved, as p4 and p6 are.  t4
+refines the best row by the envelope condition: golden section over ``beta``
+on the deficit at the best rate found, one scalar deficit per step, then one
+full solve at the ``beta`` found, repeated from the new rate while it rises.
+A NaN or infinite deficit on any rate a scan reads is refused.
 
 One table (``_BOUNDS``) says which bounds exist, how each is evaluated, which
 sources it applies to and which matrix class ``best_lower`` uses it for.
@@ -52,7 +50,6 @@ RHO_GRID_FLOOR = 1e-8
 RHO_RANGE_CAP = 1e9
 BISECTION_STEPS = 80
 BETA_GRID_POINTS = 200
-BETA_BLOCK_ROWS = 4  # t4 scans its beta rows this many at a time
 TOP_PASS_POINTS = 64  # t4's top-down pass evaluates this many rates at a time
 BETA_REFINE_RTOL = 1e-6
 BETA_REFINE_ROUNDS = 4  # t4's envelope refinements, each from the last rate found
@@ -410,8 +407,7 @@ def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
     _check_args(omega, alpha)
 
     def objective(beta):
-        pref, om_b, v_eff, _ = _genie_params(source, beta)
-        r = rate_R(om_b / pref, min(alpha / beta, 1.0))
+        pref, _, v_eff, _, r = _genie_row(source, alpha, beta)
         # A variance that underflowed to 0 rules out no rate here: 0 errs low.
         if r == 0.0 or v_eff == 0.0:
             return 0.0
@@ -518,145 +514,111 @@ def s_cor_thm2(source: SourceParams, alpha: float) -> float:
     return 2.0 * r / (big_l - c)
 
 
-def _t4_params(source: SourceParams, alpha: float, beta: float) -> tuple:
-    """The arguments of :func:`_genie_deficit` for t4 at one retained
-    fraction: those of :func:`_genie_params`, then the target rate."""
+def _genie_row(source: SourceParams, alpha: float, beta: float) -> tuple:
+    """The genie parameters at one retained fraction (those of
+    :func:`_genie_params`), then the target rate: the arguments of
+    :func:`_genie_deficit`, and of t2's objective."""
     pref, om_b, v_eff, vh_eff = _genie_params(source, beta)
     return pref, om_b, v_eff, vh_eff, rate_R(om_b / pref, min(alpha / beta, 1.0))
 
 
-def _rows_to_scan(source: SourceParams, alpha: float, betas) -> np.ndarray:
-    """Which of t4's beta rows can hold the maximum, by one top-down pass.
+def _top_down_pass(params, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """t4's top-down pass over the deficits of ``params`` (one row of
+    :func:`_genie_deficit` arguments per beta): the ends of each row's bracket.
 
-    Evaluates every row's deficit on the top of the first rate grid, one
-    chunk of TOP_PASS_POINTS rates at a time from the grid's end down, and
-    stops at the first chunk where some row goes negative.  A row still
-    nonnegative there has its last negative value below that chunk, so its
-    scan bracket ends at or below the lower end of the row that went
-    negative: t4 would not bisect it, and the returned mask drops it.  Rows
-    whose genie parameters fail stay in, for :func:`_scan_genie_rows` to skip
-    and log.  So does every row when none goes negative on the whole grid, or
-    when a value is NaN or infinite, which the full scan refuses.
+    The rows are evaluated as one array on the first rate grid, TOP_PASS_POINTS
+    rates at a time from its end down, up to the first chunk where some row is
+    negative.  Each such row's bracket surrounds its last negative rate (upper
+    end ``inf`` at the grid's end); every other row reads ``-inf``, as its
+    bracket ends at or below that chunk.  If no row is negative anywhere, all
+    read 0.  A NaN or infinite value in a chunk raises NonFiniteDeficitError,
+    naming the lowest rate at which some row is not finite.
     """
-    keep = np.ones(len(betas), dtype=bool)
-    live, params = [], []
-    for i, beta in enumerate(betas):
-        with contextlib.suppress(ValueError, ArithmeticError):
-            params.append(_t4_params(source, alpha, beta))
-            live.append(i)
-    if not live:
-        return keep
-    grid = _rho_grid(_scan_start(source.omega))
-    block = _genie_deficit(*np.array(params).T[:, :, None])
-    for stop in range(grid.size, 0, -TOP_PASS_POINTS):
-        with np.errstate(divide="ignore", invalid="ignore"):  # as in _scan_implicit
-            vals = block(grid[max(stop - TOP_PASS_POINTS, 0) : stop])
-        if not np.isfinite(vals).all():
-            break
-        neg = (vals < 0.0).any(axis=1)
-        if neg.any():
-            keep[live] = neg
-            break
-    return keep
-
-
-def _scan_genie_rows(source: SourceParams, alpha: float, betas, multi: set) -> list:
-    """Scan t4's deficit for each retained fraction in ``betas`` as one array.
-
-    Returns one ``(report, pending)`` per beta.  ``report`` is set when the
-    scan settles the row, and ``pending`` holds the ``(deficit, crossings,
-    bracket)`` to bisect otherwise; both are None when the genie parameters
-    cannot be computed.  A row still violated at the end of the first grid is
-    scanned again alone, so its range grows as in :func:`_scan_implicit`.
-    Each beta whose scan finds several crossings is added to ``multi``.
-    """
-    omega = source.omega
-    rows: list = [(None, None)] * len(betas)
-    live, params = [], []
-    for i, beta in enumerate(betas):
-        try:
-            pref, om_b, v_eff, vh_eff, r_target = _t4_params(source, alpha, beta)
-        except (ValueError, ArithmeticError) as exc:
-            log.warning("t4: skipping beta=%g (%s)", beta, exc)
-            continue
-        if r_target == 0.0 and vh_eff == 0.0:
-            rows[i] = (ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0), None)
-            continue
-        live.append(i)
-        params.append((pref, om_b, v_eff, vh_eff, r_target))
-    if not live:
-        return rows
-    grid = _rho_grid(_scan_start(omega))
+    rates = _rho_grid(_scan_start(omega))
     # One column per parameter broadcasts the deficit to one row per beta.
     block = _genie_deficit(*np.array(params).T[:, :, None])
-    with np.errstate(divide="ignore", invalid="ignore"):  # as in _scan_implicit
-        vals = block(grid)
-    for i, p, scan in zip(live, params, _classify_scans(grid, vals)):
-        deficit = _genie_deficit(*p)
-        crossings, report, bracket = scan
-        if report is not None and report.diagnostic:  # still violated at the end
-            crossings, report, bracket = _scan_implicit(deficit, omega)
-        if crossings > 1:
-            multi.add(float(betas[i]))
-        rows[i] = (report, None) if report else (None, (deficit, crossings, bracket))
-    return rows
+    lower, upper = np.full((2, len(params)), -math.inf)
+    for stop in range(rates.size, 0, -TOP_PASS_POINTS):
+        # A NaN or infinite value is refused here, so numpy need not warn.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = block(rates[max(stop - TOP_PASS_POINTS, 0) : stop])
+            if not np.isfinite(vals).all():
+                _classify_scans(rates, block(rates))  # raises, naming the lowest such rate
+        neg = vals < 0.0
+        hit = neg.any(axis=1)
+        if hit.any():
+            last = stop - 1 - np.argmax(neg[hit, ::-1], axis=1)  # last negative index
+            lower[hit] = rates[last]
+            upper[hit] = np.append(rates, math.inf)[last + 1]
+            return lower, upper
+    return np.zeros(len(params)), np.zeros(len(params))
 
 
 def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveReport, float]:
     """Genie-aided entropy-power bound for i.i.d. matrices.
 
     Maximizes the solved rate over the retained fraction ``beta``; returns the
-    best solve report and ``beta_star``.  One top-down pass over the top of
-    the rate grid (:func:`_rows_to_scan`) drops the grid rows that cannot
-    hold the maximum; the rest are scanned in full BETA_BLOCK_ROWS at a time,
-    and only those whose bracket can hold the maximum are bisected.  The best
-    row is refined by the envelope condition (the deficit's beta-derivative
-    vanishes at the maximizer's rate): golden section over the neighbouring
-    grid points finds the beta most violated at the best rate so far, and a
-    full solve there replaces that rate only if larger.  This repeats, at
-    most BETA_REFINE_ROUNDS times, until the rate stops rising.  The
-    multi-crossing warning counts the rows bisected and the refinement's
-    solves, whose crossings can reach the result.
+    best solve report and ``beta_star``.  The top-down pass reads the bracket
+    of each grid row that can hold the maximum; the rows whose bracket reaches
+    above the largest lower end are solved as p4 and p6 are, or when none does,
+    the row ``argmax`` picks.  The best row is refined by the envelope
+    condition (the deficit's beta-derivative vanishes at the maximizer's rate):
+    golden section over the neighbouring grid points finds the beta most
+    violated at the best rate so far, and a full solve there replaces that
+    rate only if larger, at most BETA_REFINE_ROUNDS times, while the rate
+    rises.  The multi-crossing warning counts the solves with several crossings.
     """
     omega = source.omega
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     _check_args(omega, alpha)
+    zero = ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0)
+    if rate_R(omega, alpha) == 0.0:  # every beta's target rate is 0 as well
+        return zero, alpha
     multi: set[float] = set()  # beta values whose solve found several crossings
+
+    def params_at(beta):
+        try:
+            return _genie_row(source, alpha, beta)
+        except (ValueError, ArithmeticError) as exc:
+            log.warning("t4: skipping beta=%g (%s)", beta, exc)
+            return None
+
+    def solve(beta, params):
+        if params[4] == 0.0 and params[3] == 0.0:  # no rate needed and no density
+            return zero
+        report = _solve_implicit(_genie_deficit(*params), omega)
+        if report.crossings_found > 1:
+            multi.add(float(beta))
+        return report
+
     grid = _beta_grid(alpha)
-    scanned = np.flatnonzero(_rows_to_scan(source, alpha, grid))
-    rows: list = [(None, None)] * len(grid)  # a dropped row reads as skipped
-    for start in range(0, len(scanned), BETA_BLOCK_ROWS):
-        block = scanned[start : start + BETA_BLOCK_ROWS]
-        # Only the rows bisected below count towards the warning.
-        for i, row in zip(block, _scan_genie_rows(source, alpha, grid[block], set())):
-            rows[i] = row
-    reports = [report for report, _ in rows]
-    # Each row's solved rate lies in [values, upper]: the rate itself when the
-    # scan settles the row, its bracket when it is pending, -inf if skipped.
-    values = np.array([-math.inf if rep is None else rep.rho_lower for rep in reports])
+    params = {i: p for i, beta in enumerate(grid) if (p := params_at(beta)) is not None}
+    live = [i for i, p in params.items() if p[4] != 0.0 or p[3] != 0.0]
+    # Each row's solved rate lies in [values, upper]: 0 for a zero row, -inf
+    # for a row that is skipped or cannot hold the maximum.
+    values = np.full(len(grid), -math.inf)
+    values[list(params)] = 0.0
     upper = values.copy()
-    for i, (_, pending) in enumerate(rows):
-        if pending:
-            values[i], upper[i] = pending[2]
+    if live:
+        values[live], upper[live] = _top_down_pass([params[i] for i in live], omega)
+    reports: list = [None] * len(grid)
     # A bisection ends inside its bracket, so a row whose upper end does not
     # exceed the largest lower end stays strictly below the maximum.
     for i in np.flatnonzero(upper > values.max()):
-        deficit, crossings, bracket = rows[i][1]
-        if crossings > 1:
-            multi.add(float(grid[i]))
-        reports[i] = _bisect(deficit, crossings, bracket)
+        reports[i] = solve(grid[i], params[i])
         values[i] = reports[i].rho_lower
-
     best = int(np.argmax(values))
+    if reports[best] is None and best in params:  # no row is negative on the grid
+        reports[best] = solve(grid[best], params[best])
     report, beta_star = reports[best], float(grid[best])
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
 
     def violation(beta, rho):  # minus the deficit at a fixed rate
         try:
-            params = _t4_params(source, alpha, beta)
+            params = _genie_row(source, alpha, beta)
         except (ValueError, ArithmeticError):
-            return -math.inf  # skipped, as in the block scan
+            return -math.inf  # skipped, as on the grid
         return -_genie_deficit(*params)(rho)
 
     for _ in range(BETA_REFINE_ROUNDS):
@@ -664,12 +626,10 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
         if report is None or report.rho_lower == 0.0 or report.diagnostic:
             break
         beta, _ = _golden_max(functools.partial(violation, rho=report.rho_lower), lo, hi)
-        if beta == beta_star:
+        if beta == beta_star or (found := params_at(beta)) is None:
             break
-        ((solved, pending),) = _scan_genie_rows(source, alpha, [beta], multi)
-        if pending:
-            solved = _bisect(*pending)
-        if solved is None or not solved.rho_lower > report.rho_lower:
+        solved = solve(beta, found)
+        if not solved.rho_lower > report.rho_lower:
             break
         report, beta_star = solved, beta
     if multi:

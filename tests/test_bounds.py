@@ -1,10 +1,11 @@
 """Bound evaluators: closed forms, implicit solves, genie maximization."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srdbounds import bounds as bd
@@ -311,6 +312,8 @@ T4_SWEEP_CASES = (
     # 8, 7 and 6 rows whose scan bracket reaches above every row's lower end
     + [("pointmass", 1e-4, -30.0, 0.01), ("pointmass", 1e-4, 0.0, 3e-3),
        ("sliced", 1e-4, 10.0, 3e-3)]
+    # the winning row has two crossings
+    + [("gaussian", 0.1, 0.0, 0.7)]
 )
 
 
@@ -381,10 +384,13 @@ def test_t4_keeps_the_grid_row_when_it_cannot_refine(
 
         monkeypatch.setattr(bd, "_genie_params", patched)
     rep, beta = bd.t4_genie_iid(src, alpha)
-    assert (rep, beta) == (row, row_beta)
     if case == "zero":
+        # alpha >= 1 - omega needs no rate: t4 returns p4's zero report
+        assert (rep, beta) == (bd.ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0), row_beta)
         assert row.rho_lower == 0.0 and not golden_steps
-    elif case == "range-exceeded":
+        return
+    assert (rep, beta) == (row, row_beta)
+    if case == "range-exceeded":
         assert row.diagnostic and not golden_steps
     else:
         assert row.rho_lower > 0.0 and len(golden_steps) > 20
@@ -424,7 +430,8 @@ def test_t4_logs_one_multi_crossing_line(caplog):
 
 
 def _single_row_scan(source, alpha, beta):
-    """One beta scanned alone: None when skipped, else (crossings, report, bracket)."""
+    """One beta scanned alone on the first rate grid: None when skipped, else
+    ``(crossings, report, bracket)`` as :func:`_classify_scans` reads it."""
     try:
         pref, om_b, v_eff, vh_eff = bd._genie_params(source, beta)
     except (ValueError, ArithmeticError):
@@ -432,87 +439,104 @@ def _single_row_scan(source, alpha, beta):
     r_target = rate_R(om_b / pref, min(alpha / beta, 1.0))
     if r_target == 0.0 and vh_eff == 0.0:
         return 0, bd.ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0), None
+    rates = bd._rho_grid(bd._scan_start(source.omega))
     deficit = bd._genie_deficit(pref, om_b, v_eff, vh_eff, r_target)
-    return bd._scan_implicit(deficit, source.omega)
+    return bd._classify_scans(rates, deficit(rates)[None, :])[0]
 
 
 def _scan_ends(scan):
-    """The lower and upper ends of a row's solved rate, read off its scan."""
+    """The lower and upper ends of a row's bracket, read off its scan: the
+    rate itself when the scan settles the row, -inf when it is skipped."""
     if scan is None:
         return -math.inf, -math.inf
     _, report, bracket = scan
-    return bracket if report is None else (report.rho_lower, report.rho_lower)
+    if bracket is not None:
+        return bracket
+    if report.diagnostic:  # still violated at the grid's end
+        return report.bracket
+    return report.rho_lower, report.rho_lower
+
+
+def _row_kind(scan):
+    if scan is None:
+        return "skipped"
+    _, report, _ = scan
+    if report is None:
+        return "pending"
+    if report.diagnostic:
+        return "range-exceeded"
+    return "zero" if report.bracket == (0.0, 0.0) else "no-negative"
+
+
+def _check_top_down_pass(source, alpha, alone=False):
+    """Run t4's top-down pass over its grid rows and check each bracket it
+    reads against the same beta scanned alone (and, with ``alone``, each row
+    passed alone).  Returns each row's scan ends and the betas of each kind."""
+    grid = bd._beta_grid(alpha)
+    scans = [_single_row_scan(source, alpha, b) for b in grid]
+    ends = [_scan_ends(scan) for scan in scans]
+    kinds: dict[str, list] = {}
+    for beta, scan in zip(grid, scans):
+        kinds.setdefault(_row_kind(scan), []).append(beta)
+        if scan is not None and scan[0] > 1:
+            kinds.setdefault("several crossings", []).append(beta)
+    live = [i for i, scan in enumerate(scans) if _row_kind(scan) not in ("skipped", "zero")]
+    params = [bd._genie_row(source, alpha, grid[i]) for i in live]
+    read = [(-math.inf, -math.inf) if scan is None else ends[i] for i, scan in enumerate(scans)]
+    for i, p, lower, upper in zip(live, params, *bd._top_down_pass(params, source.omega)):
+        read[i] = (lower, upper)
+        if alone:
+            assert [*zip(*bd._top_down_pass([p], source.omega))] == [ends[i]]
+    largest_lower = max(lower for lower, _ in ends)
+    assert max(lower for lower, _ in read) == largest_lower
+    for (lower, upper), want in zip(read, ends):
+        # A row the pass does not read ends at or below the largest lower end.
+        assert (lower, upper) == want or (lower == upper == -math.inf and want[1] <= largest_lower)
+    return ends, kinds
 
 
 @pytest.mark.parametrize("family, omega, snr_db, alpha", T4_SWEEP_CASES)
-def test_t4_scans_in_full_only_rows_that_can_hold_the_maximum(
-    monkeypatch, family, omega, snr_db, alpha
+def test_t4_solves_only_rows_that_can_hold_the_maximum(
+    monkeypatch, caplog, family, omega, snr_db, alpha
 ):
     src = bd.source_at_snr(T4_FAMILIES[family], omega, snr_db)
     grid = bd._beta_grid(alpha)
-    keep = bd._rows_to_scan(src, alpha, grid)
-    ends = [_scan_ends(_single_row_scan(src, alpha, b)) for b in grid]
+    ends, _ = _check_top_down_pass(src, alpha)
+    rates = bd._rho_grid(bd._scan_start(omega))
+
+    def on_grid(deficit):
+        with np.errstate(all="ignore"):
+            return deficit(rates).tobytes()
+
+    row_of = {}
+    for i, beta in enumerate(grid):
+        with contextlib.suppress(ValueError, ArithmeticError):
+            row_of[on_grid(bd._genie_deficit(*bd._genie_row(src, alpha, beta)))] = i
+    solves = []
+    solve = bd._solve_implicit
+
+    def spy(deficit, omega):
+        report = solve(deficit, omega)
+        solves.append((on_grid(deficit), report))
+        return report
+
+    monkeypatch.setattr(bd, "_solve_implicit", spy)
+    with caplog.at_level("WARNING", logger="srdbounds.bounds"):
+        bd.t4_genie_iid(src, alpha)
+    solved = [row_of[key] for key, _ in solves if key in row_of]
     largest_lower = max(lower for lower, _ in ends)
-    # A dropped row's bracket ends at or below the largest lower end, so t4
-    # would never bisect it.
-    for kept, (_, upper) in zip(keep, ends):
-        assert kept or upper <= largest_lower
-    scanned = []
-    scan_rows = bd._scan_genie_rows
-
-    def spy(source, alpha, betas, multi):
-        scanned.extend(float(b) for b in betas)
-        return scan_rows(source, alpha, betas, multi)
-
-    monkeypatch.setattr(bd, "_scan_genie_rows", spy)
-    bd.t4_genie_iid(src, alpha)
-    on_grid = set(grid.tolist())
-    grid_rows = [b for b in scanned if b in on_grid]
-    assert sorted(grid_rows) == grid[keep].tolist()
-    assert len(grid_rows) < bd.BETA_GRID_POINTS
-
-
-def _block_rows_by_kind(source, alpha, blocks):
-    """Scan each block of betas as t4 does and check every row against the
-    same beta scanned alone; returns the betas of each kind of row."""
-    kinds: dict[str, list] = {}
-    for betas in blocks:
-        multi = set()
-        rows = bd._scan_genie_rows(source, alpha, betas, multi)
-        assert len(rows) == len(betas)
-        for beta, (report, pending) in zip(betas, rows):
-            want = _single_row_scan(source, alpha, beta)
-            if want is None:
-                assert report is None and pending is None
-                kinds.setdefault("skipped", []).append(beta)
-                continue
-            crossings, want_report, bracket = want
-            assert report == want_report
-            assert (beta in multi) == (crossings > 1)
-            if crossings > 1:
-                kinds.setdefault("several crossings", []).append(beta)
-            if pending is None:
-                assert bracket is None
-            else:
-                assert pending[1:] == (crossings, bracket)
-                assert pending[0](float(bracket[0])) < 0.0
-            if report is None:
-                kind = "pending"
-            elif report.diagnostic:
-                kind = "range-exceeded"
-            elif report.bracket == (0.0, 0.0):
-                kind = "zero"
-            else:
-                kind = "no-negative"
-            kinds.setdefault(kind, []).append(beta)
-    return kinds
-
-
-def _t4_blocks(alpha):
-    """t4's blocks of the beta grid, then a short last block and a block of one."""
-    grid = bd._beta_grid(alpha)
-    step = bd.BETA_BLOCK_ROWS
-    return [grid[i : i + step] for i in range(0, len(grid), step)] + [grid[-3:], grid[7:8]]
+    want = [i for i, (_, upper) in enumerate(ends) if upper > largest_lower]
+    # Only the rows whose bracket reaches above the largest lower end; when
+    # none does, the row argmax picks.
+    assert solved == want or (not want and len(solved) <= 1)
+    assert len(solved) < bd.BETA_GRID_POINTS
+    # The multi-crossing line counts every solve that found several crossings.
+    multi = {key for key, report in solves if report.crossings_found > 1}
+    lines = [r.getMessage() for r in caplog.records if "crossing" in r.getMessage()]
+    if multi:
+        assert len(lines) == 1 and f": {len(multi)} beta values found" in lines[0]
+    else:
+        assert not lines
 
 
 @pytest.mark.parametrize(
@@ -520,23 +544,28 @@ def _t4_blocks(alpha):
     [
         # every gamma of info_V is 0 (no density), with zero rows
         ("pointmass", 1e-4, -10.0, 0.03, {"pending", "zero"}),
-        # zero rows beside rows still violated at the end of the range cap
+        # zero rows beside rows still violated at the end of the first grid
         ("pointmass", 0.3, -80.0, 1e-3, {"range-exceeded", "zero"}),
         # beta = alpha needs no rate (r_target = 0) but has a density
         ("gaussian", 1e-4, 20.0, 0.03, {"pending", "no-negative"}),
         ("sliced", 1e-2, 0.0, 0.3, {"pending", "no-negative"}),
         ("gaussian", 1e-4, 10.0, 0.6, {"pending", "several crossings"}),
+        # the winning row has two crossings
+        ("gaussian", 0.1, 0.0, 0.7, {"pending", "several crossings"}),
     ],
 )
-def test_block_scan_matches_single_row_scans(family, omega, snr_db, alpha, kinds):
+def test_top_down_pass_matches_single_row_scans(family, omega, snr_db, alpha, kinds):
     src = bd.source_at_snr(T4_FAMILIES[family], omega, snr_db)
-    assert kinds <= set(_block_rows_by_kind(src, alpha, _t4_blocks(alpha)))
+    _, found = _check_top_down_pass(src, alpha, alone=True)
+    assert kinds <= set(found)
 
 
-def test_block_scan_with_skipped_rows_and_mixed_zero_gamma(monkeypatch):
-    # Within each block, some rows lose their density (info_V's gamma is 0
-    # beside nonzero ones), one row has no variance (info_G's gamma is 0, so
-    # it stays violated to the range cap) and one row's parameters fail.
+@pytest.mark.parametrize("no_variance_row", [True, False], ids=["range-exceeded", "deep"])
+def test_top_down_pass_with_skipped_rows_and_mixed_zero_gamma(monkeypatch, no_variance_row):
+    # Some rows lose their density (info_V's gamma is 0 beside nonzero ones),
+    # one row's parameters fail and, in the first case, one row has no
+    # variance (info_G's gamma is 0, so it stays violated to the range cap and
+    # the pass stops at its first chunk).
     src = gaussian_source(1e-4, 20.0)
     grid = bd._beta_grid(0.03)
     genie_params = bd._genie_params
@@ -545,17 +574,21 @@ def test_block_scan_with_skipped_rows_and_mixed_zero_gamma(monkeypatch):
         pref, om_b, v_eff, vh_eff = genie_params(source, beta)
         if beta == grid[41]:
             raise ValueError("patched failure")
-        if beta == grid[42]:
+        if beta == grid[42] and no_variance_row:
             return pref, om_b, 0.0, vh_eff
         if int(np.searchsorted(grid, beta)) % 3 == 0:
             return pref, om_b, v_eff, 0.0
         return pref, om_b, v_eff, vh_eff
 
     monkeypatch.setattr(bd, "_genie_params", patched)
-    kinds = _block_rows_by_kind(src, 0.03, _t4_blocks(0.03))
+    _, kinds = _check_top_down_pass(src, 0.03)
     assert kinds["skipped"] == [grid[41]]
-    assert grid[42] in kinds["range-exceeded"]
     assert len(kinds["pending"]) > 100
+    assert (grid[42] in kinds.get("range-exceeded", [])) == no_variance_row
+    rep, beta = bd.t4_genie_iid(src, 0.03)
+    row, _ = _best_grid_row(src, 0.03)
+    assert rep == _solve_t4_row(src, 0.03, beta) and rep.rho_lower >= row.rho_lower
+    assert bool(rep.diagnostic) == no_variance_row
 
 
 def test_classify_scans_reads_each_row():
@@ -758,27 +791,35 @@ BOUND_DOMAIN_FAMILIES = st.one_of(
 )
 
 
-def _check_best_lower_properties(dist, omega, snr_db, alpha_lo, alpha_hi):
+def _check_best_lower_properties(dist, omega, snr_db, alpha_lo, alpha_hi, snr_hi=None):
     src = bd.source_at_snr(dist, omega, snr_db)
     iid, _ = bd.best_lower(src, alpha_lo, "iid")
     any_val, _ = bd.best_lower(src, alpha_lo, "any")
     assert math.isfinite(iid) and iid >= 0.0
     assert iid >= any_val
     assert bd.best_lower(src, alpha_hi, "iid")[0] <= iid
+    if snr_hi is not None:
+        louder = bd.source_at_snr(dist, omega, snr_hi)
+        assert bd.best_lower(louder, alpha_lo, "iid")[0] <= iid
+        assert bd.best_lower(louder, alpha_lo, "any")[0] <= any_val
 
 
 @given(
     dist=BOUND_DOMAIN_FAMILIES,
     omega=st.floats(1e-6, 0.5),
-    snr_db=st.floats(-30.0, 80.0),
+    snrs=st.lists(st.floats(-30.0, 80.0), min_size=2, max_size=2),
     alphas=st.lists(st.floats(1e-3, 1.0, exclude_max=True), min_size=2, max_size=2),
 )
+# alpha >= 1 - omega needs no rate, yet t4 once bisected round-off at 71 dB
+@example(dist=Gaussian(0.0, 1.0), omega=0.5, snrs=[0.0, 71.0], alphas=[0.5, 0.6])
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_best_lower_properties_over_the_bound_domain(dist, omega, snr_db, alphas):
+def test_best_lower_properties_over_the_bound_domain(dist, omega, snrs, alphas):
     """best_lower is finite, nonnegative, i.i.d. >= any, and nonincreasing in
-    alpha, for alpha in [1e-3, 1); the smaller alphas below still fail."""
+    alpha and in SNR, for alpha in [1e-3, 1); the smaller alphas below still
+    fail."""
     alpha_lo, alpha_hi = sorted(alphas)
-    _check_best_lower_properties(dist, omega, snr_db, alpha_lo, alpha_hi)
+    snr_lo, snr_hi = sorted(snrs)
+    _check_best_lower_properties(dist, omega, snr_lo, alpha_lo, alpha_hi, snr_hi)
 
 
 def test_best_lower_properties_at_a_small_gaussian_beta_star():

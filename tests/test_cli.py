@@ -224,14 +224,14 @@ def test_non_finite_deficit_is_usage_error(tmp_path, monkeypatch, capsys, argv):
 
 
 def test_t4_non_finite_deficit_is_usage_error(tmp_path, monkeypatch, capsys):
-    # t4's top-down pass meets the NaN and hands every row to the full scan,
-    # which refuses it and names the first rate that is not finite.
+    # t4's top-down pass meets the NaN and refuses it, naming the lowest rate
+    # at which some beta row is not finite on the first grid.
     monkeypatch.chdir(tmp_path)
     argv = ["bounds", "--bounds", "t4_iid_genie", "--snr-db", "200", "--grid", "0.1:0.1:1",
             "--out", "b.csv"]
     assert run_cli(argv) == 2
     assert capsys.readouterr().err == (
-        "error: t4_iid_genie at alpha=0.1: the deficit is not finite at rho=0.0450749 "
+        "error: t4_iid_genie at alpha=0.1: the deficit is not finite at rho=4.77327e-05 "
         "(the rate functions lose precision at this SNR)\n"
     )
     assert not list(tmp_path.glob("*.csv"))
