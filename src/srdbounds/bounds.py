@@ -93,6 +93,9 @@ class ImplicitSolveReport:
     diagnostic: str | None = None
 
 
+_ZERO_REPORT = ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0)  # a bound that needs no rate
+
+
 class NonFiniteDeficitError(ValueError):
     """A deficit is NaN or infinite on its scan grid, so its sign says nothing."""
 
@@ -143,7 +146,7 @@ def _scan_implicit(deficit, omega: float):
         if vals[-1] < 0.0 and hi < RHO_RANGE_CAP:
             hi = min(hi * 100.0, RHO_RANGE_CAP)
             continue
-        return _classify_scans(grid, vals[None, :])[0]
+        return _classify_scan(grid, vals)
 
 
 def _scan_start(omega: float) -> float:
@@ -151,48 +154,36 @@ def _scan_start(omega: float) -> float:
     return max(8.0, 40.0 * omega)
 
 
-def _classify_scans(grid: np.ndarray, vals: np.ndarray) -> list:
-    """Read each row of ``vals``, one deficit on ``grid`` per row, as
-    :func:`_scan_implicit` reports it: one ``(crossings, report, bracket)``
-    per row, where a row still negative at the grid's end is range-exceeded.
-
-    Raises NonFiniteDeficitError, naming the first such rate, when any value
-    is NaN or infinite.
-    """
-    finite = np.isfinite(vals)
+def _refuse_non_finite(grid: np.ndarray, vals: np.ndarray) -> None:
+    """Raise NonFiniteDeficitError, naming the lowest rate of ``grid`` at which
+    ``vals`` (one deficit on ``grid``, or one per row) is NaN or infinite."""
+    finite = np.isfinite(np.atleast_2d(vals)).all(axis=0)
     if not finite.all():
-        rho = float(grid[np.argmin(finite.all(axis=0))])
         raise NonFiniteDeficitError(
-            f"the deficit is not finite at rho={rho:g} "
+            f"the deficit is not finite at rho={float(grid[np.argmin(finite)]):g} "
             "(the rate functions lose precision at this SNR)"
         )
+
+
+def _classify_scan(grid: np.ndarray, vals: np.ndarray):
+    """Read one deficit ``vals`` on ``grid`` as :func:`_scan_implicit` reports
+    it: ``(crossings, report, bracket)``, where a deficit still negative at the
+    grid's end is range-exceeded.  A NaN or infinite value is refused."""
+    _refuse_non_finite(grid, vals)
     neg = vals < 0.0
-    # Every negative value of a row that ends nonnegative is followed by a
-    # crossing, so the row's last crossing sits at its last negative value.
-    width = grid.size - 1
-    crossings = [0] * len(vals)
-    last_neg = [-1] * len(vals)
-    for pos in np.flatnonzero(neg[:, :-1] & ~neg[:, 1:]).tolist():
-        row, last_neg[row] = divmod(pos, width)
-        crossings[row] += 1
-    scans = []
-    for row, count, last, violated_at_end in zip(vals, crossings, last_neg, neg[:, -1].tolist()):
-        if violated_at_end:
-            report = ImplicitSolveReport(
-                float(grid[-1]),
-                count,
-                (float(grid[-1]), math.inf),
-                float(row[-1]),
-                diagnostic="range-exceeded: inequality still violated at scan end",
-            )
-            scans.append((count, report, None))
-        elif last < 0:
-            # Not even the smallest rate in range is ruled out.
-            report = ImplicitSolveReport(0.0, 0, (0.0, RHO_GRID_FLOOR), float(row[0]))
-            scans.append((count, report, None))
-        else:
-            scans.append((count, None, (float(grid[last]), float(grid[last + 1]))))
-    return scans
+    # Every negative value of a deficit that ends nonnegative is followed by a
+    # crossing, so the last crossing sits at the last negative value.
+    ends = np.flatnonzero(neg[:-1] & ~neg[1:])
+    crossings = int(ends.size)
+    if neg[-1]:
+        end = float(grid[-1])
+        exceeded = "range-exceeded: inequality still violated at scan end"
+        report = ImplicitSolveReport(end, crossings, (end, math.inf), float(vals[-1]), exceeded)
+        return crossings, report, None
+    if not crossings:
+        # Not even the smallest rate in range is ruled out.
+        return 0, ImplicitSolveReport(0.0, 0, (0.0, RHO_GRID_FLOOR), float(vals[0])), None
+    return crossings, None, (float(grid[ends[-1]]), float(grid[ends[-1] + 1]))
 
 
 def _solve_implicit(
@@ -321,7 +312,7 @@ def t3_noiseless_iid(source: SourceParams, alpha: float) -> float:
     # The deficit is nonnegative at the grid's last point (checked above), so
     # the scan either brackets a crossing or finds no violated rate.
     grid = np.linspace(omega * 1e-6, omega * (1.0 - 1e-12), 4000)
-    _, _, bracket = _classify_scans(grid, deficit(grid)[None, :])[0]
+    _, _, bracket = _classify_scan(grid, deficit(grid))
     if bracket is None:
         return 0.0
     return _bisect(deficit, 0, bracket).rho_lower
@@ -406,8 +397,10 @@ def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     _check_args(omega, alpha)
 
-    def objective(beta):
-        pref, _, v_eff, _, r = _genie_row(source, alpha, beta)
+    def objective(beta, bound=None):
+        if (row := _genie_row(source, alpha, beta, bound)) is None:
+            return -math.inf
+        pref, _, v_eff, _, r = row
         # A variance that underflowed to 0 rules out no rate here: 0 errs low.
         if r == 0.0 or v_eff == 0.0:
             return 0.0
@@ -415,7 +408,7 @@ def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
 
     # The grid maximum, refined by golden section over its neighbours.
     grid = _beta_grid(alpha)
-    values = np.array([objective(b) for b in grid])
+    values = np.array([objective(b, BoundId.T2_GENIE) for b in grid])
     best = int(np.argmax(values))
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
     beta_star, val = _golden_max(objective, lo, hi)
@@ -450,7 +443,7 @@ def p4_iid(source: SourceParams, alpha: float) -> ImplicitSolveReport:
         raise ValueError("source variance must be positive")
     r_target = rate_R(source.omega, alpha)
     if r_target == 0.0:
-        return ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0)
+        return _ZERO_REPORT
     deficit = _genie_deficit(1.0, source.omega, source.variance, 0.0, r_target)
     return _solve_implicit(deficit, source.omega, BoundId.P4_IID, alpha)
 
@@ -463,7 +456,7 @@ def p5_gaussian(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     omega = source.omega
     r_target = rate_R(omega, alpha)
     if r_target == 0.0:
-        return ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0)
+        return _ZERO_REPORT
     v = source.variance
     cond_gamma = omega * source.dist.variance
 
@@ -485,13 +478,14 @@ def p6_entropy(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     omega = source.omega
     r_target = rate_R(omega, alpha)
     if r_target == 0.0:
-        return ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0)
+        return _ZERO_REPORT
     deficit = _genie_deficit(1.0, omega, source.variance, source.entropy_power, r_target)
     report = _solve_implicit(deficit, omega, BoundId.P6_IID_ENTROPY, alpha)
     simple = s_cor_thm2(source, alpha)
     if simple > report.rho_lower * (1.0 + 1e-9) + 1e-12:
         log.warning(
-            "simplified bound %.6g exceeds solved p6 bound %.6g", simple, report.rho_lower
+            "%s at alpha=%g: simplified bound %.6g exceeds solved p6 bound %.6g",
+            BoundId.P6_IID_ENTROPY.value, alpha, simple, report.rho_lower,
         )
     return report
 
@@ -514,12 +508,23 @@ def s_cor_thm2(source: SourceParams, alpha: float) -> float:
     return 2.0 * r / (big_l - c)
 
 
-def _genie_row(source: SourceParams, alpha: float, beta: float) -> tuple:
+def _genie_row(
+    source: SourceParams, alpha: float, beta: float, bound: BoundId | None = None
+) -> tuple | None:
     """The genie parameters at one retained fraction (those of
     :func:`_genie_params`), then the target rate: the arguments of
-    :func:`_genie_deficit`, and of t2's objective."""
-    pref, om_b, v_eff, vh_eff = _genie_params(source, beta)
-    return pref, om_b, v_eff, vh_eff, rate_R(om_b / pref, min(alpha / beta, 1.0))
+    :func:`_genie_deficit`, and of t2's objective.
+
+    None when they cannot be computed at this ``beta``, which t2 and t4 then
+    skip; with a ``bound``, the skip is logged naming it, ``alpha`` and ``beta``.
+    """
+    try:
+        pref, om_b, v_eff, vh_eff = _genie_params(source, beta)
+        return pref, om_b, v_eff, vh_eff, rate_R(om_b / pref, min(alpha / beta, 1.0))
+    except (ValueError, ArithmeticError) as exc:
+        if bound is not None:
+            log.warning("%s at alpha=%g: skipping beta=%g (%s)", bound.value, alpha, beta, exc)
+        return None
 
 
 def _top_down_pass(params, omega: float) -> tuple[np.ndarray, np.ndarray]:
@@ -543,7 +548,7 @@ def _top_down_pass(params, omega: float) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = block(rates[max(stop - TOP_PASS_POINTS, 0) : stop])
             if not np.isfinite(vals).all():
-                _classify_scans(rates, block(rates))  # raises, naming the lowest such rate
+                _refuse_non_finite(rates, block(rates))  # names the lowest such rate
         neg = vals < 0.0
         hit = neg.any(axis=1)
         if hit.any():
@@ -572,28 +577,22 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     _check_args(omega, alpha)
-    zero = ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0)
     if rate_R(omega, alpha) == 0.0:  # every beta's target rate is 0 as well
-        return zero, alpha
+        return _ZERO_REPORT, alpha
+    bound = BoundId.T4_IID_GENIE
     multi: set[float] = set()  # beta values whose solve found several crossings
-
-    def params_at(beta):
-        try:
-            return _genie_row(source, alpha, beta)
-        except (ValueError, ArithmeticError) as exc:
-            log.warning("t4: skipping beta=%g (%s)", beta, exc)
-            return None
 
     def solve(beta, params):
         if params[4] == 0.0 and params[3] == 0.0:  # no rate needed and no density
-            return zero
+            return _ZERO_REPORT
         report = _solve_implicit(_genie_deficit(*params), omega)
         if report.crossings_found > 1:
             multi.add(float(beta))
         return report
 
     grid = _beta_grid(alpha)
-    params = {i: p for i, beta in enumerate(grid) if (p := params_at(beta)) is not None}
+    rows = ((i, _genie_row(source, alpha, beta, bound)) for i, beta in enumerate(grid))
+    params = {i: p for i, p in rows if p is not None}
     live = [i for i, p in params.items() if p[4] != 0.0 or p[3] != 0.0]
     # Each row's solved rate lies in [values, upper]: 0 for a zero row, -inf
     # for a row that is skipped or cannot hold the maximum.
@@ -614,19 +613,16 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     report, beta_star = reports[best], float(grid[best])
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
 
-    def violation(beta, rho):  # minus the deficit at a fixed rate
-        try:
-            params = _genie_row(source, alpha, beta)
-        except (ValueError, ArithmeticError):
-            return -math.inf  # skipped, as on the grid
-        return -_genie_deficit(*params)(rho)
+    def violation(beta, rho):  # minus the deficit at a fixed rate; skipped as on the grid
+        params = _genie_row(source, alpha, beta)
+        return -math.inf if params is None else -_genie_deficit(*params)(rho)
 
     for _ in range(BETA_REFINE_ROUNDS):
         # The deficit is not defined at rate 0; a range-exceeded row ends its scan.
         if report is None or report.rho_lower == 0.0 or report.diagnostic:
             break
         beta, _ = _golden_max(functools.partial(violation, rho=report.rho_lower), lo, hi)
-        if beta == beta_star or (found := params_at(beta)) is None:
+        if beta == beta_star or (found := _genie_row(source, alpha, beta, bound)) is None:
             break
         solved = solve(beta, found)
         if not solved.rho_lower > report.rho_lower:
@@ -634,7 +630,7 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
         report, beta_star = solved, beta
     if multi:
         _warn_crossings(
-            BoundId.T4_IID_GENIE,
+            bound,
             alpha,
             "%d beta values found more than one crossing "
             "(beta in [%g, %g]); kept the largest violated rate for each",
@@ -739,7 +735,7 @@ def evaluate_bound(
     deficit is NaN or infinite on its scan grid.
     """
     if bound not in _BOUNDS:
-        raise ValueError(f"bound {bound} is not an evaluatable rate bound")
+        raise ValueError(f"bound {bound.value} is not an evaluatable rate bound")
     try:
         return _BOUNDS[bound].evaluate(source, alpha)
     except ValueError as exc:

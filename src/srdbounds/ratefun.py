@@ -8,10 +8,10 @@ evaluated with ``math`` or NumPy as the argument's type picks.  A float runs
 ten times faster than NumPy on one value.  An array runs NumPy, broadcasting
 ``r`` against a scalar ``gamma`` or one ``gamma`` per row, which lets a solver
 scan a whole rate grid at once, or a block of grids with one ``gamma`` each
-(t4 scans its retained fractions four rows at a time).  Each element of an
-array goes through the same float operations whatever the broadcast, so a row
-of a block is bit-identical to the same row scanned alone.  Both evaluations
-raise the same errors.
+(t4's top-down pass evaluates one row per retained fraction, 64 rates at a
+time).  Each element of an array goes through the same float operations
+whatever the broadcast, so a row of a block is bit-identical to the same row
+scanned alone.  Both evaluations raise the same errors.
 """
 
 from __future__ import annotations

@@ -80,7 +80,7 @@ def test_t3_array_scan_matches_a_scalar_loop():
             return omega, False
         grid = np.linspace(omega * 1e-6, omega * (1.0 - 1e-12), 4000)
         vals = np.array([deficit(r) for r in grid])
-        _, _, bracket = bd._classify_scans(grid, vals[None, :])[0]
+        _, _, bracket = bd._classify_scan(grid, vals)
         if bracket is None:
             return 0.0, False
         return bd._bisect(deficit, 0, bracket).rho_lower, True
@@ -190,6 +190,14 @@ def test_p6_simplified_is_weaker():
             for alpha in (0.05, 0.2):
                 rep = bd.p6_entropy(src, alpha)
                 assert bd.s_cor_thm2(src, alpha) <= rep.rho_lower * (1 + 1e-9)
+
+
+def test_p6_cross_check_warning_names_the_bound_and_alpha(monkeypatch, caplog):
+    monkeypatch.setattr(bd, "s_cor_thm2", lambda source, alpha: 1.0)
+    with caplog.at_level("WARNING", logger="srdbounds.bounds"):
+        bd.p6_entropy(gaussian_source(1e-4, 10.0), 0.1)
+    (line,) = [r.getMessage() for r in caplog.records]
+    assert line.startswith("p6_iid_entropy at alpha=0.1: simplified bound 1 exceeds solved p6 ")
 
 
 def test_t2_beta_one_slice_is_p3():
@@ -360,7 +368,7 @@ def test_t4_is_the_maximum_over_a_dense_beta_grid(family, snr_db, alpha):
     ],
 )
 def test_t4_keeps_the_grid_row_when_it_cannot_refine(
-    monkeypatch, case, family, omega, snr_db, alpha
+    monkeypatch, caplog, case, family, omega, snr_db, alpha
 ):
     src = bd.source_at_snr(T4_FAMILIES[family], omega, snr_db)
     row, row_beta = _best_grid_row(src, alpha)
@@ -383,7 +391,11 @@ def test_t4_keeps_the_grid_row_when_it_cannot_refine(
             return genie_params(source, beta)
 
         monkeypatch.setattr(bd, "_genie_params", patched)
-    rep, beta = bd.t4_genie_iid(src, alpha)
+    with caplog.at_level("WARNING", logger="srdbounds.bounds"):
+        rep, beta = bd.t4_genie_iid(src, alpha)
+    skips = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+    # The golden steps skip silently; only the solve at the beta found logs.
+    assert len(skips) == (case == "bracket-params-fail")
     if case == "zero":
         # alpha >= 1 - omega needs no rate: t4 returns p4's zero report
         assert (rep, beta) == (bd.ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0), row_beta)
@@ -431,7 +443,7 @@ def test_t4_logs_one_multi_crossing_line(caplog):
 
 def _single_row_scan(source, alpha, beta):
     """One beta scanned alone on the first rate grid: None when skipped, else
-    ``(crossings, report, bracket)`` as :func:`_classify_scans` reads it."""
+    ``(crossings, report, bracket)`` as :func:`_classify_scan` reads it."""
     try:
         pref, om_b, v_eff, vh_eff = bd._genie_params(source, beta)
     except (ValueError, ArithmeticError):
@@ -441,7 +453,7 @@ def _single_row_scan(source, alpha, beta):
         return 0, bd.ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0), None
     rates = bd._rho_grid(bd._scan_start(source.omega))
     deficit = bd._genie_deficit(pref, om_b, v_eff, vh_eff, r_target)
-    return bd._classify_scans(rates, deficit(rates)[None, :])[0]
+    return bd._classify_scan(rates, deficit(rates))
 
 
 def _scan_ends(scan):
@@ -591,6 +603,32 @@ def test_top_down_pass_with_skipped_rows_and_mixed_zero_gamma(monkeypatch, no_va
     assert bool(rep.diagnostic) == no_variance_row
 
 
+@pytest.mark.parametrize("bound", [BoundId.T2_GENIE, BoundId.T4_IID_GENIE])
+@pytest.mark.parametrize("row", [41, 165], ids=["far", "best"])
+def test_genie_bounds_skip_a_beta_whose_parameters_fail(monkeypatch, caplog, bound, row):
+    # One grid beta's parameters fail, far from the maximum or at t4's best
+    # row: the bound skips it with one line naming the bound, alpha and beta.
+    src = gaussian_source(1e-4, 20.0)
+    grid = bd._beta_grid(0.03)
+    genie_params = bd._genie_params
+
+    def patched(source, beta):
+        if beta == grid[row]:
+            raise ValueError("patched failure")
+        return genie_params(source, beta)
+
+    whole, _ = bd.evaluate_bound(src, bound, 0.03)
+    monkeypatch.setattr(bd, "_genie_params", patched)
+    with caplog.at_level("WARNING", logger="srdbounds.bounds"):
+        rho, _ = bd.evaluate_bound(src, bound, 0.03)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{bound.value} at alpha=0.03: skipping beta={grid[row]:g} (patched failure)"
+    ]
+    if row == 41:
+        assert rho == whole
+    assert 0.0 < rho < math.inf
+
+
 def test_classify_scans_reads_each_row():
     grid = bd._rho_grid(8.0)
     n = grid.size
@@ -603,16 +641,13 @@ def test_classify_scans_reads_each_row():
     vals[4, -2] = -0.0  # negative zero is not a violation either
     floor = bd.RHO_GRID_FLOOR
     exceeded = "range-exceeded: inequality still violated at scan end"
-    assert bd._classify_scans(grid, vals) == [
+    assert [bd._classify_scan(grid, row) for row in vals] == [
         (2, None, (grid[6], grid[7])),
         (0, bd.ImplicitSolveReport(0.0, 0, (0.0, floor), 0.0), None),
         (1, bd.ImplicitSolveReport(grid[-1], 1, (grid[-1], math.inf), -2.0, exceeded), None),
         (1, None, (grid[39], grid[40])),
         (0, bd.ImplicitSolveReport(0.0, 0, (0.0, floor), 1.0), None),
     ]
-    # a row alone reads the same as in the block
-    for row, want in zip(vals, bd._classify_scans(grid, vals)):
-        assert bd._classify_scans(grid, row[None, :]) == [want]
 
 
 def test_scan_refuses_a_non_finite_deficit():
@@ -621,8 +656,12 @@ def test_scan_refuses_a_non_finite_deficit():
     vals[2, 5] = math.nan
     vals[0, 9] = -math.inf
     vals[1, 700] = math.inf
+    # the lowest rate at which any row is not finite
     with pytest.raises(bd.NonFiniteDeficitError, match=f"rho={grid[5]:g} "):
-        bd._classify_scans(grid, vals)
+        bd._refuse_non_finite(grid, vals)
+    for row, index in zip(vals, (9, 700, 5)):
+        with pytest.raises(bd.NonFiniteDeficitError, match=f"rho={grid[index]:g} "):
+            bd._classify_scan(grid, row)
     # info_G loses its precision at gamma ~ 1e16 and returns NaN
     src = gaussian_source(1e-4, 200.0)
     with pytest.raises(ValueError, match="deficit is not finite at rho="):
@@ -832,17 +871,21 @@ def test_best_lower_properties_at_a_small_gaussian_beta_star():
     )
 
 
-@pytest.mark.xfail(strict=True, reason="open defects at small alpha, see CHANGES.md")
+def test_best_lower_properties_at_an_underflowing_gaussian_alpha():
+    # The Gaussian truncation of beta = alpha takes log(0); t2 and t4 skip
+    # that beta.
+    _check_best_lower_properties(Gaussian(0.0, 1.0), 0.5, 0.0, 5e-324, 0.5)
+
+
+@pytest.mark.xfail(strict=True, reason="open defect at small alpha, see CHANGES.md")
 @pytest.mark.parametrize(
     "dist, omega, snr_db, alpha_lo, alpha_hi",
     [
-        # t2 raises: the Gaussian truncation of beta = alpha takes log(0)
-        (Gaussian(0.0, 1.0), 0.5, 0.0, 5e-324, 0.5),
         # the beta grid misses the sharp maximum at beta = 1 - outer_mass
         (PointMass(0.2, 1.0, outer_mass=0.1), 0.0003580125055937264, 11.225325847303935,
          2.5396476758501306e-06, 9.02146833240461e-05),
     ],
-    ids=["gaussian-alpha-underflow", "pointmass-kink"],
+    ids=["pointmass-kink"],
 )
 def test_best_lower_properties_fail_at_small_alpha(dist, omega, snr_db, alpha_lo, alpha_hi):
     _check_best_lower_properties(dist, omega, snr_db, alpha_lo, alpha_hi)

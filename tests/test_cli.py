@@ -82,11 +82,12 @@ def test_bounds_empty_list_is_usage_error(tmp_path):
     assert code == 2
 
 
-def test_bounds_c1_test_is_usage_error(tmp_path):
+def test_bounds_c1_test_is_usage_error(tmp_path, capsys):
     code = run_cli(
         ["bounds", "--bounds", "c1_test", "--grid", "0.1:0.2:2", "--out", str(tmp_path / "x.csv")]
     )
     assert code == 2
+    assert capsys.readouterr().err == "error: bound c1_test is not an evaluatable rate bound\n"
 
 
 def test_bounds_rerun_byte_identical(tmp_path):
@@ -250,13 +251,30 @@ def test_t2_skips_a_beta_whose_variance_underflows(tmp_path, monkeypatch, capsys
     assert row[0] == "t2_genie" and 0.0 < float(row[2]) < float("inf")
 
 
-def test_evaluator_error_names_the_bound_and_alpha(tmp_path, monkeypatch, capsys):
-    # At alpha = 1e-300 the Gaussian cut keeps no variance and t2 takes log(0).
+def test_genie_bounds_skip_a_beta_whose_cut_fails(tmp_path, monkeypatch, caplog):
+    # At alpha = 1e-300 the Gaussian cut of beta = alpha takes log(0); t2 and
+    # t4 skip that beta, with one line each, and still give a rate.
     monkeypatch.chdir(tmp_path)
-    argv = ["bounds", "--bounds", "t2_genie", "--grid", "1e-300:1e-299:2", "--out", "b.csv"]
+    argv = ["bounds", "--bounds", "t2_genie,t4_iid_genie", "--grid", "1e-300:1e-299:2",
+            "--out", "b.csv"]
+    with caplog.at_level("WARNING", logger="srdbounds.bounds"):
+        assert run_cli(argv) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{bound} at alpha={alpha}: skipping beta={alpha} (math domain error)"
+        for bound in ("t2_genie", "t4_iid_genie") for alpha in ("1e-300", "1e-299")
+    ]
+    rows = read_csv(tmp_path / "b.csv")[1:]
+    assert [row[0] for row in rows] == ["t2_genie"] * 2 + ["t4_iid_genie"] * 2
+    assert all(0.0 < float(row[2]) < float("inf") for row in rows)
+
+
+def test_evaluator_error_names_the_bound_and_alpha(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["bounds", "--dist", "uniform", "--bounds", "p5_iid_gaussian", "--grid", "0.1:0.1:1",
+            "--out", "b.csv"]
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: t2_genie at alpha=1e-300: ") and err.count("\n") == 1
+    assert err.startswith("error: p5_iid_gaussian at alpha=0.1: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("*.csv"))
 
 
