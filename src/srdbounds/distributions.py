@@ -4,8 +4,8 @@ Four parametric families are supported, all with finite positive power and no
 probability mass at zero.  ``truncate`` keeps the smallest-magnitude fraction
 ``beta`` of a distribution and returns its mean, variance, and differential
 entropy in closed form; ``truncate_oracle`` recomputes the same quantities by
-adaptive quadrature (or exact atom summation) and by Monte Carlo so the closed
-forms can be checked independently.
+adaptive quadrature of the closed-form densities (or exact atom summation) and
+by Monte Carlo so the closed forms can be checked independently.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, optimize, special, stats
+from scipy import integrate, optimize, special
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 SQRT2 = math.sqrt(2.0)
+SQRT_HALF = math.sqrt(0.5)
 SQRT3 = math.sqrt(3.0)
 
 
@@ -296,28 +297,54 @@ def truncate(dist: DistributionSpec, beta: float) -> TruncationResult:
 # ---------------------------------------------------------------------------
 
 
+def _gaussian_pdf_cdf(mean: float, sigma: float):
+    """Scalar density and CDF of a Gaussian, written out in ``math``."""
+    c = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+
+    def pdf(x):
+        z = (x - mean) / sigma
+        return c * math.exp(-0.5 * z * z)
+
+    def cdf(x):
+        return 0.5 * math.erfc(-(x - mean) / sigma * SQRT_HALF)
+
+    return pdf, cdf
+
+
 def _density_and_support(dist):
-    """Density callable and support intervals for the continuous variants."""
+    """Scalar density and CDF closures and the support intervals of the
+    continuous variants.  They are written out in ``math`` and share nothing
+    with :func:`truncate`'s ``erfinv``/``gammainc`` route."""
     if isinstance(dist, Gaussian):
-        f = stats.norm(loc=dist.mean, scale=math.sqrt(dist.variance))
-        return f.pdf, f.cdf, [(-math.inf, math.inf)]
+        pdf, cdf = _gaussian_pdf_cdf(dist.mean, math.sqrt(dist.variance))
+        return pdf, cdf, [(-math.inf, math.inf)]
     if isinstance(dist, Uniform):
         a = dist.mean - SQRT3 * math.sqrt(dist.variance)
         b = dist.mean + SQRT3 * math.sqrt(dist.variance)
-        f = stats.uniform(loc=a, scale=b - a)
-        return f.pdf, f.cdf, [(a, b)]
-    if isinstance(dist, SlicedGaussian):
-        b = dist.floor
-        core = stats.norm(loc=0.0, scale=math.sqrt(dist.slice_variance))
+        width = b - a
 
         def pdf(x):
-            ax = np.abs(x)
-            return np.where(ax >= b, core.pdf(ax - b), 0.0)
+            return 1.0 / width if a <= x <= b else 0.0
+
+        def cdf(x):
+            return min(max((x - a) / width, 0.0), 1.0)
+
+        return pdf, cdf, [(a, b)]
+    if isinstance(dist, SlicedGaussian):
+        b = dist.floor
+        core_pdf, core_cdf = _gaussian_pdf_cdf(0.0, math.sqrt(dist.slice_variance))
+
+        def pdf(x):
+            ax = abs(x)
+            return core_pdf(ax - b) if ax >= b else 0.0
 
         def cdf(x):
             # X = Z + sign(Z) * b, so the CDF is flat on (-b, b) at 1/2.
-            x = np.asarray(x, dtype=float)
-            return np.where(x >= b, core.cdf(x - b), np.where(x <= -b, core.cdf(x + b), 0.5))
+            if x >= b:
+                return core_cdf(x - b)
+            if x <= -b:
+                return core_cdf(x + b)
+            return 0.5
 
         return pdf, cdf, [(-math.inf, -b), (b, math.inf)]
     raise ValueError(f"no density for {dist!r}")
@@ -328,7 +355,7 @@ def _magnitude_quantile(dist, beta: float) -> float:
     _, cdf, _ = _density_and_support(dist)
 
     def mass(t):
-        return float(cdf(t) - cdf(-t))
+        return cdf(t) - cdf(-t)
 
     hi = 1.0
     while mass(hi) < beta and hi < 1e12:

@@ -157,10 +157,13 @@ def mp_logdet(config: MCConfig) -> MCEstimate:
 
 
 def det_power(config: MCConfig) -> MCEstimate:
-    """Sample |(1/m) M^T M|^(1/n) in the log domain (sum of log singular
-    values) and compare with its almost-sure limit, defined for r >= 1.  A
-    matrix of more than 2**24 entries raises BudgetError before the first
-    draw."""
+    """Sample |(1/m) M^T M|^(1/n) in the log domain and compare with its
+    almost-sure limit, defined for r >= 1.  The log-determinant of the Gram
+    M^T M is twice the sum of the logs of its Cholesky factor's diagonal; a
+    draw whose factorization fails, or whose diagonal is not finite and
+    positive, is redrawn from the trial's stream and counted in
+    ``rejected``.  A matrix of more than 2**24 entries raises BudgetError
+    before the first draw."""
     n, m = config.n, config.m
     r = m / n
     if r < 1.0:
@@ -176,11 +179,15 @@ def det_power(config: MCConfig) -> MCEstimate:
         rng = trial_rng(config.seed, trial)
         while True:
             mat = rng.standard_normal((m, n))
-            sv = np.linalg.svd(mat, compute_uv=False)
-            if np.all(sv > 0) and np.all(np.isfinite(sv)):
-                break
+            try:
+                diag = np.diag(np.linalg.cholesky(mat.T @ mat))
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                if np.all(diag > 0) and np.all(np.isfinite(diag)):
+                    break
             rejected += 1
-        logdet = 2.0 * float(np.sum(np.log(sv))) - n * math.log(m)
+        logdet = 2.0 * float(np.sum(np.log(diag))) - n * math.log(m)
         values[trial] = math.exp(logdet / n)
     return _estimate(values, target, rejected)
 

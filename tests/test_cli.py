@@ -430,3 +430,22 @@ def test_installed_entry_point_usage_error():
         env=env,
     )
     assert proc.returncode == 2
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.6 s and 20 MB on every CLI call; the package
+    # needs none of it.
+    src = str(Path(srdbounds.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import srdbounds, srdbounds.cli, sys; print('scipy.stats' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

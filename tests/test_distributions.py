@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from srdbounds.distributions import (
     Gaussian,
     PointMass,
     SlicedGaussian,
     Uniform,
+    _density_and_support,
     decay_rate,
     moments,
     q_function,
@@ -230,6 +231,62 @@ def test_truncate_matches_quadrature(dist, beta):
     assert closed.mean == pytest.approx(oracle.result.mean, abs=1e-8)
     assert closed.variance == pytest.approx(oracle.result.variance, abs=1e-8)
     assert closed.diff_entropy == pytest.approx(oracle.result.diff_entropy, abs=1e-8)
+
+
+def _reference_density(dist):
+    """scipy.stats pdf, CDF and a 50-point grid reaching past the support."""
+    if isinstance(dist, Gaussian):
+        law = stats.norm(loc=dist.mean, scale=math.sqrt(dist.variance))
+        return law.pdf, law.cdf, dist.mean + 7.0 * law.std() * np.linspace(-1, 1, 50)
+    if isinstance(dist, Uniform):
+        half = math.sqrt(3.0 * dist.variance)
+        law = stats.uniform(loc=dist.mean - half, scale=2.0 * half)
+        return law.pdf, law.cdf, dist.mean + 1.5 * half * np.linspace(-1, 1, 50)
+    b = dist.floor
+    core = stats.norm(scale=math.sqrt(dist.slice_variance))
+
+    def pdf(x):
+        return core.pdf(abs(x) - b) if abs(x) >= b else 0.0
+
+    def cdf(x):
+        return core.cdf(x - b) if x >= b else core.cdf(x + b) if x <= -b else 0.5
+
+    return pdf, cdf, (b + 7.0 * core.std()) * np.linspace(-1, 1, 50)
+
+
+ORACLE_LAWS = [
+    Gaussian(0.0, 1.0),
+    Gaussian(1.5, 2.0),
+    Uniform(2.0, 1.0),
+    Uniform(0.5, 1.0),
+    SlicedGaussian(0.5, 0.4),
+]
+
+
+@pytest.mark.parametrize("dist", ORACLE_LAWS, ids=repr)
+def test_oracle_densities_match_scipy_stats(dist):
+    pdf, cdf, _ = _density_and_support(dist)
+    ref_pdf, ref_cdf, grid = _reference_density(dist)
+    # Seven standard deviations out, the two erfc implementations part by a
+    # few units in the last place.
+    for x in map(float, grid):
+        assert pdf(x) == pytest.approx(float(ref_pdf(x)), rel=1e-15, abs=0), x
+        assert cdf(x) == pytest.approx(float(ref_cdf(x)), rel=2e-15, abs=0), x
+
+
+@pytest.mark.parametrize("dist", ORACLE_LAWS, ids=repr)
+def test_quadrature_oracle_avoids_the_closed_form_route(monkeypatch, dist):
+    def closed_form_route(*args):
+        raise AssertionError("the oracle called truncate's special function")
+
+    monkeypatch.setattr(special, "erfinv", closed_form_route)
+    monkeypatch.setattr(special, "gammainc", closed_form_route)
+    if not isinstance(dist, Uniform):
+        with pytest.raises(AssertionError):
+            truncate(dist, 0.3)
+    for beta in (0.3, 1.0):
+        oracle = truncate_oracle(dist, beta, "quadrature")
+        assert math.isfinite(oracle.result.variance)
 
 
 def test_sliced_variance_matches_montecarlo():

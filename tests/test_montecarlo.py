@@ -135,6 +135,67 @@ def test_det_power_limits(r, target):
     assert est.relative_gap <= 0.03
 
 
+def _svd_det_power(config: mc.MCConfig, skip: int = 0) -> tuple[float, float]:
+    """det_power's mean and standard error recomputed from singular values,
+    with trial 0 skipping its first ``skip`` draws."""
+    n, m = config.n, config.m
+    values = []
+    for trial in range(config.trials):
+        rng = mc.trial_rng(config.seed, trial)
+        for _ in range(skip if trial == 0 else 0):
+            rng.standard_normal((m, n))
+        sv = np.linalg.svd(rng.standard_normal((m, n)), compute_uv=False)
+        values.append(math.exp((2.0 * float(np.sum(np.log(sv))) - n * math.log(m)) / n))
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(len(values)))
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_det_power_gram_cholesky_matches_svd(r):
+    # The Gram's Cholesky factor and the singular values give one
+    # log-determinant, draw by draw, at the verify sizes (400 x 400 and
+    # 800 x 400).
+    config = mc.MCConfig(n=400, r=r, trials=5, seed=0)
+    for trial in range(config.trials):
+        mat = mc.trial_rng(config.seed, trial).standard_normal((config.m, config.n))
+        chol = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(mat.T @ mat)))))
+        svd = 2.0 * float(np.sum(np.log(np.linalg.svd(mat, compute_uv=False))))
+        assert chol == pytest.approx(svd, rel=1e-12, abs=0)
+    est = mc.det_power(config)
+    mean, se = _svd_det_power(config)
+    assert est.rejected == 0
+    assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
+    assert est.std_error == pytest.approx(se, rel=1e-9, abs=0)
+    gap = abs(mean - est.target) / est.target
+    assert est.relative_gap == pytest.approx(gap, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("failure", ["raises", "zero_pivot", "nan_pivot"])
+def test_det_power_redraws_a_failed_factor(monkeypatch, failure):
+    # Fail the first Cholesky only: trial 0 must take its stream's second
+    # draw, and the other trials keep their first.
+    config = mc.MCConfig(n=16, r=2.0, trials=3, seed=5)
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def flaky(a):
+        calls.append(None)
+        if len(calls) > 1:
+            return cholesky(a)
+        if failure == "raises":
+            raise np.linalg.LinAlgError("forced")
+        return np.full_like(a, 0.0 if failure == "zero_pivot" else math.nan)
+
+    monkeypatch.setattr(np.linalg, "cholesky", flaky)
+    got = mc.det_power(config)
+    assert got.rejected == 1 and len(calls) == config.trials + 1
+    mean, se = _svd_det_power(config, skip=1)
+    assert got.mean == pytest.approx(mean, rel=1e-12, abs=0)
+    assert got.std_error == pytest.approx(se, rel=1e-9, abs=0)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    clean = mc.det_power(config)
+    assert clean.rejected == 0 and clean.mean != got.mean
+
+
 def test_logdomain_matches_direct_determinant():
     rng = np.random.default_rng(0)
     mat = rng.standard_normal((12, 12))
