@@ -1,11 +1,14 @@
 """Nonzero-value distributions: moments, magnitude truncation, decay rate.
 
 Four parametric families are supported, all with finite positive power and no
-probability mass at zero.  ``truncate`` keeps the smallest-magnitude fraction
-``beta`` of a distribution and returns its mean, variance, and differential
-entropy in closed form; ``truncate_oracle`` recomputes the same quantities by
-adaptive quadrature of the closed-form densities (or exact atom summation) and
-by Monte Carlo so the closed forms can be checked independently.
+probability mass at zero.  Each is a frozen dataclass that owns its closed
+forms (``moments``, ``truncate``, ``sample``, ``decay_rate``, ``scaled``) and
+says where they have ``kinks``; the module functions are the public names.
+``truncate`` keeps the smallest-magnitude fraction ``beta`` of a distribution
+and returns its mean, variance, and differential entropy in closed form;
+``truncate_oracle`` recomputes the same quantities by adaptive quadrature of
+the closed-form densities (or exact atom summation) and by Monte Carlo so the
+closed forms can be checked independently.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 from scipy import integrate, optimize, special
@@ -28,8 +32,12 @@ class AccuracyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Distribution specifications
+# Distribution specifications and their closed forms
 # ---------------------------------------------------------------------------
+# ``truncate(beta)`` takes the ``beta`` in (0, 1] that the module function
+# checks.  ``kinks`` (the retained fractions in (0, 1) where the truncated
+# moments are not smooth) and ``decay_rate`` are not dataclass fields, so
+# constructors, ``repr``, equality and hashing see only the parameters.
 
 
 @dataclass(frozen=True)
@@ -38,12 +46,34 @@ class Gaussian:
 
     mean: float = 0.0
     variance: float = 1.0
+    decay_rate: ClassVar[float] = 1.0
+    kinks: ClassVar[tuple[float, ...]] = ()
 
     def __post_init__(self):
         if not (self.variance > 0 and math.isfinite(self.variance)):
             raise ValueError(f"variance must be positive and finite, got {self.variance}")
         if not math.isfinite(self.mean):
             raise ValueError("mean must be finite")
+
+    def moments(self) -> Moments:
+        h = 0.5 * math.log(2.0 * math.pi * math.e * self.variance)
+        return Moments(self.mean, self.variance, self.mean**2 + self.variance, h)
+
+    def truncate(self, beta: float) -> TruncationResult:
+        """Zero mean only; ``beta = 1`` returns the moments exactly."""
+        _, t, r = _gaussian_cut(beta)
+        if self.mean != 0.0:
+            raise ValueError("closed-form truncation requires a zero-mean Gaussian")
+        if beta == 1.0:
+            return TruncationResult(1.0, math.inf, 0.0, self.variance, self.moments().diff_entropy)
+        h = 0.5 * (math.log(2.0 * math.pi * beta * beta * self.variance) + r)
+        return TruncationResult(beta, t, 0.0, r * self.variance, h)
+
+    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        return self.mean + math.sqrt(self.variance) * rng.standard_normal(size)
+
+    def scaled(self, c2: float) -> Gaussian:
+        return Gaussian(math.sqrt(c2) * self.mean, c2 * self.variance)
 
 
 @dataclass(frozen=True)
@@ -55,12 +85,41 @@ class Uniform:
 
     mean: float = 0.0
     variance: float = 1.0
+    kinks: ClassVar[tuple[float, ...]] = ()
 
     def __post_init__(self):
         if not (self.variance > 0 and math.isfinite(self.variance)):
             raise ValueError(f"variance must be positive and finite, got {self.variance}")
         if not (self.mean >= 0 and math.isfinite(self.mean)):
             raise ValueError(f"mean must be nonnegative and finite, got {self.mean}")
+
+    @property
+    def decay_rate(self) -> float:  # 1 when the support reaches the origin
+        return 1.0 if self.mean**2 <= 3.0 * self.variance else 0.0
+
+    def moments(self) -> Moments:
+        h = 0.5 * math.log(12.0 * self.variance)
+        return Moments(self.mean, self.variance, self.mean**2 + self.variance, h)
+
+    def truncate(self, beta: float) -> TruncationResult:
+        a = self.mean - SQRT3 * math.sqrt(self.variance)
+        b = self.mean + SQRT3 * math.sqrt(self.variance)
+        width = beta * (b - a)
+        if a < 0 and width <= -2 * a:
+            lo, hi = -0.5 * width, 0.5 * width
+        else:
+            lo, hi = a, a + width
+        mean = 0.5 * (lo + hi)
+        var = beta * beta * self.variance
+        h = 0.5 * math.log(12.0 * var)
+        return TruncationResult(beta, hi, mean, var, h)
+
+    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        half = SQRT3 * math.sqrt(self.variance)
+        return self.mean + half * (2.0 * rng.random(size) - 1.0)
+
+    def scaled(self, c2: float) -> Uniform:
+        return Uniform(math.sqrt(c2) * self.mean, c2 * self.variance)
 
 
 @dataclass(frozen=True)
@@ -78,6 +137,7 @@ class PointMass:
     power: float
     outer_mass: float = 0.0
     limit: bool = False
+    decay_rate: ClassVar[float] = 0.0
 
     def __post_init__(self):
         if not (self.power > 0 and math.isfinite(self.power)):
@@ -99,6 +159,38 @@ class PointMass:
             return math.inf
         return (self.power - (1 - self.outer_mass) * self.floor_sq) / self.outer_mass
 
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        """The truncated variance leaves the floor at ``beta = 1 - outer_mass``."""
+        return () if self.limit else (1.0 - self.outer_mass,)
+
+    def moments(self) -> Moments:
+        # Atoms are placed symmetrically, so the mean vanishes and the
+        # variance equals the power regardless of outer_mass.
+        return Moments(0.0, self.power, self.power, None)
+
+    def truncate(self, beta: float) -> TruncationResult:
+        if self.limit and beta == 1.0:
+            return TruncationResult(1.0, math.inf, 0.0, self.power, None)
+        if self.limit or beta <= 1.0 - self.outer_mass:
+            return TruncationResult(beta, math.sqrt(self.floor_sq), 0.0, self.floor_sq, None)
+        eps = self.outer_mass
+        var = self.power - (1.0 - beta) * (1.0 - eps) / (beta * eps) * (
+            self.power - self.floor_sq
+        )
+        return TruncationResult(beta, math.sqrt(self.outer_sq), 0.0, var, None)
+
+    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        """The limit case draws only its floor atoms."""
+        signs = rng.choice([-1.0, 1.0], size=size)
+        if self.limit:
+            return signs * math.sqrt(self.floor_sq)
+        outer = rng.random(size) < self.outer_mass
+        return signs * np.where(outer, math.sqrt(self.outer_sq), math.sqrt(self.floor_sq))
+
+    def scaled(self, c2: float) -> PointMass:
+        return replace(self, floor_sq=c2 * self.floor_sq, power=c2 * self.power)
+
 
 @dataclass(frozen=True)
 class SlicedGaussian:
@@ -110,6 +202,8 @@ class SlicedGaussian:
 
     floor: float
     slice_variance: float
+    decay_rate: ClassVar[float] = 0.0
+    kinks: ClassVar[tuple[float, ...]] = ()
 
     def __post_init__(self):
         if not (self.floor > 0 and math.isfinite(self.floor)):
@@ -124,6 +218,26 @@ class SlicedGaussian:
         b = self.floor
         sz = math.sqrt(self.slice_variance)
         return b * b + 2.0 * b * sz * SQRT_2_OVER_PI + self.slice_variance
+
+    def moments(self) -> Moments:
+        h = 0.5 * math.log(2.0 * math.pi * math.e * self.slice_variance)
+        return Moments(0.0, self.power, self.power, h)
+
+    def truncate(self, beta: float) -> TruncationResult:
+        e, t, r = _gaussian_cut(beta)
+        sz2 = self.slice_variance
+        # E[|Z|; |Z| <= t] / beta for a standard Gaussian Z
+        r_tilde = SQRT_2_OVER_PI * (-math.expm1(-e * e)) / beta
+        var = self.floor**2 + r * sz2 + 2.0 * self.floor * math.sqrt(sz2) * r_tilde
+        h = 0.5 * (math.log(2.0 * math.pi * beta * beta * sz2) + r)
+        return TruncationResult(beta, t, 0.0, var, h)
+
+    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        z = math.sqrt(self.slice_variance) * rng.standard_normal(size)
+        return z + np.sign(z) * self.floor
+
+    def scaled(self, c2: float) -> SlicedGaussian:
+        return SlicedGaussian(math.sqrt(c2) * self.floor, c2 * self.slice_variance)
 
 
 DistributionSpec = Gaussian | Uniform | PointMass | SlicedGaussian
@@ -199,97 +313,12 @@ def q_inverse(p: float) -> float:
     return -float(special.ndtri(p))
 
 
-# ---------------------------------------------------------------------------
-# Moments
-# ---------------------------------------------------------------------------
-
-
-def moments(dist: DistributionSpec) -> Moments:
-    """Exact mean, variance, second moment, and entropy of a distribution."""
-    if isinstance(dist, Gaussian):
-        h = 0.5 * math.log(2.0 * math.pi * math.e * dist.variance)
-        return Moments(dist.mean, dist.variance, dist.mean**2 + dist.variance, h)
-    if isinstance(dist, Uniform):
-        h = 0.5 * math.log(12.0 * dist.variance)
-        return Moments(dist.mean, dist.variance, dist.mean**2 + dist.variance, h)
-    if isinstance(dist, PointMass):
-        # Atoms are placed symmetrically, so the mean vanishes and the
-        # variance equals the power regardless of outer_mass.
-        return Moments(0.0, dist.power, dist.power, None)
-    if isinstance(dist, SlicedGaussian):
-        h = 0.5 * math.log(2.0 * math.pi * math.e * dist.slice_variance)
-        return Moments(0.0, dist.power, dist.power, h)
-    raise TypeError(f"unsupported distribution {dist!r}")
-
-
-# ---------------------------------------------------------------------------
-# Truncation (closed forms)
-# ---------------------------------------------------------------------------
-
-
-def truncate(dist: DistributionSpec, beta: float) -> TruncationResult:
-    """Closed-form moments of the smallest-magnitude fraction ``beta``.
-
-    ``beta = 1`` gives the untruncated moments up to rounding (the Gaussian
-    returns them exactly); ``beta = 0`` is a domain error.  The Gaussian
-    closed form requires a zero mean.
-
-    A standard Gaussian cut at ``|x| <= t`` keeps mass ``beta`` when
-    ``t = sqrt(2) * erfinv(beta)``, and keeps the variance fraction
-    ``r = P(chi2_3 <= t^2) / beta = gammainc(3/2, t^2 / 2) / beta``.
-    """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-
-    if isinstance(dist, (Gaussian, SlicedGaussian)):
-        e = float(special.erfinv(beta))  # t / sqrt(2); inf at beta = 1
-        t = SQRT2 * e
-        r = float(special.gammainc(1.5, e * e)) / beta
-
-    if isinstance(dist, Gaussian):
-        if dist.mean != 0.0:
-            raise ValueError("closed-form truncation requires a zero-mean Gaussian")
-        if beta == 1.0:
-            return TruncationResult(1.0, math.inf, 0.0, dist.variance, moments(dist).diff_entropy)
-        h = 0.5 * (math.log(2.0 * math.pi * beta * beta * dist.variance) + r)
-        return TruncationResult(beta, t, 0.0, r * dist.variance, h)
-
-    if isinstance(dist, Uniform):
-        a = dist.mean - SQRT3 * math.sqrt(dist.variance)
-        b = dist.mean + SQRT3 * math.sqrt(dist.variance)
-        width = beta * (b - a)
-        if a < 0 and width <= -2 * a:
-            lo, hi = -0.5 * width, 0.5 * width
-        else:
-            lo, hi = a, a + width
-        mean = 0.5 * (lo + hi)
-        var = beta * beta * dist.variance
-        h = 0.5 * math.log(12.0 * var)
-        return TruncationResult(beta, hi, mean, var, h)
-
-    if isinstance(dist, PointMass):
-        b = math.sqrt(dist.floor_sq)
-        if dist.limit:
-            if beta == 1.0:
-                return TruncationResult(1.0, math.inf, 0.0, dist.power, None)
-            return TruncationResult(beta, b, 0.0, dist.floor_sq, None)
-        eps = dist.outer_mass
-        if beta <= 1.0 - eps:
-            return TruncationResult(beta, b, 0.0, dist.floor_sq, None)
-        var = dist.power - (1.0 - beta) * (1.0 - eps) / (beta * eps) * (
-            dist.power - dist.floor_sq
-        )
-        return TruncationResult(beta, math.sqrt(dist.outer_sq), 0.0, var, None)
-
-    if isinstance(dist, SlicedGaussian):
-        sz2 = dist.slice_variance
-        # E[|Z|; |Z| <= t] / beta for a standard Gaussian Z
-        r_tilde = SQRT_2_OVER_PI * (-math.expm1(-e * e)) / beta
-        var = dist.floor**2 + r * sz2 + 2.0 * dist.floor * math.sqrt(sz2) * r_tilde
-        h = 0.5 * (math.log(2.0 * math.pi * beta * beta * sz2) + r)
-        return TruncationResult(beta, t, 0.0, var, h)
-
-    raise TypeError(f"unsupported distribution {dist!r}")
+def _gaussian_cut(beta: float) -> tuple[float, float, float]:
+    """``(e, t, r)`` for a standard Gaussian cut at ``|z| <= t`` keeping mass
+    ``beta``: ``e = t / sqrt(2) = erfinv(beta)`` (inf at ``beta = 1``) and the
+    kept variance fraction ``r = P(chi2_3 <= t^2) / beta = gammainc(3/2, e^2) / beta``."""
+    e = float(special.erfinv(beta))
+    return e, SQRT2 * e, float(special.gammainc(1.5, e * e)) / beta
 
 
 # ---------------------------------------------------------------------------
@@ -480,40 +509,36 @@ def truncate_oracle(
 
 
 # ---------------------------------------------------------------------------
-# Sampling, decay rate, power scaling
+# Moments, truncation, sampling, decay rate, power scaling
 # ---------------------------------------------------------------------------
+
+
+def moments(dist: DistributionSpec) -> Moments:
+    """Exact mean, variance, second moment, and entropy of a distribution."""
+    return dist.moments()
+
+
+def truncate(dist: DistributionSpec, beta: float) -> TruncationResult:
+    """Closed-form moments of the smallest-magnitude fraction ``beta``.
+
+    ``beta = 1`` gives the untruncated moments up to rounding (the Gaussian
+    returns them exactly); ``beta = 0`` is a domain error.  The Gaussian
+    closed form requires a zero mean.
+    """
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    return dist.truncate(beta)
 
 
 def sample_values(dist: DistributionSpec, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw i.i.d. values.  The limiting point-mass draws only its floor atoms."""
-    if isinstance(dist, Gaussian):
-        return dist.mean + math.sqrt(dist.variance) * rng.standard_normal(size)
-    if isinstance(dist, Uniform):
-        half = SQRT3 * math.sqrt(dist.variance)
-        return dist.mean + half * (2.0 * rng.random(size) - 1.0)
-    if isinstance(dist, PointMass):
-        signs = rng.choice([-1.0, 1.0], size=size)
-        if dist.limit:
-            return signs * math.sqrt(dist.floor_sq)
-        outer = rng.random(size) < dist.outer_mass
-        mags = np.where(outer, math.sqrt(dist.outer_sq), math.sqrt(dist.floor_sq))
-        return signs * mags
-    if isinstance(dist, SlicedGaussian):
-        z = math.sqrt(dist.slice_variance) * rng.standard_normal(size)
-        return z + np.sign(z) * dist.floor
-    raise TypeError(f"unsupported distribution {dist!r}")
+    return dist.sample(size, rng)
 
 
 def decay_rate(dist: DistributionSpec) -> float:
     """How fast mass near zero vanishes: 0 for supports bounded away from zero,
     1 when the density is positive and flat through the origin."""
-    if isinstance(dist, Gaussian):
-        return 1.0
-    if isinstance(dist, Uniform):
-        return 1.0 if dist.mean**2 <= 3.0 * dist.variance else 0.0
-    if isinstance(dist, (PointMass, SlicedGaussian)):
-        return 0.0
-    raise TypeError(f"unsupported distribution {dist!r}")
+    return dist.decay_rate
 
 
 def scale_to_snr(dist: DistributionSpec, omega: float, snr_db: float) -> DistributionSpec:
@@ -535,14 +560,4 @@ def scale_to_power(dist: DistributionSpec, omega: float, target_power: float) ->
         raise ValueError(f"omega must lie in (0, 0.5], got {omega}")
     if not target_power > 0:
         raise ValueError(f"target power must be positive, got {target_power}")
-    c2 = target_power / (omega * moments(dist).second_moment)
-    c = math.sqrt(c2)
-    if isinstance(dist, Gaussian):
-        return Gaussian(c * dist.mean, c2 * dist.variance)
-    if isinstance(dist, Uniform):
-        return Uniform(c * dist.mean, c2 * dist.variance)
-    if isinstance(dist, PointMass):
-        return replace(dist, floor_sq=c2 * dist.floor_sq, power=c2 * dist.power)
-    if isinstance(dist, SlicedGaussian):
-        return SlicedGaussian(c * dist.floor, c2 * dist.slice_variance)
-    raise TypeError(f"unsupported distribution {dist!r}")
+    return dist.scaled(target_power / (omega * moments(dist).second_moment))
