@@ -345,8 +345,14 @@ def p3_general(source: SourceParams, alpha: float) -> float:
 
 def _genie_params(source: SourceParams, beta: float):
     """Effective (prefactor, sparsity rate, variance, entropy power) after a
-    genie reveals the largest ``1 - beta`` fraction of nonzero values."""
+    genie reveals the largest ``1 - beta`` fraction of nonzero values.
+
+    At ``beta = 1`` the genie reveals nothing: these are p6's own parameters,
+    the source's variance and entropy power, not their truncated recomputation.
+    """
     omega = source.omega
+    if beta == 1.0:
+        return 1.0, omega, source.variance, source.entropy_power
     tr = truncate(source.dist, beta)
     om_b = beta * omega
     pref = 1.0 - (1.0 - beta) * omega
@@ -358,13 +364,16 @@ def _genie_params(source: SourceParams, beta: float):
     return pref, om_b, v_eff, vh_eff
 
 
-def _beta_grid(alpha: float) -> np.ndarray:
-    """``alpha``, then geometric offsets from ``alpha`` up to 1 (never past 1)."""
+def _beta_grid(source: SourceParams, alpha: float) -> np.ndarray:
+    """``alpha``, then geometric offsets from ``alpha`` up to 1 (never past 1),
+    with each of the value family's kinks that lies strictly inside (alpha, 1):
+    a maximum there is a corner that neither the grid nor golden section finds."""
     lo = min(max(1e-12, alpha * 1e-9), 1.0 - alpha)
     offsets = np.geomspace(lo, 1.0 - alpha, BETA_GRID_POINTS - 1)
     grid = np.concatenate(([alpha], alpha + offsets))
     grid[-1] = 1.0
-    return grid
+    kinks = [k for k in source.dist.kinks if alpha < k < 1.0]
+    return np.union1d(grid, kinks) if kinks else grid
 
 
 def _golden_max(f, lo: float, hi: float):
@@ -407,14 +416,14 @@ def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
         return 2.0 * pref * r / math.log1p(v_eff)
 
     # The grid maximum, refined by golden section over its neighbours.
-    grid = _beta_grid(alpha)
+    grid = _beta_grid(source, alpha)
     values = np.array([objective(b, BoundId.T2_GENIE) for b in grid])
     best = int(np.argmax(values))
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
     beta_star, val = _golden_max(objective, lo, hi)
     if values[best] >= val:
         return float(values[best]), float(grid[best])
-    return val, beta_star
+    return float(val), float(beta_star)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +599,7 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
             multi.add(float(beta))
         return report
 
-    grid = _beta_grid(alpha)
+    grid = _beta_grid(source, alpha)
     rows = ((i, _genie_row(source, alpha, beta, bound)) for i, beta in enumerate(grid))
     params = {i: p for i, p in rows if p is not None}
     live = [i for i, p in params.items() if p[4] != 0.0 or p[3] != 0.0]

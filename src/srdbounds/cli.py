@@ -37,6 +37,7 @@ EXIT_USAGE = 2
 EXIT_VERIFY_FAIL = 3
 EXIT_BUDGET = 4
 GRID_MAX_POINTS = 1_000_000
+VERIFY_MATRIX_N = 400  # verify's default matrix dimension
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -388,16 +389,19 @@ VERIFY_SUITES = {
 
 def cmd_verify(args) -> int:
     suites = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
+    # --n is the matrix dimension of the random-matrix suites; the covering
+    # check needs an enumerable support universe, so it runs its reference
+    # case under "all" and whenever --n is not given.
+    covering_reference = args.suite == "all" or args.n is None
+    if args.n is None:
+        args.n = VERIFY_MATRIX_N
     rows = []
     all_passed = True
     for suite in suites:
         if suite not in VERIFY_SUITES:
             raise ValueError(f"unknown suite {suite!r}")
         suite_args = args
-        if args.suite == "all" and suite == "covering":
-            # --n means the matrix dimension elsewhere; the covering check
-            # needs an enumerable support universe, so "all" runs its
-            # reference case.
+        if suite == "covering" and covering_reference:
             suite_args = argparse.Namespace(**vars(args))
             suite_args.n, suite_args.k, suite_args.alpha = 22, 4, 0.5
         for check in VERIFY_SUITES[suite](suite_args):
@@ -606,7 +610,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         default="all",
         choices=list(VERIFY_SUITES) + ["all"],
     )
-    p_verify.add_argument("--n", type=int, default=400)
+    p_verify.add_argument(
+        "--n",
+        type=int,
+        default=None,
+        help=f"matrix dimension (default {VERIFY_MATRIX_N}); with --suite covering, the "
+        "support universe (default: the reference case n=22, k=4, alpha=0.5)",
+    )
     p_verify.add_argument("--k", type=int, default=2)
     p_verify.add_argument("--alpha", type=float, default=0.5)
     p_verify.add_argument("--trials", type=int, default=50)

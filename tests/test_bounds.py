@@ -125,6 +125,12 @@ def test_t2_beta_star_small_for_small_alpha():
     assert beta < 0.01
 
 
+@pytest.mark.parametrize("alpha", [1e-7, 0.01, 0.3])
+def test_t2_returns_python_floats(alpha):
+    value, beta = bd.t2_genie(gaussian_source(), alpha)
+    assert type(value) is float and type(beta) is float
+
+
 def test_t2_blows_up_as_alpha_vanishes():
     src = gaussian_source(1e-4, 0.0)
     v_small, _ = bd.t2_genie(src, 1e-3)
@@ -204,7 +210,7 @@ def test_t2_beta_one_slice_is_p3():
     src = gaussian_source(1e-4, 0.0)
     pref, om_b, v_eff, _ = bd._genie_params(src, 1.0)
     objective = 2.0 * pref * rate_R(om_b / pref, 0.3) / math.log1p(v_eff)
-    assert objective == pytest.approx(bd.p3_general(src, 0.3), rel=1e-14)
+    assert objective == bd.p3_general(src, 0.3)  # p3 exactly: beta = 1 reveals nothing
 
 
 def test_p5_p6_gap_indiscernible_at_high_snr():
@@ -293,7 +299,7 @@ def _solve_t4_row(source, alpha, beta):
 
 def _best_grid_row(source, alpha):
     """The largest of t4's grid rows, each solved alone: ``(report, beta)``."""
-    grid = bd._beta_grid(alpha)
+    grid = bd._beta_grid(source, alpha)
     reports = [_solve_t4_row(source, alpha, b) for b in grid]
     values = np.array([-math.inf if rep is None else rep.rho_lower for rep in reports])
     best = int(np.argmax(values))
@@ -352,7 +358,7 @@ def test_t4_is_the_maximum_over_a_dense_beta_grid(family, snr_db, alpha):
     rep, beta = bd.t4_genie_iid(src, alpha)
     _, row_beta = _best_grid_row(src, alpha)
     assert beta != row_beta  # the refinement moved beta
-    grid = bd._beta_grid(alpha)
+    grid = bd._beta_grid(src, alpha)
     i = int(np.searchsorted(grid, row_beta))
     dense = np.linspace(grid[i - 1], grid[i + 1], 20 * bd.BETA_GRID_POINTS)
     best = max(_solve_t4_row(src, alpha, float(b)).rho_lower for b in dense)
@@ -382,7 +388,7 @@ def test_t4_keeps_the_grid_row_when_it_cannot_refine(
     if case == "bracket-params-fail":
         # Only the grid's own betas keep their parameters, so every golden
         # step and the solve at the beta found are skipped.
-        grid = set(bd._beta_grid(alpha).tolist())
+        grid = set(bd._beta_grid(src, alpha).tolist())
         genie_params = bd._genie_params
 
         def patched(source, beta):
@@ -419,7 +425,7 @@ def test_t4_rows_reach_zero_and_range_exceeded_paths():
         return result
 
     zero_rows = 0
-    for beta in bd._beta_grid(1e-3):
+    for beta in bd._beta_grid(src, 1e-3):
         pref, om_b, _, vh_eff = bd._genie_params(src, beta)
         zero_rows += vh_eff == 0.0 and rate_R(om_b / pref, min(1e-3 / beta, 1.0)) == 0.0
     with pytest.MonkeyPatch.context() as mp:
@@ -484,7 +490,7 @@ def _check_top_down_pass(source, alpha, alone=False):
     """Run t4's top-down pass over its grid rows and check each bracket it
     reads against the same beta scanned alone (and, with ``alone``, each row
     passed alone).  Returns each row's scan ends and the betas of each kind."""
-    grid = bd._beta_grid(alpha)
+    grid = bd._beta_grid(source, alpha)
     scans = [_single_row_scan(source, alpha, b) for b in grid]
     ends = [_scan_ends(scan) for scan in scans]
     kinds: dict[str, list] = {}
@@ -512,7 +518,7 @@ def test_t4_solves_only_rows_that_can_hold_the_maximum(
     monkeypatch, caplog, family, omega, snr_db, alpha
 ):
     src = bd.source_at_snr(T4_FAMILIES[family], omega, snr_db)
-    grid = bd._beta_grid(alpha)
+    grid = bd._beta_grid(src, alpha)
     ends, _ = _check_top_down_pass(src, alpha)
     rates = bd._rho_grid(bd._scan_start(omega))
 
@@ -579,7 +585,7 @@ def test_top_down_pass_with_skipped_rows_and_mixed_zero_gamma(monkeypatch, no_va
     # variance (info_G's gamma is 0, so it stays violated to the range cap and
     # the pass stops at its first chunk).
     src = gaussian_source(1e-4, 20.0)
-    grid = bd._beta_grid(0.03)
+    grid = bd._beta_grid(src, 0.03)
     genie_params = bd._genie_params
 
     def patched(source, beta):
@@ -609,7 +615,7 @@ def test_genie_bounds_skip_a_beta_whose_parameters_fail(monkeypatch, caplog, bou
     # One grid beta's parameters fail, far from the maximum or at t4's best
     # row: the bound skips it with one line naming the bound, alpha and beta.
     src = gaussian_source(1e-4, 20.0)
-    grid = bd._beta_grid(0.03)
+    grid = bd._beta_grid(src, 0.03)
     genie_params = bd._genie_params
 
     def patched(source, beta):
@@ -700,12 +706,26 @@ def test_single_solve_warnings_name_alpha(caplog):
     assert all(line.startswith("p6_iid_entropy at alpha=") for line in lines)
 
 
+def test_genie_bounds_of_a_nonzero_mean_gaussian_keep_beta_one():
+    # Only beta = 1, the source's own parameters, needs no truncation, which a
+    # nonzero-mean Gaussian refuses: t2 is then p3 and t4 is p6.
+    src = bd.source_at_snr(Gaussian(1.0, 1.0), 1e-4, 10.0)
+    assert bd.t2_genie(src, 0.1) == (bd.p3_general(src, 0.1), 1.0)
+    rep, beta = bd.t4_genie_iid(src, 0.1)
+    assert (rep, beta) == (bd.p6_entropy(src, 0.1), 1.0)
+
+
 def test_t4_ties_p6_at_beta_one_and_p6_wins():
-    src = bd.source_at_snr(_sliced_from_eta(0.2), 1e-4, 60.0)
-    t4, beta = bd.t4_genie_iid(src, 0.03)
-    assert beta == 1.0
-    assert t4.rho_lower == bd.p6_entropy(src, 0.03).rho_lower
-    assert bd.best_lower(src, 0.03, "iid")[1] is BoundId.P6_IID_ENTROPY
+    # At beta = 1 t4's row is p6's own deficit, so a tie goes to p6 by order.
+    for dist, snr_db, alpha in [
+        (_sliced_from_eta(0.2), 60.0, 0.03),
+        (T4_FAMILIES["uniform"], 22.40161559973288, 0.28550566723757304),
+    ]:
+        src = bd.source_at_snr(dist, 1e-4, snr_db)
+        t4, beta = bd.t4_genie_iid(src, alpha)
+        assert beta == 1.0
+        assert t4.rho_lower == bd.p6_entropy(src, alpha).rho_lower
+        assert bd.best_lower(src, alpha, "iid")[1] is BoundId.P6_IID_ENTROPY
 
 
 @pytest.mark.parametrize("bound", [b for b in BoundId if b is not BoundId.C1_TEST])
@@ -851,11 +871,19 @@ def _check_best_lower_properties(dist, omega, snr_db, alpha_lo, alpha_hi, snr_hi
 )
 # alpha >= 1 - omega needs no rate, yet t4 once bisected round-off at 71 dB
 @example(dist=Gaussian(0.0, 1.0), omega=0.5, snrs=[0.0, 71.0], alphas=[0.5, 0.6])
+# the genie bounds peak at the kink beta = 1 - outer_mass, which the beta grid
+# once missed, so best_lower rose with alpha
+@example(
+    dist=PointMass(0.2, 1.0, outer_mass=0.1),
+    omega=0.0003580125055937264,
+    snrs=[11.225325847303935, 30.0],
+    alphas=[2.5396476758501306e-06, 9.02146833240461e-05],
+)
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_best_lower_properties_over_the_bound_domain(dist, omega, snrs, alphas):
     """best_lower is finite, nonnegative, i.i.d. >= any, and nonincreasing in
-    alpha and in SNR, for alpha in [1e-3, 1); the smaller alphas below still
-    fail."""
+    alpha and in SNR, for alpha in [1e-3, 1) and at the smaller alphas of the
+    examples and the tests below."""
     alpha_lo, alpha_hi = sorted(alphas)
     snr_lo, snr_hi = sorted(snrs)
     _check_best_lower_properties(dist, omega, snr_lo, alpha_lo, alpha_hi, snr_hi)
@@ -877,18 +905,27 @@ def test_best_lower_properties_at_an_underflowing_gaussian_alpha():
     _check_best_lower_properties(Gaussian(0.0, 1.0), 0.5, 0.0, 5e-324, 0.5)
 
 
-@pytest.mark.xfail(strict=True, reason="open defect at small alpha, see CHANGES.md")
-@pytest.mark.parametrize(
-    "dist, omega, snr_db, alpha_lo, alpha_hi",
-    [
-        # the beta grid misses the sharp maximum at beta = 1 - outer_mass
-        (PointMass(0.2, 1.0, outer_mass=0.1), 0.0003580125055937264, 11.225325847303935,
-         2.5396476758501306e-06, 9.02146833240461e-05),
-    ],
-    ids=["pointmass-kink"],
-)
-def test_best_lower_properties_fail_at_small_alpha(dist, omega, snr_db, alpha_lo, alpha_hi):
-    _check_best_lower_properties(dist, omega, snr_db, alpha_lo, alpha_hi)
+@pytest.mark.parametrize("alpha", [2.5396476758501306e-06, 9.02146833240461e-05])
+def test_genie_bounds_hold_the_point_mass_kink(alpha):
+    # Both genie objectives peak in a corner at beta = 1 - outer_mass: t2 and
+    # t4 are there, and no smaller than their maximum over a dense beta grid
+    # that holds it.
+    dist = PointMass(0.2, 1.0, outer_mass=0.1)
+    src = bd.source_at_snr(dist, 0.0003580125055937264, 11.225325847303935)
+    kink = 1.0 - dist.outer_mass
+    dense = np.union1d(np.linspace(alpha, 1.0, 200), kink + np.linspace(-1e-3, 1e-3, 41))
+    dense = np.union1d(dense, [kink])
+
+    def t2_at(beta):
+        pref, _, v_eff, _, r = bd._genie_row(src, alpha, beta)
+        return 2.0 * pref * r / math.log1p(v_eff)
+
+    t2, t2_beta = bd.t2_genie(src, alpha)
+    t4, t4_beta = bd.t4_genie_iid(src, alpha)
+    assert t2_beta == t4_beta == kink
+    assert t2 >= max(t2_at(float(b)) for b in dense) * (1.0 - 1e-9)
+    dense_t4 = max(_solve_t4_row(src, alpha, float(b)).rho_lower for b in dense)
+    assert t4.rho_lower >= dense_t4 * (1.0 - 1e-9)
 
 
 def test_best_lower_discrete_high_snr():

@@ -407,6 +407,23 @@ def test_verify_covering_suite():
     assert run_cli(["verify", "--suite", "covering", "--n", "10", "--k", "2", "--alpha", "0.5"]) == 0
 
 
+def test_verify_covering_suite_defaults_to_its_reference_case(tmp_path):
+    # --n defaults to the random-matrix suites' dimension, which the covering
+    # check cannot enumerate, so without --n it runs (n, k, alpha) = (22, 4, 0.5).
+    out = tmp_path / "covering.csv"
+    assert run_cli(["verify", "--suite", "covering", "--out", str(out)]) == 0
+    rows = read_csv(out)[1:]
+    assert [row[1] for row in rows] == ["covering_lower_n22_k4", "covering_upper_n22_k4"]
+    assert all(row[2] == "PASS" for row in rows)
+    # The manifest still records the default matrix dimension.
+    hashes = []
+    for extra in ([], ["--n", "400"]):
+        assert run_cli(["verify", "--suite", "power_ratio", *extra, "--out", str(out)]) == 0
+        manifest = (tmp_path / "covering.csv.manifest").read_text().splitlines()
+        hashes.append([line for line in manifest if line.startswith("config_hash")])
+    assert hashes[0] == hashes[1]
+
+
 def test_verify_all_reaches_every_suite(tmp_path):
     # --n names the matrix dimension; "all" must still run the covering
     # reference case instead of tripping its enumeration guard

@@ -1,6 +1,9 @@
 """Distribution moments, truncation closed forms, and their oracles."""
 
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+import srdbounds
 from srdbounds.distributions import (
     Gaussian,
     PointMass,
@@ -381,6 +385,19 @@ def test_decay_rates():
     assert decay_rate(SlicedGaussian(0.5, 0.4)) == 0.0
 
 
+def test_only_a_finite_point_mass_has_a_kink():
+    # The truncated variance leaves the floor at beta = 1 - outer_mass.  Like
+    # decay_rate, kinks is not a field: repr, equality and hashing ignore it.
+    pm = PointMass(0.2, 1.0, outer_mass=0.1)
+    (kink,) = pm.kinks
+    assert kink == 1.0 - pm.outer_mass
+    assert truncate(pm, kink).variance == pm.floor_sq < truncate(pm, kink + 1e-9).variance
+    assert all(dist.kinks == () for dist in ALL_VARIANTS if dist != pm)
+    for dist in ALL_VARIANTS:
+        assert {"kinks", "decay_rate"}.isdisjoint(f.name for f in dataclasses.fields(dist))
+    assert repr(pm) == "PointMass(floor_sq=0.2, power=1.0, outer_mass=0.1, limit=False)"
+
+
 def test_scale_to_power_gaussian():
     scaled = scale_to_power(Gaussian(0.0, 1.0), 0.1, 1.0)
     assert isinstance(scaled, Gaussian)
@@ -414,3 +431,48 @@ def test_sampler_moments(dist):
     emp = float(np.mean(draws**2))
     se = float(np.std(draws**2) / math.sqrt(len(draws)))
     assert abs(emp - moments(dist).second_moment) <= 4 * se + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Structure
+# ---------------------------------------------------------------------------
+
+FAMILIES = {"Gaussian", "Uniform", "PointMass", "SlicedGaussian"}
+# The oracles are the independent route and share nothing with the closed
+# forms, which each family owns; nothing else asks a value which family it is.
+FAMILY_CHECKS_ALLOWED = {"_density_and_support", "_quadrature_oracle", "SourceParams.is_gaussian"}
+
+
+def _family_isinstance_scopes(tree):
+    """The qualified name of the function around each ``isinstance(x, F)``
+    call whose class argument names a value family."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "isinstance"
+                and len(child.args) == 2
+            ):
+                kinds = child.args[1]
+                kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                names = {getattr(k, "id", getattr(k, "attr", None)) for k in kinds}
+                if names & FAMILIES:
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_the_oracles_and_is_gaussian_ask_for_a_family():
+    scopes = {}
+    for path in sorted(Path(srdbounds.__file__).parent.glob("*.py")):
+        for scope in _family_isinstance_scopes(ast.parse(path.read_text())):
+            scopes.setdefault(scope, []).append(path.name)
+    assert set(scopes) == FAMILY_CHECKS_ALLOWED, scopes
