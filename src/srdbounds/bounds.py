@@ -636,7 +636,7 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
         solved = solve(beta, found)
         if not solved.rho_lower > report.rho_lower:
             break
-        report, beta_star = solved, beta
+        report, beta_star = solved, float(beta)
     if multi:
         _warn_crossings(
             bound,

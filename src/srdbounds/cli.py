@@ -611,11 +611,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         choices=list(VERIFY_SUITES) + ["all"],
     )
     p_verify.add_argument(
-        "--n",
-        type=int,
-        default=None,
-        help=f"matrix dimension (default {VERIFY_MATRIX_N}); with --suite covering, the "
-        "support universe (default: the reference case n=22, k=4, alpha=0.5)",
+        "--n", type=int, default=None, help=f"matrix dimension (default {VERIFY_MATRIX_N})"
     )
     p_verify.add_argument("--k", type=int, default=2)
     p_verify.add_argument("--alpha", type=float, default=0.5)

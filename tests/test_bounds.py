@@ -126,9 +126,12 @@ def test_t2_beta_star_small_for_small_alpha():
 
 
 @pytest.mark.parametrize("alpha", [1e-7, 0.01, 0.3])
-def test_t2_returns_python_floats(alpha):
+def test_genie_bounds_return_python_floats(alpha):
+    # also where golden section, not the beta grid, gives the maximum
     value, beta = bd.t2_genie(gaussian_source(), alpha)
     assert type(value) is float and type(beta) is float
+    report, beta = bd.t4_genie_iid(gaussian_source(), alpha)
+    assert type(report.rho_lower) is float and type(beta) is float
 
 
 def test_t2_blows_up_as_alpha_vanishes():
