@@ -367,7 +367,8 @@ def _genie_params(source: SourceParams, beta: float):
 def _beta_grid(source: SourceParams, alpha: float) -> np.ndarray:
     """``alpha``, then geometric offsets from ``alpha`` up to 1 (never past 1),
     with each of the value family's kinks that lies strictly inside (alpha, 1):
-    a maximum there is a corner that neither the grid nor golden section finds."""
+    a maximum there is a corner, which neither the geometric grid nor golden
+    section lands on exactly."""
     lo = min(max(1e-12, alpha * 1e-9), 1.0 - alpha)
     offsets = np.geomspace(lo, 1.0 - alpha, BETA_GRID_POINTS - 1)
     grid = np.concatenate(([alpha], alpha + offsets))
