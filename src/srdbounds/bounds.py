@@ -10,14 +10,14 @@ is written once: the rate functions of ``ratefun`` take a float or an array,
 so the same deficit scans the grid as an array and bisects one float at a
 time.  p4, p6 and the genie-aided i.i.d. bound t4 share one deficit: p6 is t4
 at ``beta = 1``, where the genie reveals nothing, and p4 is p6 without a
-density.  t4 sweeps 200 retained fractions ``beta``.  One top-down pass
-evaluates all of them on the top of the rate grid, 64 rates at a time, until
-some row goes negative; it reads each such row's bracket there, and only the
-rows whose bracket can hold the maximum are solved, as p4 and p6 are.  t4
-refines the best row by the envelope condition: golden section over ``beta``
-on the deficit at the best rate found, one scalar deficit per step, then one
-full solve at the ``beta`` found, repeated from the new rate while it rises.
-A NaN or infinite deficit on any rate a scan reads is refused.
+density.  t4 sweeps 200 retained fractions ``beta`` in one top-down pass,
+solves only the rows that can hold the maximum, and refines the best by the
+envelope condition.  A NaN or infinite deficit on any rate a scan reads is
+refused.
+
+Warnings leave by one route.  Each evaluation of p4, p5, p6, t2 or t4, and
+each rate ``alpha_curve`` inverts, opens a record (``_record``); every warning
+site adds a note to the open one, and each record logs its notes as it closes.
 
 One table (``_BOUNDS``) says which bounds exist, how each is evaluated, which
 sources it applies to and which matrix class ``best_lower`` uses it for.
@@ -186,62 +186,14 @@ def _classify_scan(grid: np.ndarray, vals: np.ndarray):
     return crossings, None, (float(grid[ends[-1]]), float(grid[ends[-1] + 1]))
 
 
-def _solve_implicit(
-    deficit, omega: float, bound: BoundId | None = None, alpha: float | None = None
-) -> ImplicitSolveReport:
+def _solve_implicit(deficit, omega: float) -> ImplicitSolveReport:
     """Largest rate at which the deficit is still negative (bound violated).
 
     ``deficit`` takes a float or an array of rates: it scans the grid at once
-    and refines the last crossing by bisection one rate at a time.  A solve
-    that finds more than one crossing logs a warning naming ``bound`` and
-    ``alpha``; without a bound the caller reports it.
+    and refines the last crossing by bisection one rate at a time.
     """
     crossings, report, bracket = _scan_implicit(deficit, omega)
-    if report is not None:
-        return report
-    if crossings > 1 and bound is not None:
-        _warn_crossings(
-            bound,
-            alpha,
-            "implicit solve found %d crossings; keeping the largest violated rate",
-            crossings,
-        )
-    return _bisect(deficit, crossings, bracket)
-
-
-# alpha_curve collects the alpha values of multi-crossing warnings here while
-# it inverts one rate, and logs them as one line; None logs each one.
-_held_crossings: contextvars.ContextVar[set | None] = contextvars.ContextVar(
-    "_held_crossings", default=None
-)
-
-
-def _warn_crossings(bound: BoundId, alpha: float, message: str, *args) -> None:
-    """Log '<bound> at alpha=<alpha>: <message>', or hold alpha back for
-    :func:`alpha_curve`'s summary."""
-    held = _held_crossings.get()
-    if held is None:
-        log.warning("%s at alpha=%g: " + message, bound.value, alpha, *args)
-    else:
-        held.add(alpha)
-
-
-@contextlib.contextmanager
-def _crossing_summary(bound: BoundId, rho: float | None):
-    """Hold back the multi-crossing warnings of one rate's inversion and log
-    them as one line; with ``rho`` None, only hold them.  Yields the held set."""
-    held: set[float] = set()
-    token = _held_crossings.set(held)
-    try:
-        yield held
-    finally:
-        _held_crossings.reset(token)
-    if held and rho is not None:
-        log.warning(
-            "%s at alpha=%g..%g (inverting rho=%g): %d alpha values found more than one "
-            "crossing; kept the largest violated rate for each",
-            bound.value, min(held), max(held), rho, len(held),
-        )
+    return report if report is not None else _bisect(deficit, crossings, bracket)
 
 
 def _bisect(deficit, crossings: int, bracket) -> ImplicitSolveReport:
@@ -256,6 +208,75 @@ def _bisect(deficit, crossings: int, bracket) -> ImplicitSolveReport:
         else:
             hi = mid
     return ImplicitSolveReport(lo, crossings, (lo, hi), deficit(lo))
+
+
+# ---------------------------------------------------------------------------
+# Warning records
+# ---------------------------------------------------------------------------
+
+# Each kind of note's line, after "<bound> at alpha=<alpha>: " (but for the last
+# two), from the first note and the count n and range lo..hi of the betas noted.
+_LINES = {
+    "crossings": "implicit solve found {detail} crossings; keeping the largest violated rate",
+    "beta crossings": "{n} beta values found more than one crossing (beta in [{lo:g}, {hi:g}]); "
+    "kept the largest violated rate for each",
+    "skip": "skipping beta={beta:g} ({detail})",
+    "skips": "skipping {n} beta values in [{lo:g}, {hi:g}] (first: {detail})",
+    "cap": "still violated at the scan cap rho={detail:g}; the bound is at least the cap",
+    "check": "simplified bound {detail[0]:.6g} exceeds solved p6 bound {detail[1]:.6g}",
+    "omitted": "inverting rho={rho:g}: rate omitted ({detail})",
+    "inversion": "at alpha={lo:g}..{hi:g} (inverting rho={rho:g}): {n} alpha values found more "
+    "than one crossing; kept the largest violated rate for each",
+}
+
+_notes: contextvars.ContextVar[list | None] = contextvars.ContextVar("_notes", default=None)
+
+
+def _note(kind: str, alpha: float | None, beta: float | None = None, detail=None) -> None:
+    """Add a note of ``kind`` (a key of ``_LINES``) to the open record, if any."""
+    if (notes := _notes.get()) is not None:
+        notes.append((kind, alpha, beta, detail))
+
+
+@contextlib.contextmanager
+def _record(bound: BoundId | None, rho: float | None = None, notes=()):
+    """Open the record of one evaluation of ``bound`` (also as a decorator), or
+    of one rate ``rho``'s inversion starting with ``notes``; nested in an open
+    record, the block adds to that one, and with ``bound`` None the record is
+    new and only held.  Closed without an error, a record logs one line per
+    kind and alpha, in the order first noted, but one line for the crossings
+    of a rate: the only warnings this module logs."""
+    if bound is not None and (outer := _notes.get()) is not None:
+        yield outer
+        return
+    held = list(notes)
+    token = _notes.set(held)
+    try:
+        yield held
+    finally:
+        _notes.reset(token)
+    groups: dict[tuple, list] = {}
+    for kind, alpha, beta, detail in held if bound is not None else ():
+        if rho is not None and kind.endswith("crossings"):
+            kind, alpha, beta = "inversion", None, alpha
+        groups.setdefault((kind, alpha), []).append((beta, detail))
+    for (kind, alpha), got in groups.items():
+        (beta, detail), spread = got[0], {beta for beta, _ in got}
+        line = _LINES["skips" if kind == "skip" and len(got) > 1 else kind].format(
+            rho=rho, beta=beta, detail=detail, n=len(spread), lo=min(spread), hi=max(spread)
+        )
+        log.warning("%s %s%s", bound.value, "" if alpha is None else f"at alpha={alpha:g}: ", line)
+
+
+def _noted(report: ImplicitSolveReport, alpha: float, beta=None) -> ImplicitSolveReport:
+    """``report``, noting a value at the scan cap, or the several crossings a
+    bisection chose among (at t4's ``beta``)."""
+    if report.diagnostic:
+        _note("cap", alpha, detail=report.rho_lower)
+    elif report.crossings_found > 1:
+        kind = "crossings" if beta is None else "beta crossings"
+        _note(kind, alpha, beta, report.crossings_found)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +316,6 @@ def t3_noiseless_iid(source: SourceParams, alpha: float) -> float:
     _check_args(omega, alpha)
     theta = source.theta
     if theta == 0.0:
-        log.debug("t3: source has no density; noiseless bound degenerates to 0")
         return 0.0
     r_target = rate_R(omega, alpha)
     if r_target == 0.0:
@@ -377,6 +397,7 @@ def _beta_grid(source: SourceParams, alpha: float) -> np.ndarray:
     return np.union1d(grid, kinks) if kinks else grid
 
 
+@_record(None)  # a beta that golden section skips is skipped silently
 def _golden_max(f, lo: float, hi: float):
     """Golden-section maximization to a relative interval of BETA_REFINE_RTOL."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -397,18 +418,18 @@ def _golden_max(f, lo: float, hi: float):
     return x, max(fc, fd)
 
 
+@_record(BoundId.T2_GENIE)
 def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
     """Genie bound for any matrix, maximized over the retained fraction.
 
     Returns the bound and the maximizing retained fraction ``beta_star``.
     """
-    omega = source.omega
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_args(omega, alpha)
+    _check_args(source.omega, alpha)
 
-    def objective(beta, bound=None):
-        if (row := _genie_row(source, alpha, beta, bound)) is None:
+    def objective(beta):
+        if (row := _genie_row(source, alpha, beta)) is None:
             return -math.inf
         pref, _, v_eff, _, r = row
         # A variance that underflowed to 0 rules out no rate here: 0 errs low.
@@ -418,7 +439,7 @@ def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
 
     # The grid maximum, refined by golden section over its neighbours.
     grid = _beta_grid(source, alpha)
-    values = np.array([objective(b, BoundId.T2_GENIE) for b in grid])
+    values = np.array([objective(b) for b in grid])
     best = int(np.argmax(values))
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
     beta_star, val = _golden_max(objective, lo, hi)
@@ -446,6 +467,7 @@ def _genie_deficit(pref, om_b, v_eff, vh_eff, r_target):
     return lambda rho: info_G(rho / pref, v_eff) - r_target - om_t * info_V(rho / om_b, vh_eff)
 
 
+@_record(BoundId.P4_IID)
 def p4_iid(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     """Log-determinant bound for i.i.d. matrices (unique crossing)."""
     _check_args(source.omega, alpha)
@@ -455,9 +477,10 @@ def p4_iid(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     if r_target == 0.0:
         return _ZERO_REPORT
     deficit = _genie_deficit(1.0, source.omega, source.variance, 0.0, r_target)
-    return _solve_implicit(deficit, source.omega, BoundId.P4_IID, alpha)
+    return _noted(_solve_implicit(deficit, source.omega), alpha)
 
 
+@_record(BoundId.P5_IID_GAUSSIAN)
 def p5_gaussian(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     """Strengthened i.i.d. bound when the values are Gaussian."""
     _check_args(source.omega, alpha)
@@ -473,9 +496,10 @@ def p5_gaussian(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     def deficit(rho):
         return info_G(rho, v) - r_target - omega * info_G(rho / omega, cond_gamma)
 
-    return _solve_implicit(deficit, omega, BoundId.P5_IID_GAUSSIAN, alpha)
+    return _noted(_solve_implicit(deficit, omega), alpha)
 
 
+@_record(BoundId.P6_IID_ENTROPY)
 def p6_entropy(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     """Entropy-power strengthened i.i.d. bound for any density.
 
@@ -490,13 +514,10 @@ def p6_entropy(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     if r_target == 0.0:
         return _ZERO_REPORT
     deficit = _genie_deficit(1.0, omega, source.variance, source.entropy_power, r_target)
-    report = _solve_implicit(deficit, omega, BoundId.P6_IID_ENTROPY, alpha)
+    report = _noted(_solve_implicit(deficit, omega), alpha)
     simple = s_cor_thm2(source, alpha)
     if simple > report.rho_lower * (1.0 + 1e-9) + 1e-12:
-        log.warning(
-            "%s at alpha=%g: simplified bound %.6g exceeds solved p6 bound %.6g",
-            BoundId.P6_IID_ENTROPY.value, alpha, simple, report.rho_lower,
-        )
+        _note("check", alpha, detail=(simple, report.rho_lower))
     return report
 
 
@@ -518,22 +539,16 @@ def s_cor_thm2(source: SourceParams, alpha: float) -> float:
     return 2.0 * r / (big_l - c)
 
 
-def _genie_row(
-    source: SourceParams, alpha: float, beta: float, bound: BoundId | None = None
-) -> tuple | None:
+def _genie_row(source: SourceParams, alpha: float, beta: float) -> tuple | None:
     """The genie parameters at one retained fraction (those of
     :func:`_genie_params`), then the target rate: the arguments of
-    :func:`_genie_deficit`, and of t2's objective.
-
-    None when they cannot be computed at this ``beta``, which t2 and t4 then
-    skip; with a ``bound``, the skip is logged naming it, ``alpha`` and ``beta``.
-    """
+    :func:`_genie_deficit`, and of t2's objective.  None, and a note, when
+    they cannot be computed at this ``beta``, which t2 and t4 then skip."""
     try:
         pref, om_b, v_eff, vh_eff = _genie_params(source, beta)
         return pref, om_b, v_eff, vh_eff, rate_R(om_b / pref, min(alpha / beta, 1.0))
     except (ValueError, ArithmeticError) as exc:
-        if bound is not None:
-            log.warning("%s at alpha=%g: skipping beta=%g (%s)", bound.value, alpha, beta, exc)
+        _note("skip", alpha, beta, exc)
         return None
 
 
@@ -569,6 +584,7 @@ def _top_down_pass(params, omega: float) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(len(params)), np.zeros(len(params))
 
 
+@_record(BoundId.T4_IID_GENIE)
 def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveReport, float]:
     """Genie-aided entropy-power bound for i.i.d. matrices.
 
@@ -581,7 +597,7 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     golden section over the neighbouring grid points finds the beta most
     violated at the best rate so far, and a full solve there replaces that
     rate only if larger, at most BETA_REFINE_ROUNDS times, while the rate
-    rises.  The multi-crossing warning counts the solves with several crossings.
+    rises.
     """
     omega = source.omega
     if not 0.0 < alpha < 1.0:
@@ -589,19 +605,14 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     _check_args(omega, alpha)
     if rate_R(omega, alpha) == 0.0:  # every beta's target rate is 0 as well
         return _ZERO_REPORT, alpha
-    bound = BoundId.T4_IID_GENIE
-    multi: set[float] = set()  # beta values whose solve found several crossings
 
     def solve(beta, params):
         if params[4] == 0.0 and params[3] == 0.0:  # no rate needed and no density
             return _ZERO_REPORT
-        report = _solve_implicit(_genie_deficit(*params), omega)
-        if report.crossings_found > 1:
-            multi.add(float(beta))
-        return report
+        return _noted(_solve_implicit(_genie_deficit(*params), omega), alpha, beta)
 
     grid = _beta_grid(source, alpha)
-    rows = ((i, _genie_row(source, alpha, beta, bound)) for i, beta in enumerate(grid))
+    rows = ((i, _genie_row(source, alpha, beta)) for i, beta in enumerate(grid))
     params = {i: p for i, p in rows if p is not None}
     live = [i for i, p in params.items() if p[4] != 0.0 or p[3] != 0.0]
     # Each row's solved rate lies in [values, upper]: 0 for a zero row, -inf
@@ -632,20 +643,12 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
         if report is None or report.rho_lower == 0.0 or report.diagnostic:
             break
         beta, _ = _golden_max(functools.partial(violation, rho=report.rho_lower), lo, hi)
-        if beta == beta_star or (found := _genie_row(source, alpha, beta, bound)) is None:
+        if beta == beta_star or (found := _genie_row(source, alpha, beta)) is None:
             break
         solved = solve(beta, found)
         if not solved.rho_lower > report.rho_lower:
             break
         report, beta_star = solved, float(beta)
-    if multi:
-        _warn_crossings(
-            bound,
-            alpha,
-            "%d beta values found more than one crossing "
-            "(beta in [%g, %g]); kept the largest violated rate for each",
-            len(multi), min(multi), max(multi),
-        )
     return report, beta_star
 
 
@@ -775,44 +778,37 @@ def best_lower(
     return best_val, best_id
 
 
-def alpha_curve(
-    source: SourceParams,
-    bound: BoundId,
-    rho_grid: list[float],
-) -> BoundCurve:
+def alpha_curve(source: SourceParams, bound: BoundId, rho_grid: list[float]) -> BoundCurve:
     """Invert a bound to distortion-versus-rate: for each rate, the smallest
     distortion whose bound does not exceed it.
 
-    Distortions are searched in ``[ALPHA_FLOOR, 1)``.  Rates where the bound
-    fails to be monotone across the bisection bracket are omitted with a
-    diagnostic entry in ``solver_meta``.  A NaN, infinite or negative rate
-    raises ValueError before anything is evaluated.  The
-    multi-crossing warnings of one rate's inversion are logged as one line
-    naming the bound, the rate, their count and their alpha range.
+    Distortions are searched in ``[ALPHA_FLOOR, 1)``.  A rate that no alpha
+    there meets, or where the bound is not monotone across that bracket, is
+    omitted, with its reason in ``solver_meta``.  A NaN, infinite or negative
+    rate raises ValueError before anything is evaluated.  The warnings of one
+    rate's inversion, those of the bracket ends included, form one record.
     """
-    bad = [rho for rho in rho_grid if not 0.0 <= rho < math.inf]
-    if bad:
+    if bad := [rho for rho in rho_grid if not 0.0 <= rho < math.inf]:
         raise ValueError(f"rates must be finite and nonnegative, got {bad[0]}")
     points: list[tuple[float, float]] = []
     meta: dict = {"omitted": [], "alpha_floor": ALPHA_FLOOR, "beta_star": {}}
     if not rho_grid:
         return BoundCurve(bound, source, "alpha_vs_rho", points, meta)
-    # The bracket ends serve every rate; each rate's summary counts their warnings.
-    with _crossing_summary(bound, None) as ends_held:
+    # The bracket ends serve every rate; each rate's record starts with their notes.
+    with _record(None) as ends:
         val_lo, _ = evaluate_bound(source, bound, ALPHA_FLOOR)
         val_hi, beta_hi = evaluate_bound(source, bound, 1.0 - 1e-9)
+    rises = val_lo < val_hi
     for rho in sorted(rho_grid):
-        with _crossing_summary(bound, rho) as held:
-            held |= ends_held
+        with _record(bound, rho, ends):
             lo, hi, beta = ALPHA_FLOOR, 1.0 - 1e-9, beta_hi
-            if val_lo < val_hi:
-                meta["omitted"].append((rho, "non-monotone bracket"))
+            if rises or val_hi > rho:  # or val_lo >= val_hi > rho: no alpha meets rho
+                reason = "non-monotone bracket" if rises else "bound exceeds rho on full range"
+                meta["omitted"].append((rho, reason))
+                _note("omitted", None, detail=reason)
                 continue
             if val_lo <= rho:
                 points.append((rho, 0.0))
-                continue
-            if val_hi > rho:
-                meta["omitted"].append((rho, "bound exceeds rho on full range"))
                 continue
             for _ in range(60):
                 mid = 0.5 * (lo + hi)

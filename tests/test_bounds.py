@@ -972,7 +972,7 @@ def test_alpha_curve_evaluates_the_bracket_ends_once(monkeypatch, caplog):
     def counting(source, bound, alpha):
         calls.append(alpha)
         if alpha in ends:
-            bd._warn_crossings(bound, alpha, "found %d crossings", 2)
+            bd._note("crossings", alpha, detail=2)
         return evaluate(source, bound, alpha)
 
     monkeypatch.setattr(bd, "evaluate_bound", counting)

@@ -253,19 +253,81 @@ def test_t2_skips_a_beta_whose_variance_underflows(tmp_path, monkeypatch, capsys
 
 def test_genie_bounds_skip_a_beta_whose_cut_fails(tmp_path, monkeypatch, caplog):
     # At alpha = 1e-300 the Gaussian cut of beta = alpha takes log(0); t2 and
-    # t4 skip that beta, with one line each, and still give a rate.
+    # t4 skip that beta, with one line each, and still give a rate.  t4's rate
+    # there is the scan cap, which its own line names.
     monkeypatch.chdir(tmp_path)
     argv = ["bounds", "--bounds", "t2_genie,t4_iid_genie", "--grid", "1e-300:1e-299:2",
             "--out", "b.csv"]
     with caplog.at_level("WARNING", logger="srdbounds.bounds"):
         assert run_cli(argv) == 0
+    cap = "still violated at the scan cap rho=1e+09; the bound is at least the cap"
     assert [r.getMessage() for r in caplog.records] == [
-        f"{bound} at alpha={alpha}: skipping beta={alpha} (math domain error)"
-        for bound in ("t2_genie", "t4_iid_genie") for alpha in ("1e-300", "1e-299")
+        f"t2_genie at alpha={alpha}: skipping beta={alpha} (math domain error)"
+        for alpha in ("1e-300", "1e-299")
+    ] + [
+        line
+        for alpha in ("1e-300", "1e-299")
+        for line in (
+            f"t4_iid_genie at alpha={alpha}: skipping beta={alpha} (math domain error)",
+            f"t4_iid_genie at alpha={alpha}: {cap}",
+        )
     ]
     rows = read_csv(tmp_path / "b.csv")[1:]
     assert [row[0] for row in rows] == ["t2_genie"] * 2 + ["t4_iid_genie"] * 2
     assert all(0.0 < float(row[2]) < float("inf") for row in rows)
+
+
+def test_genie_bounds_fold_their_skipped_betas_into_one_line(tmp_path, monkeypatch, caplog):
+    # A nonzero-mean Gaussian cuts no beta below 1: every other grid beta of t2
+    # and t4 (and t4's refined one) is skipped, one line per bound and alpha.
+    monkeypatch.chdir(tmp_path)
+    argv = ["bounds", "--dist", "gaussian", "--mean", "1.0", "--bounds", "t4_iid_genie,t2_genie",
+            "--grid", "0.1:0.2:2", "--out", "b.csv"]
+    with caplog.at_level("WARNING", logger="srdbounds.bounds"):
+        assert run_cli(argv) == 0
+    error = "closed-form truncation requires a zero-mean Gaussian"
+    assert [r.getMessage() for r in caplog.records] == [
+        f"t4_iid_genie at alpha=0.1: skipping 200 beta values in [0.1, 1] (first: {error})",
+        f"t4_iid_genie at alpha=0.2: skipping 200 beta values in [0.2, 1] (first: {error})",
+        f"t2_genie at alpha=0.1: skipping 199 beta values in [0.1, 0.90162] (first: {error})",
+        f"t2_genie at alpha=0.2: skipping 199 beta values in [0.2, 0.915475] (first: {error})",
+    ]
+    assert (tmp_path / "b.csv").read_text() == (
+        "bound,alpha,rho,beta_star\n"
+        "t4_iid_genie,0.1,0.000876440933273,1\n"
+        "t4_iid_genie,0.2,0.000762970605793,1\n"
+        "t2_genie,0.1,0.000720138958576,1\n"
+        "t2_genie,0.2,0.000612711791902,1\n"
+    )
+
+
+def test_inversion_names_an_omitted_rate(tmp_path, monkeypatch, caplog):
+    # No alpha brings p3 down to rho = 1e-20 at omega = 1e-10, so that rate
+    # has no row; one line names the bound, the rate and the reason.
+    monkeypatch.chdir(tmp_path)
+    argv = ["bounds", "--invert", "--omega", "1e-10", "--bounds", "p3_general",
+            "--grid", "1e-20:1e-11:3:log", "--out", "b.csv"]
+    with caplog.at_level("WARNING", logger="srdbounds.bounds"):
+        assert run_cli(argv) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "p3_general inverting rho=1e-20: rate omitted (bound exceeds rho on full range)"
+    ]
+    assert [row[1] for row in read_csv(tmp_path / "b.csv")[1:]] == ["3.16227766017e-16", "1e-11"]
+
+
+def test_t4_names_a_value_at_the_scan_cap(tmp_path, monkeypatch, caplog):
+    # At these alphas t4 is still violated where its scan stops, so the value
+    # written is the cap itself, a lower bound; one line per alpha says so.
+    monkeypatch.chdir(tmp_path)
+    argv = ["bounds", "--bounds", "t4_iid_genie", "--grid", "1e-9:1e-7:2:log", "--out", "b.csv"]
+    with caplog.at_level("WARNING", logger="srdbounds.bounds"):
+        assert run_cli(argv) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"t4_iid_genie at alpha={alpha}: still violated at the scan cap rho=1e+09; "
+        "the bound is at least the cap"
+        for alpha in ("1e-09", "1e-07")
+    ]
+    assert [row[2] for row in read_csv(tmp_path / "b.csv")[1:]] == ["1000000000"] * 2
 
 
 def test_evaluator_error_names_the_bound_and_alpha(tmp_path, monkeypatch, capsys):

@@ -476,3 +476,21 @@ def test_only_the_oracles_and_is_gaussian_ask_for_a_family():
         for scope in _family_isinstance_scopes(ast.parse(path.read_text())):
             scopes.setdefault(scope, []).append(path.name)
     assert set(scopes) == FAMILY_CHECKS_ALLOWED, scopes
+
+
+def test_bounds_warns_only_from_its_record():
+    # Every warning of the bound module leaves through one writer, the record,
+    # and nothing else there logs.
+    tree = ast.parse(Path(srdbounds.bounds.__file__).read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and (node.func.attr in {"warning", "warn"} or ast.unparse(node.func.value) == "log")
+    ]
+    (record,) = [node for node in tree.body if getattr(node, "name", None) == "_record"]
+    assert len(calls) == 1 and calls[0] in list(ast.walk(record))
+    # Nor does the module define or use the paths the record replaced.
+    names = {getattr(node, "name", getattr(node, "id", None)) for node in ast.walk(tree)}
+    assert not names & {"_held_crossings", "_warn_crossings", "_crossing_summary"}
