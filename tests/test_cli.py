@@ -278,8 +278,8 @@ def test_genie_bounds_skip_a_beta_whose_cut_fails(tmp_path, monkeypatch, caplog)
 
 
 def test_genie_bounds_fold_their_skipped_betas_into_one_line(tmp_path, monkeypatch, caplog):
-    # A nonzero-mean Gaussian cuts no beta below 1: every other grid beta of t2
-    # and t4 (and t4's refined one) is skipped, one line per bound and alpha.
+    # A nonzero-mean Gaussian cuts no beta below 1: each such grid beta of t2
+    # and t4 (and t4's refined one) is skipped, in one line per bound and alpha.
     monkeypatch.chdir(tmp_path)
     argv = ["bounds", "--dist", "gaussian", "--mean", "1.0", "--bounds", "t4_iid_genie,t2_genie",
             "--grid", "0.1:0.2:2", "--out", "b.csv"]
