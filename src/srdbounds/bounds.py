@@ -215,7 +215,7 @@ def _bisect(deficit, crossings: int, bracket) -> ImplicitSolveReport:
 # ---------------------------------------------------------------------------
 
 # Each kind of note's line, after "<bound> at alpha=<alpha>: " (but for the last
-# two), from the first note and the count n and range lo..hi of the betas noted.
+# three), from the first note and the count n and range lo..hi of the betas noted.
 _LINES = {
     "crossings": "implicit solve found {detail} crossings; keeping the largest violated rate",
     "beta crossings": "{n} beta values found more than one crossing (beta in [{lo:g}, {hi:g}]); "
@@ -227,7 +227,11 @@ _LINES = {
     "omitted": "inverting rho={rho:g}: rate omitted ({detail})",
     "inversion": "at alpha={lo:g}..{hi:g} (inverting rho={rho:g}): {n} alpha values found more "
     "than one crossing; kept the largest violated rate for each",
+    "inversion skips": "at alpha={lo:g}..{hi:g} (inverting rho={rho:g}): skipping beta values "
+    "at {n} alpha values (first: {detail})",
 }
+# In a rate's inversion, these kinds fold over alpha into one line of the kind named.
+_OVER_ALPHA = {"crossings": "inversion", "beta crossings": "inversion", "skip": "inversion skips"}
 
 _notes: contextvars.ContextVar[list | None] = contextvars.ContextVar("_notes", default=None)
 
@@ -244,8 +248,8 @@ def _record(bound: BoundId | None, rho: float | None = None, notes=()):
     of one rate ``rho``'s inversion starting with ``notes``; nested in an open
     record, the block adds to that one, and with ``bound`` None the record is
     new and only held.  Closed without an error, a record logs one line per
-    kind and alpha, in the order first noted, but one line for the crossings
-    of a rate: the only warnings this module logs."""
+    kind and alpha, in the order first noted (a rate's crossings and skipped
+    betas fold over alpha): the only warnings this module logs."""
     if bound is not None and (outer := _notes.get()) is not None:
         yield outer
         return
@@ -257,8 +261,8 @@ def _record(bound: BoundId | None, rho: float | None = None, notes=()):
         _notes.reset(token)
     groups: dict[tuple, list] = {}
     for kind, alpha, beta, detail in held if bound is not None else ():
-        if rho is not None and kind.endswith("crossings"):
-            kind, alpha, beta = "inversion", None, alpha
+        if rho is not None and kind in _OVER_ALPHA:
+            kind, alpha, beta = _OVER_ALPHA[kind], None, alpha
         groups.setdefault((kind, alpha), []).append((beta, detail))
     for (kind, alpha), got in groups.items():
         (beta, detail), spread = got[0], {beta for beta, _ in got}

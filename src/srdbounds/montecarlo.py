@@ -4,9 +4,14 @@ Random-matrix log-determinant and determinant-power limits, rank-deficiency
 decay for discrete matrix entries, exact pattern-counting with covering-number
 brackets, and the truncated-power ratio scan, plus the support enumeration
 (a lexicographic prefix tree) and the one-column Gram-Schmidt span step that
-every exhaustive search shares.  Per-trial randomness comes from a counter-based generator keyed by
-the (seed, trial) pair.
-"""
+every exhaustive search shares.  Per-trial randomness comes from a
+counter-based generator keyed by the (seed, trial) pair.
+
+Both random-matrix limits sample through one loop, ``_sampled_logdets``: it
+draws each trial's matrix, forms its smaller Gram, and takes each target's
+log-determinant from one Cholesky factor.  A draw whose factor raises or whose
+log-determinant is not finite is rejected, and that target takes the trial's
+next draw."""
 
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from .ratefun import info_G
 
 _CHUNK_BYTES = 1 << 22  # covering_bracket's overlap blocks and gain updates
 _TABLE_ENTRIES = 1 << 26  # covering_bracket's neighbour table: 256 MB of int32
-_MATRIX_ENTRIES = 1 << 24  # mp_logdet and det_power: 128 MB of float64 per draw
+_MATRIX_ENTRIES = 1 << 24  # _sampled_logdets: 128 MB of float64 per draw
 _RANK_RTOL = 1e-8  # a column this close to its span, relative to its norm, adds nothing
 # Tree nodes or supports handled per step of a search: the temporaries are
 # then small enough for the allocator to reuse, instead of paging in fresh
@@ -103,67 +108,68 @@ def _check_matrix_budget(config: MCConfig) -> None:
         )
 
 
-def _shifted_logdet(gram: np.ndarray, scale: float) -> float:
-    """log det(I + scale * gram) through a Cholesky factor."""
-    shifted = scale * gram
-    shifted[np.diag_indices_from(shifted)] += 1.0
-    chol = np.linalg.cholesky(shifted)
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+def _sampled_logdets(config: MCConfig, targets) -> tuple[np.ndarray, list[int]]:
+    """log det(shift I + scale G) for each (shift, scale) of ``targets``, one
+    per trial, with G the smaller Gram of the trial's draw (M^T M at m = n);
+    returns them as a (target, trial) array, and each target's rejected draws.
 
-
-def _mp_logdets(config: MCConfig, gammas: tuple[float, ...]) -> list[MCEstimate]:
-    """:func:`mp_logdet` at each of ``gammas`` in turn (``config.gamma`` is
-    ignored), with each matrix drawn and its Gram formed once for all of them.
-
-    Per trial, every gamma still pending tries each new draw of the trial's
-    stream; a gamma whose Cholesky fails or whose log-determinant is not
-    finite waits for the next draw, exactly as a one-gamma run would, so each
-    estimate equals ``mp_logdet`` at that gamma, rejections included.
+    Each draw and its Gram serve every pending target.  A target whose factor
+    raises or whose log-determinant is not finite waits for the trial's next
+    draw, so its values equal a one-target run's.  A matrix of more than 2**24
+    entries raises BudgetError before the first draw.
     """
     _check_matrix_budget(config)
     n, m = config.n, config.m
-    values = np.empty((len(gammas), config.trials))
-    rejected = [0] * len(gammas)
+    values = np.empty((len(targets), config.trials))
+    rejected = [0] * len(targets)
     for trial in range(config.trials):
         rng = trial_rng(config.seed, trial)
-        pending = list(range(len(gammas)))
+        pending = list(range(len(targets)))
         while pending:
             mat = rng.standard_normal((m, n))
-            # The smaller Gram orientation has the same log-determinant.
-            gram = mat @ mat.T if m <= n else mat.T @ mat
+            # At shift 1 both orientations have one log-determinant; shift 0 needs m >= n.
+            gram = mat @ mat.T if m < n else mat.T @ mat
             waiting = []
-            for g in pending:
+            for t in pending:
+                shift, scale = targets[t]
+                shifted = scale * gram
+                shifted[np.diag_indices_from(shifted)] += shift
                 try:
-                    val = _shifted_logdet(gram, gammas[g] / n)
+                    with np.errstate(divide="ignore", invalid="ignore"):  # refused below
+                        val = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(shifted)))))
                 except np.linalg.LinAlgError:
                     val = math.nan
-                if math.isfinite(val):
-                    values[g, trial] = val / (2.0 * n)
-                else:
-                    rejected[g] += 1
-                    waiting.append(g)
+                values[t, trial] = val
+                if not math.isfinite(val):
+                    rejected[t] += 1
+                    waiting.append(t)
             pending = waiting
+    return values, rejected
+
+
+def _mp_logdets(config: MCConfig, gammas: tuple[float, ...]) -> list[MCEstimate]:
+    """:func:`mp_logdet` at each of ``gammas`` (``config.gamma`` is ignored),
+    each a target of one :func:`_sampled_logdets` run."""
+    n, m = config.n, config.m
+    logdets, rejected = _sampled_logdets(config, [(1.0, gamma / n) for gamma in gammas])
     return [
-        _estimate(values[g], info_G(m / n, gamma), rejected[g])
+        _estimate(logdets[g] / (2.0 * n), info_G(m / n, gamma), rejected[g])
         for g, gamma in enumerate(gammas)
     ]
 
 
 def mp_logdet(config: MCConfig) -> MCEstimate:
     """Sample (1/2n) log det(I + (gamma/n) M M^T) for i.i.d. standard Gaussian
-    M and compare with the asymptotic log-determinant rate.  A matrix of more
-    than 2**24 entries raises BudgetError before the first draw."""
+    M and compare with the asymptotic log-determinant rate.  Draws, rejections
+    and the matrix budget are :func:`_sampled_logdets`'s, at shift 1 and scale
+    gamma/n."""
     return _mp_logdets(config, (config.gamma,))[0]
 
 
 def det_power(config: MCConfig) -> MCEstimate:
     """Sample |(1/m) M^T M|^(1/n) in the log domain and compare with its
-    almost-sure limit, defined for r >= 1.  The log-determinant of the Gram
-    M^T M is twice the sum of the logs of its Cholesky factor's diagonal; a
-    draw whose factorization fails, or whose diagonal is not finite and
-    positive, is redrawn from the trial's stream and counted in
-    ``rejected``.  A matrix of more than 2**24 entries raises BudgetError
-    before the first draw."""
+    almost-sure limit, defined for r >= 1.  Draws, rejections and the matrix
+    budget are :func:`_sampled_logdets`'s, at shift 0 and scale 1."""
     n, m = config.n, config.m
     r = m / n
     if r < 1.0:
@@ -172,24 +178,9 @@ def det_power(config: MCConfig) -> MCEstimate:
         target = 1.0 / math.e
     else:
         target = (r / (r - 1.0)) ** (r - 1.0) / math.e
-    _check_matrix_budget(config)
-    values = np.empty(config.trials)
-    rejected = 0
-    for trial in range(config.trials):
-        rng = trial_rng(config.seed, trial)
-        while True:
-            mat = rng.standard_normal((m, n))
-            try:
-                diag = np.diag(np.linalg.cholesky(mat.T @ mat))
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                if np.all(diag > 0) and np.all(np.isfinite(diag)):
-                    break
-            rejected += 1
-        logdet = 2.0 * float(np.sum(np.log(diag))) - n * math.log(m)
-        values[trial] = math.exp(logdet / n)
-    return _estimate(values, target, rejected)
+    (logdets,), (rejected,) = _sampled_logdets(config, [(0.0, 1.0)])
+    values = [math.exp((logdet - n * math.log(m)) / n) for logdet in logdets]
+    return _estimate(np.array(values), target, rejected)
 
 
 # ---------------------------------------------------------------------------

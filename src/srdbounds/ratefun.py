@@ -37,14 +37,16 @@ def binary_entropy(p: float) -> float:
 
 def rate_R(omega: float, alpha: float) -> float:
     """Nats per dimension needed to encode a sparsity pattern of rate ``omega``
-    to within relative-overlap distortion ``alpha``."""
+    to within relative-overlap distortion ``alpha``; clamped at 0, as the
+    entropies cancel to a round-off of either sign just below ``1 - omega``."""
     _check_args(omega, alpha)
     if alpha >= 1.0 - omega:
         return 0.0
-    return (
+    return max(
+        0.0,
         binary_entropy(omega)
         - omega * binary_entropy(alpha)
-        - (1.0 - omega) * binary_entropy(omega * alpha / (1.0 - omega))
+        - (1.0 - omega) * binary_entropy(omega * alpha / (1.0 - omega)),
     )
 
 

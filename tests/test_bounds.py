@@ -282,6 +282,32 @@ def test_t4_zero_when_distortion_saturates():
     assert rep.rho_lower == 0.0
 
 
+def test_t4_solves_its_zero_row_when_no_row_is_negative():
+    # Just below alpha = 1 - omega every target rate is under 1e-12, so no row
+    # of this density-free source is negative on the rate grid.  t4 then
+    # solves the grid's argmax, its beta = alpha row, which needs no rate.
+    src = bd.source_at_snr(PointMass(0.2, 1.0, limit=True), 0.1, 10.0)
+    alpha = 0.9 * (1.0 - 1e-6)
+    assert rate_R(src.omega, alpha) > 0.0  # not t4's early return
+    rep, beta_star = bd.t4_genie_iid(src, alpha)
+    assert rep is bd._ZERO_REPORT and beta_star == alpha
+    # Every i.i.d.-only bound reads 0 here, so p3 leads, at about 4.2e-13.
+    assert bd.best_lower(src, alpha, "iid") == (bd.p3_general(src, alpha), BoundId.P3_GENERAL)
+
+
+@pytest.mark.parametrize("omega", [1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5])
+def test_rates_stay_nonnegative_just_below_the_saturating_alpha(omega):
+    # The three entropies of rate_R cancel just below alpha = 1 - omega; their
+    # round-off, clamped at 0, must not make a bound negative.
+    src = gaussian_source(omega, 10.0)
+    alpha = 1.0 - omega
+    for _ in range(64):
+        alpha = math.nextafter(alpha, 0.0)
+        assert rate_R(omega, alpha) >= 0.0
+        for bound in (bd.p3_general, bd.s_cor_thm2, bd.s_noiseless_simple):
+            assert bound(src, alpha) >= 0.0
+
+
 def _solve_t4_row(source, alpha, beta):
     """t4's deficit at one beta, solved alone by scalar bisection; None when
     the genie parameters cannot be computed."""

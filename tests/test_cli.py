@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import srdbounds
-from srdbounds.cli import GRID_MAX_POINTS, _coerce, _parse_grid, _sliced_from_eta, main
+from srdbounds.cli import GRID_MAX_POINTS, _coerce, _fmt, _parse_grid, _sliced_from_eta, main
+from srdbounds.distributions import PointMass, truncate
 from srdbounds.montecarlo import BudgetError
 
 
@@ -301,6 +302,28 @@ def test_genie_bounds_fold_their_skipped_betas_into_one_line(tmp_path, monkeypat
     )
 
 
+def test_inversion_folds_skipped_betas_into_one_line_per_rate(tmp_path, monkeypatch, caplog):
+    # In an inversion the skipped betas of every alpha tried, the bracket
+    # ends' included, fold into one line per rate.
+    monkeypatch.chdir(tmp_path)
+    argv = ["bounds", "--invert", "--dist", "gaussian", "--mean", "1.0", "--bounds", "t2_genie",
+            "--grid", "1e-4:1e-3:3:log", "--out", "b.csv"]
+    with caplog.at_level("WARNING", logger="srdbounds.bounds"):
+        assert run_cli(argv) == 0
+    error = "closed-form truncation requires a zero-mean Gaussian"
+    assert [r.getMessage() for r in caplog.records] == [
+        f"t2_genie at alpha=1e-06..1 (inverting rho={rho}): skipping beta values at {n} alpha "
+        f"values (first: {error})"
+        for rho, n in [("0.0001", 55), ("0.000316228", 55), ("0.001", 2)]
+    ]
+    assert (tmp_path / "b.csv").read_text() == (
+        "bound,rho,alpha,beta_star\n"
+        "t2_genie,0.0001,0.820618359879,1\n"
+        "t2_genie,0.000316227766017,0.527915131095,1\n"
+        "t2_genie,0.001,0,\n"
+    )
+
+
 def test_inversion_names_an_omitted_rate(tmp_path, monkeypatch, caplog):
     # No alpha brings p3 down to rho = 1e-20 at omega = 1e-10, so that rate
     # has no row; one line names the bound, the rate and the reason.
@@ -404,6 +427,26 @@ def test_config_equals_form_is_read(tmp_path):
     out = tmp_path / "tab.csv"
     assert run_cli([f"--config={cfg}", "truncate-table", "--out", str(out)]) == 0
     assert len(read_csv(out)) == 1 + 2
+
+
+@pytest.mark.parametrize(
+    "flags,dist",
+    [
+        ([], PointMass(0.2, 1.0, limit=True)),
+        (["--eps-mass", "0.1"], PointMass(0.2, 1.0, outer_mass=0.1)),
+    ],
+    ids=["limit", "eps-mass"],
+)
+def test_truncate_table_of_a_point_mass(tmp_path, flags, dist):
+    # --eta defaults to 0.2; without --eps-mass the outer atoms' mass vanishes.
+    out = tmp_path / "tab.csv"
+    grid = "0.05:1:20"  # reaches the kink at 0.9 and beta = 1
+    assert run_cli(["truncate-table", "--dist", "pointmass", *flags, "--grid", grid,
+                    "--out", str(out)]) == 0
+    cuts = [truncate(dist, float(beta)) for beta in _parse_grid(grid)]
+    rows = [[_fmt(v) for v in (t.beta, t.threshold, t.mean, t.variance, t.diff_entropy)]
+            for t in cuts]
+    assert read_csv(out) == [["beta", "threshold", "mean", "variance", "diff_entropy"], *rows]
 
 
 def test_bounds_uniform_ratio_flag(tmp_path):

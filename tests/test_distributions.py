@@ -171,6 +171,12 @@ def test_pointmass_mixture_regime_exact():
     assert tr.variance == pytest.approx(oracle.result.variance, rel=1e-14)
 
 
+@pytest.mark.parametrize("beta", [0.05, 0.5, 1.0])
+def test_pointmass_limit_oracle_matches_truncate(beta):
+    dist = PointMass(0.2, 1.0, limit=True)
+    assert truncate_oracle(dist, beta, "quadrature").result == truncate(dist, beta)
+
+
 def test_pointmass_limit_all_mass_at_floor():
     dist = PointMass(0.2, 1.0, limit=True)
     for beta in (0.01, 0.5, 0.999):
@@ -494,3 +500,17 @@ def test_bounds_warns_only_from_its_record():
     # Nor does the module define or use the paths the record replaced.
     names = {getattr(node, "name", getattr(node, "id", None)) for node in ast.walk(tree)}
     assert not names & {"_held_crossings", "_warn_crossings", "_crossing_summary"}
+
+
+def test_montecarlo_factors_in_one_loop():
+    # Both random-matrix limits draw, factor and redraw through one loop: the
+    # module has one Cholesky call, inside it, and no second factor helper.
+    tree = ast.parse(Path(srdbounds.montecarlo.__file__).read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("cholesky")
+    ]
+    (loop,) = [node for node in tree.body if getattr(node, "name", None) == "_sampled_logdets"]
+    assert len(calls) == 1 and calls[0] in list(ast.walk(loop))
+    assert "_shifted_logdet" not in {getattr(node, "name", None) for node in ast.walk(tree)}
