@@ -10,10 +10,10 @@ is written once: the rate functions of ``ratefun`` take a float or an array,
 so the same deficit scans the grid as an array and bisects one float at a
 time.  p4, p6 and the genie-aided i.i.d. bound t4 share one deficit: p6 is t4
 at ``beta = 1``, where the genie reveals nothing, and p4 is p6 without a
-density.  t4 sweeps 200 retained fractions ``beta`` in one top-down pass,
-solves only the rows that can hold the maximum, and refines the best by the
-envelope condition.  A NaN or infinite deficit on any rate a scan reads is
-refused.
+density.  t4 sweeps 200 retained fractions ``beta`` in one top-down pass that
+skips each chunk of rates a monotone interval bound clears, solves only the
+rows that can hold the maximum, and refines the best by the envelope
+condition.  A NaN or infinite deficit on any rate a scan reads is refused.
 
 Warnings leave by one route.  Each evaluation of p4, p5, p6, t2 or t4, and
 each rate ``alpha_curve`` inverts, opens a record (``_record``); every warning
@@ -50,7 +50,9 @@ RHO_GRID_FLOOR = 1e-8
 RHO_RANGE_CAP = 1e9
 BISECTION_STEPS = 80
 BETA_GRID_POINTS = 200
-TOP_PASS_POINTS = 64  # t4's top-down pass evaluates this many rates at a time
+TOP_PASS_POINTS = 64  # t4's top-down pass reads this many rates at a time
+MONOTONE_GAMMA = 1e10  # float info_G rises in r where gamma and r*gamma are at most this
+INFO_V_PEAK = 0.79  # info_V rises in r but on [INFO_V_PEAK, 1), where its maximum lies
 BETA_REFINE_RTOL = 1e-6
 BETA_REFINE_ROUNDS = 4  # t4's envelope refinements, each from the last rate found
 ALPHA_FLOOR = 1e-6  # the smallest distortion alpha_curve searches
@@ -234,6 +236,7 @@ _LINES = {
 _OVER_ALPHA = {"crossings": "inversion", "beta crossings": "inversion", "skip": "inversion skips"}
 
 _notes: contextvars.ContextVar[list | None] = contextvars.ContextVar("_notes", default=None)
+_tables: contextvars.ContextVar[dict] = contextvars.ContextVar("_tables")  # set by best_lower
 
 
 def _note(kind: str, alpha: float | None, beta: float | None = None, detail=None) -> None:
@@ -432,8 +435,8 @@ def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     _check_args(source.omega, alpha)
 
-    def objective(beta):
-        if (row := _genie_row(source, alpha, beta)) is None:
+    def value(row):
+        if row is None:
             return -math.inf
         pref, _, v_eff, _, r = row
         # A variance that underflowed to 0 rules out no rate here: 0 errs low.
@@ -442,11 +445,11 @@ def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
         return 2.0 * pref * r / math.log1p(v_eff)
 
     # The grid maximum, refined by golden section over its neighbours.
-    grid = _beta_grid(source, alpha)
-    values = np.array([objective(b) for b in grid])
+    grid, rows = _grid_rows(source, alpha)
+    values = np.array([value(row) for row in rows])
     best = int(np.argmax(values))
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
-    beta_star, val = _golden_max(objective, lo, hi)
+    beta_star, val = _golden_max(lambda beta: value(_genie_row(source, alpha, beta)), lo, hi)
     if values[best] >= val:
         return float(values[best]), float(grid[best])
     return float(val), float(beta_star)
@@ -556,34 +559,60 @@ def _genie_row(source: SourceParams, alpha: float, beta: float) -> tuple | None:
         return None
 
 
+def _grid_rows(source: SourceParams, alpha: float) -> tuple[np.ndarray, list]:
+    """The beta grid and its :func:`_genie_row` rows, noting each skip: built once
+    per ``best_lower`` call (whose t2 and t4 each note the skips), else per call."""
+    if (key := (source, alpha)) not in (tables := _tables.get({})):
+        grid = _beta_grid(source, alpha)
+        with _record(None) as skips:
+            tables[key] = grid, [_genie_row(source, alpha, beta) for beta in grid], skips
+    grid, rows, skips = tables[key]
+    for skip in skips:
+        _note(*skip)
+    return grid, rows
+
+
 def _top_down_pass(params, omega: float) -> tuple[np.ndarray, np.ndarray]:
     """t4's top-down pass over the deficits of ``params`` (one row of
     :func:`_genie_deficit` arguments per beta): the ends of each row's bracket.
 
-    The rows are evaluated as one array on the first rate grid, TOP_PASS_POINTS
-    rates at a time from its end down, up to the first chunk where some row is
-    negative.  Each such row's bracket surrounds its last negative rate (upper
-    end ``inf`` at the grid's end); every other row reads ``-inf``, as its
-    bracket ends at or below that chunk.  If no row is negative anywhere, all
-    read 0.  A NaN or infinite value in a chunk raises NonFiniteDeficitError,
-    naming the lowest rate at which some row is not finite.
+    The first rate grid is read TOP_PASS_POINTS rates at a time from its end
+    down, to the first chunk where some row is negative.  Each such row's
+    bracket surrounds its last negative rate (upper end ``inf`` at the grid's
+    end); every other row reads ``-inf``, or all read 0 if no row is negative.
+    A row is evaluated only on the chunks [a, b] its interval bound does not
+    clear: the deficit's operations on ``info_G`` at a and ``info_V`` at b,
+    above a 1e-12 relative margin, where both rise (gamma and r*gamma of
+    ``info_G`` at most MONOTONE_GAMMA, r of ``info_V`` off [INFO_V_PEAK, 1)).
+    A NaN or infinite value raises NonFiniteDeficitError, naming the lowest
+    rate of the grid at which some row is not finite.
     """
     rates = _rho_grid(_scan_start(omega))
-    # One column per parameter broadcasts the deficit to one row per beta.
-    block = _genie_deficit(*np.array(params).T[:, :, None])
+    stops = np.arange(rates.size, 0, -TOP_PASS_POINTS)
+    lows, tops = rates[np.maximum(stops - TOP_PASS_POINTS, 0)], rates[stops - 1]
+    # One column per parameter broadcasts to one row per beta.
+    pref, om_b, v, vh, r_t = cols = np.array(params).T[:, :, None]
+    with np.errstate(all="ignore"):  # a bound that is not finite clears nothing
+        g, r_v = info_G(lows / pref, v), tops / om_b
+        om_v = om_b / pref * info_V(r_v, vh)
+        rising = (v <= MONOTONE_GAMMA) & (tops / pref * v <= MONOTONE_GAMMA)
+        rising &= (r_v <= INFO_V_PEAK) | (lows / om_b >= 1.0)
+        clear = rising & (g - r_t - om_v > 1e-12 * (abs(g) + r_t + om_v))
     lower, upper = np.full((2, len(params)), -math.inf)
-    for stop in range(rates.size, 0, -TOP_PASS_POINTS):
+    for stop, cleared in zip(stops, clear.T):
+        if not (rows := np.flatnonzero(~cleared)).size:
+            continue
         # A NaN or infinite value is refused here, so numpy need not warn.
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = block(rates[max(stop - TOP_PASS_POINTS, 0) : stop])
+            vals = _genie_deficit(*cols[:, rows])(rates[max(stop - TOP_PASS_POINTS, 0) : stop])
             if not np.isfinite(vals).all():
-                _refuse_non_finite(rates, block(rates))  # names the lowest such rate
+                _refuse_non_finite(rates, _genie_deficit(*cols)(rates))  # the lowest such rate
         neg = vals < 0.0
         hit = neg.any(axis=1)
         if hit.any():
             last = stop - 1 - np.argmax(neg[hit, ::-1], axis=1)  # last negative index
-            lower[hit] = rates[last]
-            upper[hit] = np.append(rates, math.inf)[last + 1]
+            lower[rows[hit]] = rates[last]
+            upper[rows[hit]] = np.append(rates, math.inf)[last + 1]
             return lower, upper
     return np.zeros(len(params)), np.zeros(len(params))
 
@@ -615,9 +644,8 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
             return _ZERO_REPORT
         return _noted(_solve_implicit(_genie_deficit(*params), omega), alpha, beta)
 
-    grid = _beta_grid(source, alpha)
-    rows = ((i, _genie_row(source, alpha, beta)) for i, beta in enumerate(grid))
-    params = {i: p for i, p in rows if p is not None}
+    grid, rows = _grid_rows(source, alpha)
+    params = {i: p for i, p in enumerate(rows) if p is not None}
     live = [i for i, p in params.items() if p[4] != 0.0 or p[3] != 0.0]
     # Each row's solved rate lies in [values, upper]: 0 for a zero row, -inf
     # for a row that is skipped or cannot hold the maximum.
@@ -773,10 +801,12 @@ def best_lower(
         raise ValueError(f"matrix_class must be 'any' or 'iid', got {matrix_class}")
     classes = _MATRIX_CLASSES[matrix_class]
     best_val, best_id = -math.inf, None
+    call = contextvars.copy_context()  # t2 and t4 share one beta-row table in this call
+    call.run(_tables.set, {})
     for bound, row in _BOUNDS.items():
         if row.matrix_class not in classes or not row.applies(source):
             continue
-        val, _ = evaluate_bound(source, bound, alpha)
+        val, _ = call.run(evaluate_bound, source, bound, alpha)
         if val > best_val:
             best_val, best_id = val, bound
     return best_val, best_id

@@ -8,8 +8,9 @@ evaluated with ``math`` or NumPy as the argument's type picks.  A float runs
 ten times faster than NumPy on one value.  An array runs NumPy, broadcasting
 ``r`` against a scalar ``gamma`` or one ``gamma`` per row, which lets a solver
 scan a whole rate grid at once, or a block of grids with one ``gamma`` each
-(t4's top-down pass evaluates one row per retained fraction, 64 rates at a
-time).  Each element of an array goes through the same float operations
+(t4's top-down pass bounds one row per retained fraction at the ends of each
+64-rate chunk, then evaluates on a chunk only the rows its bound does not
+clear).  Each element of an array goes through the same float operations
 whatever the broadcast, so a row of a block is bit-identical to the same row
 scanned alone.  Both evaluations raise the same errors.
 """

@@ -343,6 +343,14 @@ T4_FAMILIES = {
 }
 
 
+BOUND_DOMAIN_FAMILIES = st.one_of(
+    st.just(Gaussian(0.0, 1.0)),
+    st.just(Uniform(math.sqrt(2.3), 1.0)),
+    st.builds(PointMass, st.just(0.2), st.just(1.0), st.floats(1e-3, 0.5)),
+    st.just(_sliced_from_eta(0.2)),
+)
+
+
 T4_SWEEP_CASES = (
     [
         (family, 1e-4, snr, alpha)
@@ -638,6 +646,116 @@ def test_top_down_pass_with_skipped_rows_and_mixed_zero_gamma(monkeypatch, no_va
     assert bool(rep.diagnostic) == no_variance_row
 
 
+def _full_top_down_pass(params, omega):
+    """The top-down pass without interval bounds: every row is evaluated on
+    every chunk down to the first where some row is negative."""
+    rates = bd._rho_grid(bd._scan_start(omega))
+    block = bd._genie_deficit(*np.array(params).T[:, :, None])
+    lower, upper = np.full((2, len(params)), -math.inf)
+    for stop in range(rates.size, 0, -bd.TOP_PASS_POINTS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = block(rates[max(stop - bd.TOP_PASS_POINTS, 0) : stop])
+            if not np.isfinite(vals).all():
+                bd._refuse_non_finite(rates, block(rates))
+        neg = vals < 0.0
+        hit = neg.any(axis=1)
+        if hit.any():
+            last = stop - 1 - np.argmax(neg[hit, ::-1], axis=1)
+            lower[hit] = rates[last]
+            upper[hit] = np.append(rates, math.inf)[last + 1]
+            return lower, upper
+    return np.zeros(len(params)), np.zeros(len(params))
+
+
+def _live_rows(source, alpha):
+    """The deficit arguments of t4's grid rows that are neither skipped nor zero."""
+    _, rows = bd._grid_rows(source, alpha)
+    return [p for p in rows if p is not None and (p[4] != 0.0 or p[3] != 0.0)]
+
+
+def _both_passes(source, alpha):
+    """The pass's and the full evaluation's ends as lists, or the text of the
+    NonFiniteDeficitError each raised; None when no row is live."""
+    if not (params := _live_rows(source, alpha)):
+        return None
+    out = []
+    for top_down_pass in (bd._top_down_pass, _full_top_down_pass):
+        try:
+            out.append([ends.tolist() for ends in top_down_pass(params, source.omega)])
+        except bd.NonFiniteDeficitError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_the_pass_guards_hold_where_the_rate_functions_rise():
+    # Float info_G never falls in r where gamma and r*gamma are at most
+    # MONOTONE_GAMMA, and info_V never falls off [INFO_V_PEAK, 1): there the
+    # pass's interval bounds hold.
+    for gamma in np.geomspace(1e-12, bd.MONOTONE_GAMMA, 23):
+        vals = info_G(np.geomspace(1e-10, min(bd.MONOTONE_GAMMA / gamma, 1e12), 400_000), gamma)
+        assert np.isfinite(vals).all() and (np.diff(vals) >= 0.0).all()
+    for gamma in np.geomspace(1e-6, 1e12, 19):
+        for lo, hi in ((1e-10, bd.INFO_V_PEAK), (1.0, 1e10)):
+            vals = info_V(np.geomspace(lo, hi, 200_000), gamma)
+            assert np.isfinite(vals).all() and (np.diff(vals) >= 0.0).all()
+    # Beyond them both fall: info_G at gamma 1e13 with r*gamma at most 1e10
+    # (so the guard bounds gamma as well as r*gamma), info_V on [INFO_V_PEAK, 1).
+    assert (np.diff(info_G(np.geomspace(1e-10, 1e-3, 400_000), 1e13)) < 0.0).any()
+    assert info_V(0.8, 1e-3) > info_V(0.99, 1e-3)
+
+
+@given(
+    dist=BOUND_DOMAIN_FAMILIES,
+    omega=st.floats(1e-6, 0.5),
+    snr_db=st.floats(-30.0, 80.0),
+    alpha=st.floats(1e-6, 1.0, exclude_max=True),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_top_down_pass_matches_the_full_evaluation(dist, omega, snr_db, alpha):
+    both = _both_passes(bd.source_at_snr(dist, omega, snr_db), alpha)
+    assert both is None or both[0] == both[1]
+
+
+@pytest.mark.parametrize("snr_db", [140.0, 150.0, 160.0, 170.0, 180.0, 190.0, 200.0])
+def test_top_down_pass_refuses_as_the_full_evaluation(snr_db):
+    # Where a cleared chunk could hide a value that is not finite, the pass
+    # names the same lowest rate as the full evaluation.
+    refused = 0
+    for dist in (Gaussian(0.0, 1.0), Uniform(2.0, 1.0), PointMass(0.2, 1.0, outer_mass=0.1),
+                 PointMass(0.2, 1.0, limit=True)):
+        for alpha in (0.03, 0.3):
+            new, full = _both_passes(bd.source_at_snr(dist, 1e-4, snr_db), alpha)
+            assert new == full
+            refused += isinstance(new, str)
+    assert bool(refused) == (snr_db >= 160.0)
+
+
+def test_top_down_pass_evaluates_few_of_the_full_rows_and_rates(monkeypatch):
+    # The interval bounds clear almost every (row, chunk): a change that stops
+    # them doing so fails here.
+    src = gaussian_source(1e-4, 20.0)
+    counts = {}
+    genie_deficit = bd._genie_deficit
+
+    def spy(*params):
+        deficit = genie_deficit(*params)
+
+        def counted(rho):
+            vals = deficit(rho)
+            if np.ndim(vals) == 2:  # a block of rows by rates
+                counts[key] = counts.get(key, 0) + vals.size
+            return vals
+
+        return counted
+
+    monkeypatch.setattr(bd, "_genie_deficit", spy)
+    key = "pass"
+    bd.t4_genie_iid(src, 0.03)
+    key = "full"
+    _full_top_down_pass(_live_rows(src, 0.03), src.omega)
+    assert 0 < counts["pass"] < 0.05 * counts["full"]
+
+
 @pytest.mark.parametrize("bound", [BoundId.T2_GENIE, BoundId.T4_IID_GENIE])
 @pytest.mark.parametrize("row", [41, 165], ids=["far", "best"])
 def test_genie_bounds_skip_a_beta_whose_parameters_fail(monkeypatch, caplog, bound, row):
@@ -662,6 +780,32 @@ def test_genie_bounds_skip_a_beta_whose_parameters_fail(monkeypatch, caplog, bou
     if row == 41:
         assert rho == whole
     assert 0.0 < rho < math.inf
+
+
+def test_best_lower_builds_the_beta_rows_once_per_call(monkeypatch, caplog):
+    # t2 and t4 share one call's beta rows, and each logs its own skip line;
+    # the next call builds the rows again.
+    src = gaussian_source(1e-4, 20.0)
+    grid = bd._beta_grid(src, 0.03)
+    genie_params = bd._genie_params
+    on_grid = []
+
+    def patched(source, beta):
+        on_grid.append(beta in grid)
+        if beta == grid[41]:
+            raise ValueError("patched failure")
+        return genie_params(source, beta)
+
+    monkeypatch.setattr(bd, "_genie_params", patched)
+    with caplog.at_level("WARNING", logger="srdbounds.bounds"):
+        first = bd.best_lower(src, 0.03, "iid")
+        assert sum(on_grid) == len(grid)
+        assert bd.best_lower(src, 0.03, "iid") == first
+    assert sum(on_grid) == 2 * len(grid)
+    assert [r.getMessage() for r in caplog.records] == 2 * [
+        f"{bound} at alpha=0.03: skipping beta={grid[41]:g} (patched failure)"
+        for bound in ("t2_genie", "t4_iid_genie")
+    ]
 
 
 def test_classify_scans_reads_each_row():
@@ -869,14 +1013,6 @@ def test_best_lower_iid_dominates_any():
             any_val, _ = bd.best_lower(src, 0.1, "any")
             iid_val, _ = bd.best_lower(src, 0.1, "iid")
             assert iid_val >= any_val - 1e-12
-
-
-BOUND_DOMAIN_FAMILIES = st.one_of(
-    st.just(Gaussian(0.0, 1.0)),
-    st.just(Uniform(math.sqrt(2.3), 1.0)),
-    st.builds(PointMass, st.just(0.2), st.just(1.0), st.floats(1e-3, 0.5)),
-    st.just(_sliced_from_eta(0.2)),
-)
 
 
 def _check_best_lower_properties(dist, omega, snr_db, alpha_lo, alpha_hi, snr_hi=None):
