@@ -624,13 +624,14 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     Maximizes the solved rate over the retained fraction ``beta``; returns the
     best solve report and ``beta_star``.  The top-down pass reads the bracket
     of each grid row that can hold the maximum; the rows whose bracket reaches
-    above the largest lower end are solved as p4 and p6 are, or when none does,
-    the row ``argmax`` picks.  The best row is refined by the envelope
-    condition (the deficit's beta-derivative vanishes at the maximizer's rate):
-    golden section over the neighbouring grid points finds the beta most
-    violated at the best rate so far, and a full solve there replaces that
-    rate only if larger, at most BETA_REFINE_ROUNDS times, while the rate
-    rises.
+    above the largest lower end are solved as p4 and p6 are, in index order,
+    and the first of the largest rates is kept.  When no row is negative on
+    the grid, the first row that is not skipped is solved.  The best row is
+    refined by the envelope condition (the deficit's beta-derivative vanishes
+    at the maximizer's rate): golden section over the neighbouring grid points
+    finds the beta most violated at the best rate so far, and a full solve
+    there replaces that rate only if larger, at most BETA_REFINE_ROUNDS times,
+    while the rate rises.
     """
     omega = source.omega
     if not 0.0 < alpha < 1.0:
@@ -645,25 +646,17 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
         return _noted(_solve_implicit(_genie_deficit(*params), omega), alpha, beta)
 
     grid, rows = _grid_rows(source, alpha)
-    params = {i: p for i, p in enumerate(rows) if p is not None}
-    live = [i for i, p in params.items() if p[4] != 0.0 or p[3] != 0.0]
-    # Each row's solved rate lies in [values, upper]: 0 for a zero row, -inf
-    # for a row that is skipped or cannot hold the maximum.
-    values = np.full(len(grid), -math.inf)
-    values[list(params)] = 0.0
-    upper = values.copy()
+    live = [i for i, p in enumerate(rows) if p is not None and (p[4] != 0.0 or p[3] != 0.0)]
+    kept = []
     if live:
-        values[live], upper[live] = _top_down_pass([params[i] for i in live], omega)
-    reports: list = [None] * len(grid)
-    # A bisection ends inside its bracket, so a row whose upper end does not
-    # exceed the largest lower end stays strictly below the maximum.
-    for i in np.flatnonzero(upper > values.max()):
-        reports[i] = solve(grid[i], params[i])
-        values[i] = reports[i].rho_lower
-    best = int(np.argmax(values))
-    if reports[best] is None and best in params:  # no row is negative on the grid
-        reports[best] = solve(grid[best], params[best])
-    report, beta_star = reports[best], float(grid[best])
+        lower, upper = _top_down_pass([rows[i] for i in live], omega)
+        kept = [live[j] for j in np.flatnonzero(upper > lower.max())]
+    # A bisection ends inside its bracket, so a row that is not solved ends
+    # strictly below the largest lower end: the largest solved rate is the maximum.
+    kept = kept or [next(i for i, p in enumerate(rows) if p is not None)]
+    reports = ((solve(grid[i], rows[i]), i) for i in kept)
+    report, best = max(reports, key=lambda pair: pair[0].rho_lower)  # the first largest
+    beta_star = float(grid[best])
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
 
     def violation(beta, rho):  # minus the deficit at a fixed rate; skipped as on the grid
@@ -672,7 +665,7 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
 
     for _ in range(BETA_REFINE_ROUNDS):
         # The deficit is not defined at rate 0; a range-exceeded row ends its scan.
-        if report is None or report.rho_lower == 0.0 or report.diagnostic:
+        if report.rho_lower == 0.0 or report.diagnostic:
             break
         beta, _ = _golden_max(functools.partial(violation, rho=report.rho_lower), lo, hi)
         if beta == beta_star or (found := _genie_row(source, alpha, beta)) is None:

@@ -22,6 +22,7 @@ from . import bounds as bd
 from . import montecarlo as mc
 from . import simulate as sim
 from .distributions import (
+    SQRT_2_OVER_PI,
     Gaussian,
     PointMass,
     SlicedGaussian,
@@ -38,8 +39,6 @@ EXIT_VERIFY_FAIL = 3
 EXIT_BUDGET = 4
 GRID_MAX_POINTS = 1_000_000
 VERIFY_MATRIX_N = 400  # verify's default matrix dimension
-
-SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 def _fmt(value) -> str:

@@ -1070,6 +1070,35 @@ def test_best_lower_properties_at_an_underflowing_gaussian_alpha():
     _check_best_lower_properties(Gaussian(0.0, 1.0), 0.5, 0.0, 5e-324, 0.5)
 
 
+@given(
+    dist=BOUND_DOMAIN_FAMILIES,
+    omega=st.floats(1e-6, 0.5),
+    snr_db=st.floats(-30.0, 80.0),
+    alpha=st.floats(1e-3, 1.0, exclude_max=True),
+)
+@example(dist=Gaussian(0.0, 1.0), omega=0.5, snr_db=71.0, alpha=0.5)
+@example(
+    dist=PointMass(0.2, 1.0, outer_mass=0.1),
+    omega=0.0003580125055937264,
+    snr_db=11.225325847303935,
+    alpha=9.02146833240461e-05,
+)
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_bound_orderings_that_hold_by_construction(dist, omega, snr_db, alpha):
+    """t2 >= p3 and t4 >= p6 >= p4, with no tolerance: t2's beta = 1 row is
+    p3, t4's is p6's deficit (p4's for a source with no density, which skips
+    p6), and p6's deficit is p4's less a nonnegative term."""
+    src = bd.source_at_snr(dist, omega, snr_db)
+    assert bd.t2_genie(src, alpha)[0] >= bd.p3_general(src, alpha)
+    t4 = bd.t4_genie_iid(src, alpha)[0].rho_lower
+    p4 = bd.p4_iid(src, alpha).rho_lower
+    if src.entropy_power > 0.0:
+        p6 = bd.p6_entropy(src, alpha).rho_lower
+        assert t4 >= p6 >= p4
+    else:
+        assert t4 >= p4
+
+
 @pytest.mark.parametrize("alpha", [2.5396476758501306e-06, 9.02146833240461e-05])
 def test_genie_bounds_hold_the_point_mass_kink(alpha):
     # Both genie objectives peak in a corner at beta = 1 - outer_mass: t2 and

@@ -184,6 +184,10 @@ def test_verify_matrix_budget_refusal(tmp_path, monkeypatch, capsys, suite):
         ["bounds", "--invert", "--grid=-5:1:3", "--out", "b.csv"],
         ["simulate", "--n", "20", "--omega", "0.1", "--rho", "nan", "--noiseless",
          "--trials", "1", "--out", "s.csv"],
+        ["snr-curve", "--eta", "1.5", "--out", "s.csv"],
+        ["bounds", "--grid", "0.1:0.2:0", "--out", "b.csv"],
+        # eta = 1 puts all the power in the floor, leaving no slice width
+        ["truncate-table", "--dist", "sliced", "--eta", "1.0", "--out", "t.csv"],
     ],
     ids=[
         "rank-zero-trials",
@@ -195,6 +199,9 @@ def test_verify_matrix_budget_refusal(tmp_path, monkeypatch, capsys, suite):
         "invert-inf-rate",
         "invert-negative-rate",
         "simulate-nan-rho",
+        "snr-curve-eta-above-one",
+        "grid-zero-count",
+        "sliced-eta-one",
     ],
 )
 def test_out_of_range_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
@@ -409,12 +416,15 @@ def test_config_file_precedence(tmp_path):
         ["--config", "missing.cfg", "truncate-table", "--out", "t.csv"],
         ["--config", "bad.cfg", "truncate-table", "--out", "t.csv"],
         ["--config=missing.cfg", "truncate-table", "--out", "t.csv"],
+        # a config value bypasses argparse's choices, so verify checks the suite
+        ["--config", "suite.cfg", "verify", "--out", "t.csv"],
     ],
-    ids=["no-value", "missing-file", "malformed-line", "equals-missing-file"],
+    ids=["no-value", "missing-file", "malformed-line", "equals-missing-file", "unknown-suite"],
 )
 def test_bad_config_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text("bogus line\n")
+    (tmp_path / "suite.cfg").write_text("suite = bogus\n")
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -472,20 +482,15 @@ def test_bounds_uniform_ratio_flag(tmp_path):
 def test_bounds_svg_output(tmp_path):
     out = tmp_path / "curve.csv"
     svg = tmp_path / "curve.svg"
-    code = run_cli(
-        [
-            "bounds",
-            "--omega", "1e-3",
-            "--snr-db", "10",
-            "--bounds", "p4_iid",
-            "--grid", "0.05:0.5:4",
-            "--out", str(out),
-            "--svg", str(svg),
-        ]
-    )
-    assert code == 0
-    text = svg.read_text()
-    assert text.startswith("<svg") and "polyline" in text
+    for argv in (
+        ["bounds", "--omega", "1e-3", "--snr-db", "10", "--bounds", "p4_iid", "--grid", "0.05:0.5:4"],
+        ["snr-curve", "--grid", "0:10:2"],
+    ):
+        svg.unlink(missing_ok=True)
+        code = run_cli([*argv, "--out", str(out), "--svg", str(svg)])
+        assert code == 0
+        text = svg.read_text()
+        assert text.startswith("<svg") and "polyline" in text
 
 
 def test_truncate_table(tmp_path):
