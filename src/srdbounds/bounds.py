@@ -10,9 +10,9 @@ is written once: the rate functions of ``ratefun`` take a float or an array,
 so the same deficit scans the grid as an array and bisects one float at a
 time.  p4, p6 and the genie-aided i.i.d. bound t4 share one deficit: p6 is t4
 at ``beta = 1``, where the genie reveals nothing, and p4 is p6 without a
-density.  t4 sweeps 200 retained fractions ``beta`` in one top-down pass that
-skips each chunk of rates a monotone interval bound clears, solves only the
-rows that can hold the maximum, and refines the best by the envelope
+density.  t4 sweeps 200 retained fractions ``beta`` in one top-down pass per
+rate grid that skips each chunk a monotone interval bound clears, solves only
+the rows that can hold the maximum, and refines the best by the envelope
 condition.  A NaN or infinite deficit on any rate a scan reads is refused.
 
 Warnings leave by one route.  Each evaluation of p4, p5, p6, t2 or t4, and
@@ -126,9 +126,9 @@ def _rho_grid(hi: float) -> np.ndarray:
     return grid
 
 
-def _scan_implicit(deficit, omega: float):
-    """Scan the deficit over the rate grid; returns ``(crossings, report,
-    bracket)``.
+def _scan_implicit(deficit, hi: float):
+    """Scan the deficit over the rate grid ending at ``hi``; returns
+    ``(crossings, report, bracket)``.
 
     The deficit is LHS - RHS of the defining inequality; achievable rates have
     nonnegative deficit, so the lower bound is the last negative-to-nonnegative
@@ -139,7 +139,6 @@ def _scan_implicit(deficit, omega: float):
     answer when there is no crossing to refine; otherwise it is None and
     ``bracket`` holds the grid points around the last crossing.
     """
-    hi = _scan_start(omega)
     while True:
         grid = _rho_grid(hi)
         # A NaN or infinite value is refused below, so numpy need not warn.
@@ -188,13 +187,13 @@ def _classify_scan(grid: np.ndarray, vals: np.ndarray):
     return crossings, None, (float(grid[ends[-1]]), float(grid[ends[-1] + 1]))
 
 
-def _solve_implicit(deficit, omega: float) -> ImplicitSolveReport:
+def _solve_implicit(deficit, hi: float) -> ImplicitSolveReport:
     """Largest rate at which the deficit is still negative (bound violated).
 
-    ``deficit`` takes a float or an array of rates: it scans the grid at once
-    and refines the last crossing by bisection one rate at a time.
+    ``deficit`` takes a float or an array of rates: it scans each grid, from the
+    one ending at ``hi``, at once and bisects the last crossing one rate at a time.
     """
-    crossings, report, bracket = _scan_implicit(deficit, omega)
+    crossings, report, bracket = _scan_implicit(deficit, hi)
     return report if report is not None else _bisect(deficit, crossings, bracket)
 
 
@@ -484,7 +483,7 @@ def p4_iid(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     if r_target == 0.0:
         return _ZERO_REPORT
     deficit = _genie_deficit(1.0, source.omega, source.variance, 0.0, r_target)
-    return _noted(_solve_implicit(deficit, source.omega), alpha)
+    return _noted(_solve_implicit(deficit, _scan_start(source.omega)), alpha)
 
 
 @_record(BoundId.P5_IID_GAUSSIAN)
@@ -503,7 +502,7 @@ def p5_gaussian(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     def deficit(rho):
         return info_G(rho, v) - r_target - omega * info_G(rho / omega, cond_gamma)
 
-    return _noted(_solve_implicit(deficit, omega), alpha)
+    return _noted(_solve_implicit(deficit, _scan_start(omega)), alpha)
 
 
 @_record(BoundId.P6_IID_ENTROPY)
@@ -521,7 +520,7 @@ def p6_entropy(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     if r_target == 0.0:
         return _ZERO_REPORT
     deficit = _genie_deficit(1.0, omega, source.variance, source.entropy_power, r_target)
-    report = _noted(_solve_implicit(deficit, omega), alpha)
+    report = _noted(_solve_implicit(deficit, _scan_start(omega)), alpha)
     simple = s_cor_thm2(source, alpha)
     if simple > report.rho_lower * (1.0 + 1e-9) + 1e-12:
         _note("check", alpha, detail=(simple, report.rho_lower))
@@ -572,12 +571,12 @@ def _grid_rows(source: SourceParams, alpha: float) -> tuple[np.ndarray, list]:
     return grid, rows
 
 
-def _top_down_pass(params, omega: float) -> tuple[np.ndarray, np.ndarray]:
+def _top_down_pass(params, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """t4's top-down pass over the deficits of ``params`` (one row of
     :func:`_genie_deficit` arguments per beta): the ends of each row's bracket.
 
-    The first rate grid is read TOP_PASS_POINTS rates at a time from its end
-    down, to the first chunk where some row is negative.  Each such row's
+    The rate grid ending at ``hi`` is read TOP_PASS_POINTS rates at a time from
+    its end down, to the first chunk where some row is negative.  Each such row's
     bracket surrounds its last negative rate (upper end ``inf`` at the grid's
     end); every other row reads ``-inf``, or all read 0 if no row is negative.
     A row is evaluated only on the chunks [a, b] its interval bound does not
@@ -587,7 +586,7 @@ def _top_down_pass(params, omega: float) -> tuple[np.ndarray, np.ndarray]:
     A NaN or infinite value raises NonFiniteDeficitError, naming the lowest
     rate of the grid at which some row is not finite.
     """
-    rates = _rho_grid(_scan_start(omega))
+    rates = _rho_grid(hi)
     stops = np.arange(rates.size, 0, -TOP_PASS_POINTS)
     lows, tops = rates[np.maximum(stops - TOP_PASS_POINTS, 0)], rates[stops - 1]
     # One column per parameter broadcasts to one row per beta.
@@ -623,15 +622,18 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
 
     Maximizes the solved rate over the retained fraction ``beta``; returns the
     best solve report and ``beta_star``.  The top-down pass reads the bracket
-    of each grid row that can hold the maximum; the rows whose bracket reaches
-    above the largest lower end are solved as p4 and p6 are, in index order,
-    and the first of the largest rates is kept.  When no row is negative on
-    the grid, the first row that is not skipped is solved.  The best row is
-    refined by the envelope condition (the deficit's beta-derivative vanishes
-    at the maximizer's rate): golden section over the neighbouring grid points
-    finds the beta most violated at the best rate so far, and a full solve
-    there replaces that rate only if larger, at most BETA_REFINE_ROUNDS times,
-    while the rate rises.
+    of each grid row that can hold the maximum, and on each grown rate grid
+    that of each row still violated at the last grid's end.  The rows whose
+    bracket on the last grid reaches above the largest lower end are solved
+    from it as p4 and p6 are, in index order, and the first of the largest
+    rates is kept.  When no row is negative on the first grid, its first row
+    not skipped is solved; when no lower end on a grown grid reaches the last
+    end, the first grid's rows are solved from it.  The best row is refined by
+    the envelope condition (the deficit's beta-derivative vanishes at the
+    maximizer's rate): golden section over the neighbouring grid points finds
+    the beta most violated at the best rate so far, and a full solve there
+    replaces that rate only if larger, at most BETA_REFINE_ROUNDS times, while
+    the rate rises.
     """
     omega = source.omega
     if not 0.0 < alpha < 1.0:
@@ -640,21 +642,29 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     if rate_R(omega, alpha) == 0.0:  # every beta's target rate is 0 as well
         return _ZERO_REPORT, alpha
 
-    def solve(beta, params):
+    def solve(beta, params, rho_hi):
         if params[4] == 0.0 and params[3] == 0.0:  # no rate needed and no density
             return _ZERO_REPORT
-        return _noted(_solve_implicit(_genie_deficit(*params), omega), alpha, beta)
+        return _noted(_solve_implicit(_genie_deficit(*params), rho_hi), alpha, beta)
 
     grid, rows = _grid_rows(source, alpha)
     live = [i for i, p in enumerate(rows) if p is not None and (p[4] != 0.0 or p[3] != 0.0)]
-    kept = []
+    start = rho_hi = _scan_start(omega)
+    kept, last_end = [], 0.0
     if live:
-        lower, upper = _top_down_pass([rows[i] for i in live], omega)
-        kept = [live[j] for j in np.flatnonzero(upper > lower.max())]
+        lower, upper = _top_down_pass([rows[i] for i in live], rho_hi)
+        kept = first = [live[j] for j in np.flatnonzero(upper > lower.max())]
+        # Rows go on as their scans do; a row dropped ends below the end a kept row must reach.
+        while upper.max() == math.inf and rho_hi < RHO_RANGE_CAP:
+            last_end, rho_hi = rho_hi, min(rho_hi * 100.0, RHO_RANGE_CAP)
+            lower, upper = _top_down_pass([rows[i] for i in kept], rho_hi)
+            kept = [kept[j] for j in np.flatnonzero(upper > lower.max())]
+        if lower.max() < last_end:
+            kept, rho_hi = first, start
     # A bisection ends inside its bracket, so a row that is not solved ends
     # strictly below the largest lower end: the largest solved rate is the maximum.
     kept = kept or [next(i for i, p in enumerate(rows) if p is not None)]
-    reports = ((solve(grid[i], rows[i]), i) for i in kept)
+    reports = ((solve(grid[i], rows[i], rho_hi), i) for i in kept)
     report, best = max(reports, key=lambda pair: pair[0].rho_lower)  # the first largest
     beta_star = float(grid[best])
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
@@ -670,7 +680,7 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
         beta, _ = _golden_max(functools.partial(violation, rho=report.rho_lower), lo, hi)
         if beta == beta_star or (found := _genie_row(source, alpha, beta)) is None:
             break
-        solved = solve(beta, found)
+        solved = solve(beta, found, start)
         if not solved.rho_lower > report.rho_lower:
             break
         report, beta_star = solved, float(beta)

@@ -323,7 +323,7 @@ def _solve_t4_row(source, alpha, beta):
     def deficit(rho):
         return info_G(rho / pref, v_eff) - r_target - om_t * info_V(rho / om_b, vh_eff)
 
-    return bd._solve_implicit(deficit, source.omega)
+    return bd._solve_implicit(deficit, bd._scan_start(source.omega))
 
 
 def _best_grid_row(source, alpha):
@@ -365,6 +365,10 @@ T4_SWEEP_CASES = (
        ("sliced", 1e-4, 10.0, 3e-3)]
     # the winning row has two crossings
     + [("gaussian", 0.1, 0.0, 0.7)]
+    # rows still violated at the end of the first grid, and of the second, with
+    # no row's last negative rate on the grown grid at or above the last end
+    + [("sliced", 2.9431656555363204e-05, -30.40512251094672, 1.7273046740990054e-08),
+       ("uniform", 0.2071066427863769, 32.748154372636705, 0.008824258671098149)]
 )
 
 
@@ -456,8 +460,8 @@ def test_t4_rows_reach_zero_and_range_exceeded_paths():
     reports = []
     scan = bd._scan_implicit
 
-    def spy(deficit_vec, omega):
-        result = scan(deficit_vec, omega)
+    def spy(deficit_vec, hi):
+        result = scan(deficit_vec, hi)
         reports.append(result[1])
         return result
 
@@ -484,9 +488,10 @@ def test_t4_logs_one_multi_crossing_line(caplog):
     assert lines[0].startswith("t4_iid_genie at alpha=0.7: ") and "beta in [" in lines[0]
 
 
-def _single_row_scan(source, alpha, beta):
-    """One beta scanned alone on the first rate grid: None when skipped, else
-    ``(crossings, report, bracket)`` as :func:`_classify_scan` reads it."""
+def _single_row_scan(source, alpha, beta, hi):
+    """One beta scanned alone on the rate grid ending at ``hi``: None when
+    skipped, else ``(crossings, report, bracket)`` as :func:`_classify_scan`
+    reads it."""
     try:
         pref, om_b, v_eff, vh_eff = bd._genie_params(source, beta)
     except (ValueError, ArithmeticError):
@@ -494,7 +499,7 @@ def _single_row_scan(source, alpha, beta):
     r_target = rate_R(om_b / pref, min(alpha / beta, 1.0))
     if r_target == 0.0 and vh_eff == 0.0:
         return 0, bd.ImplicitSolveReport(0.0, 0, (0.0, 0.0), 0.0), None
-    rates = bd._rho_grid(bd._scan_start(source.omega))
+    rates = bd._rho_grid(hi)
     deficit = bd._genie_deficit(pref, om_b, v_eff, vh_eff, r_target)
     return bd._classify_scan(rates, deficit(rates))
 
@@ -523,12 +528,16 @@ def _row_kind(scan):
     return "zero" if report.bracket == (0.0, 0.0) else "no-negative"
 
 
-def _check_top_down_pass(source, alpha, alone=False):
-    """Run t4's top-down pass over its grid rows and check each bracket it
-    reads against the same beta scanned alone (and, with ``alone``, each row
-    passed alone).  Returns each row's scan ends and the betas of each kind."""
+def _check_top_down_pass(source, alpha, hi, among=None, alone=False):
+    """Run t4's top-down pass on the rate grid ending at ``hi`` over its grid
+    rows, or over those indexed in ``among``, and check each bracket it reads
+    against the same beta scanned alone on that grid (and, with ``alone``, each
+    row passed alone).  Returns each row's scan ends and the betas of each
+    kind; a row not in ``among`` reads as skipped."""
     grid = bd._beta_grid(source, alpha)
-    scans = [_single_row_scan(source, alpha, b) for b in grid]
+    among = range(grid.size) if among is None else among
+    scans = [_single_row_scan(source, alpha, b, hi) if i in among else None
+             for i, b in enumerate(grid)]
     ends = [_scan_ends(scan) for scan in scans]
     kinds: dict[str, list] = {}
     for beta, scan in zip(grid, scans):
@@ -538,10 +547,10 @@ def _check_top_down_pass(source, alpha, alone=False):
     live = [i for i, scan in enumerate(scans) if _row_kind(scan) not in ("skipped", "zero")]
     params = [bd._genie_row(source, alpha, grid[i]) for i in live]
     read = [(-math.inf, -math.inf) if scan is None else ends[i] for i, scan in enumerate(scans)]
-    for i, p, lower, upper in zip(live, params, *bd._top_down_pass(params, source.omega)):
+    for i, p, lower, upper in zip(live, params, *bd._top_down_pass(params, hi)):
         read[i] = (lower, upper)
         if alone:
-            assert [*zip(*bd._top_down_pass([p], source.omega))] == [ends[i]]
+            assert [*zip(*bd._top_down_pass([p], hi))] == [ends[i]]
     largest_lower = max(lower for lower, _ in ends)
     assert max(lower for lower, _ in read) == largest_lower
     for (lower, upper), want in zip(read, ends):
@@ -550,13 +559,32 @@ def _check_top_down_pass(source, alpha, alone=False):
     return ends, kinds
 
 
+def _pass_grids(source, alpha):
+    """Check t4's pass on each rate grid it reads: on the first grid over every
+    grid row, then on each grown grid over the rows still violated at the last
+    grid's end, each of those also passed alone.  Returns ``(hi, ends)`` for
+    each grid, its end and each row's scan ends there."""
+    hi = bd._scan_start(source.omega)
+    grids = [(hi, _check_top_down_pass(source, alpha, hi)[0])]
+    while hi < bd.RHO_RANGE_CAP:
+        among = [i for i, (_, upper) in enumerate(grids[-1][1]) if upper == math.inf]
+        if not among:
+            break
+        hi = min(hi * 100.0, bd.RHO_RANGE_CAP)
+        grids.append((hi, _check_top_down_pass(source, alpha, hi, among, alone=True)[0]))
+    return grids
+
+
 @pytest.mark.parametrize("family, omega, snr_db, alpha", T4_SWEEP_CASES)
 def test_t4_solves_only_rows_that_can_hold_the_maximum(
     monkeypatch, caplog, family, omega, snr_db, alpha
 ):
     src = bd.source_at_snr(T4_FAMILIES[family], omega, snr_db)
     grid = bd._beta_grid(src, alpha)
-    ends, _ = _check_top_down_pass(src, alpha)
+    grids = _pass_grids(src, alpha)
+    (hi, ends), end = grids[-1], grids[-2][0] if len(grids) > 1 else 0.0
+    if max(lower for lower, _ in ends) < end:  # a kept row may end below a row dropped
+        hi, ends = grids[0]
     rates = bd._rho_grid(bd._scan_start(omega))
 
     def on_grid(deficit):
@@ -567,12 +595,13 @@ def test_t4_solves_only_rows_that_can_hold_the_maximum(
     for i, beta in enumerate(grid):
         with contextlib.suppress(ValueError, ArithmeticError):
             row_of[on_grid(bd._genie_deficit(*bd._genie_row(src, alpha, beta)))] = i
-    solves = []
+    solves, grid_ends = [], []
     solve = bd._solve_implicit
 
-    def spy(deficit, omega):
-        report = solve(deficit, omega)
+    def spy(deficit, grid_end):
+        report = solve(deficit, grid_end)
         solves.append((on_grid(deficit), report))
+        grid_ends.append(grid_end)
         return report
 
     monkeypatch.setattr(bd, "_solve_implicit", spy)
@@ -581,9 +610,11 @@ def test_t4_solves_only_rows_that_can_hold_the_maximum(
     solved = [row_of[key] for key, _ in solves if key in row_of]
     largest_lower = max(lower for lower, _ in ends)
     want = [i for i, (_, upper) in enumerate(ends) if upper > largest_lower]
-    # Only the rows whose bracket reaches above the largest lower end; when
-    # none does, the row argmax picks.
+    # Only the rows whose bracket on the last grid read reaches above the
+    # largest lower end there, solved from that grid; when none does, the row
+    # argmax picks.
     assert solved == want or (not want and len(solved) <= 1)
+    assert grid_ends[: len(solved)] == len(solved) * [hi]
     assert len(solved) < bd.BETA_GRID_POINTS
     # The multi-crossing line counts every solve that found several crossings.
     multi = {key for key, report in solves if report.crossings_found > 1}
@@ -592,6 +623,59 @@ def test_t4_solves_only_rows_that_can_hold_the_maximum(
         assert len(lines) == 1 and f": {len(multi)} beta values found" in lines[0]
     else:
         assert not lines
+
+
+def _growth_rows(source, alpha):
+    """The grid rows still violated at the end of the first rate grid."""
+    _, rows = bd._grid_rows(source, alpha)
+    ends, _ = _check_top_down_pass(source, alpha, bd._scan_start(source.omega))
+    return [rows[i] for i, (_, upper) in enumerate(ends) if upper == math.inf]
+
+
+def test_t4_follows_the_rows_violated_at_a_grid_end_up_the_rate_grids(monkeypatch):
+    # Most rows are still violated at the first grid's end: the pass runs again
+    # over those rows only on each grown grid, t4 solves a few of them from the
+    # last, and none is scanned again on the first grid.
+    src, alpha = gaussian_source(1e-4, -10.0), 1e-3
+    start = bd._scan_start(src.omega)
+    first, growth = bd._rho_grid(start), _growth_rows(src, alpha)
+    passes, rescans, starts = [], [], []
+    top_down_pass, genie_deficit, solve = bd._top_down_pass, bd._genie_deficit, bd._solve_implicit
+
+    def deficit_spy(*params):
+        deficit = genie_deficit(*params)
+        return lambda rho: (rho is first and rescans.append(params)) or deficit(rho)
+
+    def pass_spy(params, hi):
+        passes.append(hi)
+        return top_down_pass(params, hi)
+
+    monkeypatch.setattr(bd, "_top_down_pass", pass_spy)
+    monkeypatch.setattr(bd, "_genie_deficit", deficit_spy)
+    monkeypatch.setattr(bd, "_solve_implicit", lambda d, hi: starts.append(hi) or solve(d, hi))
+    bd.t4_genie_iid(src, alpha)
+    assert len(growth) > 90 and passes == [start, 1e2 * start, 1e4 * start]
+    assert not [params for params in rescans if params in growth]
+    assert 0 < len(starts) <= 6 and starts[0] == passes[-1]
+
+
+def test_t4_solves_from_the_first_grid_when_the_grown_pass_finds_no_negative_row(monkeypatch):
+    # The negative stretch of each row still violated at the first grid's end
+    # may fall between the grown grid's points: then t4 solves the first grid's
+    # kept rows from the first grid, one by one, as it did before it grew the pass.
+    src, alpha = gaussian_source(1e-4, -10.0), 1e-3
+    want = bd.t4_genie_iid(src, alpha)
+    start = bd._scan_start(src.omega)
+    top_down_pass, solve, starts = bd._top_down_pass, bd._solve_implicit, []
+
+    def none_negative(params, hi):
+        ends = top_down_pass(params, hi)
+        return ends if hi == start else (np.zeros(len(params)), np.zeros(len(params)))
+
+    monkeypatch.setattr(bd, "_top_down_pass", none_negative)
+    monkeypatch.setattr(bd, "_solve_implicit", lambda d, hi: starts.append(hi) or solve(d, hi))
+    assert bd.t4_genie_iid(src, alpha) == want
+    assert len(starts) >= len(_growth_rows(src, alpha)) > 90 and set(starts) == {start}
 
 
 @pytest.mark.parametrize(
@@ -611,7 +695,7 @@ def test_t4_solves_only_rows_that_can_hold_the_maximum(
 )
 def test_top_down_pass_matches_single_row_scans(family, omega, snr_db, alpha, kinds):
     src = bd.source_at_snr(T4_FAMILIES[family], omega, snr_db)
-    _, found = _check_top_down_pass(src, alpha, alone=True)
+    _, found = _check_top_down_pass(src, alpha, bd._scan_start(src.omega), alone=True)
     assert kinds <= set(found)
 
 
@@ -636,7 +720,7 @@ def test_top_down_pass_with_skipped_rows_and_mixed_zero_gamma(monkeypatch, no_va
         return pref, om_b, v_eff, vh_eff
 
     monkeypatch.setattr(bd, "_genie_params", patched)
-    _, kinds = _check_top_down_pass(src, 0.03)
+    _, kinds = _check_top_down_pass(src, 0.03, bd._scan_start(src.omega))
     assert kinds["skipped"] == [grid[41]]
     assert len(kinds["pending"]) > 100
     assert (grid[42] in kinds.get("range-exceeded", [])) == no_variance_row
@@ -646,10 +730,10 @@ def test_top_down_pass_with_skipped_rows_and_mixed_zero_gamma(monkeypatch, no_va
     assert bool(rep.diagnostic) == no_variance_row
 
 
-def _full_top_down_pass(params, omega):
+def _full_top_down_pass(params, hi):
     """The top-down pass without interval bounds: every row is evaluated on
     every chunk down to the first where some row is negative."""
-    rates = bd._rho_grid(bd._scan_start(omega))
+    rates = bd._rho_grid(hi)
     block = bd._genie_deficit(*np.array(params).T[:, :, None])
     lower, upper = np.full((2, len(params)), -math.inf)
     for stop in range(rates.size, 0, -bd.TOP_PASS_POINTS):
@@ -678,10 +762,10 @@ def _both_passes(source, alpha):
     NonFiniteDeficitError each raised; None when no row is live."""
     if not (params := _live_rows(source, alpha)):
         return None
-    out = []
+    out, hi = [], bd._scan_start(source.omega)
     for top_down_pass in (bd._top_down_pass, _full_top_down_pass):
         try:
-            out.append([ends.tolist() for ends in top_down_pass(params, source.omega)])
+            out.append([ends.tolist() for ends in top_down_pass(params, hi)])
         except bd.NonFiniteDeficitError as exc:
             out.append(str(exc))
     return out
@@ -752,7 +836,7 @@ def test_top_down_pass_evaluates_few_of_the_full_rows_and_rates(monkeypatch):
     key = "pass"
     bd.t4_genie_iid(src, 0.03)
     key = "full"
-    _full_top_down_pass(_live_rows(src, 0.03), src.omega)
+    _full_top_down_pass(_live_rows(src, 0.03), bd._scan_start(src.omega))
     assert 0 < counts["pass"] < 0.05 * counts["full"]
 
 
@@ -1074,7 +1158,7 @@ def test_best_lower_properties_at_an_underflowing_gaussian_alpha():
     dist=BOUND_DOMAIN_FAMILIES,
     omega=st.floats(1e-6, 0.5),
     snr_db=st.floats(-30.0, 80.0),
-    alpha=st.floats(1e-3, 1.0, exclude_max=True),
+    alpha=st.floats(1e-12, 1.0, exclude_min=True, exclude_max=True),
 )
 @example(dist=Gaussian(0.0, 1.0), omega=0.5, snr_db=71.0, alpha=0.5)
 @example(
