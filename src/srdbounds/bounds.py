@@ -10,10 +10,12 @@ is written once: the rate functions of ``ratefun`` take a float or an array,
 so the same deficit scans the grid as an array and bisects one float at a
 time.  p4, p6 and the genie-aided i.i.d. bound t4 share one deficit: p6 is t4
 at ``beta = 1``, where the genie reveals nothing, and p4 is p6 without a
-density.  t4 sweeps 200 retained fractions ``beta`` in one top-down pass per
-rate grid that skips each chunk a monotone interval bound clears, solves only
-the rows that can hold the maximum, and refines the best by the envelope
-condition.  A NaN or infinite deficit on any rate a scan reads is refused.
+density.  t2 and t4 share one row per retained fraction ``beta`` (200 of
+them), built below ``beta = 1`` in one array pass, else one float at a time.
+t4 sweeps them in one top-down pass per rate grid that skips each chunk a
+monotone interval bound clears, solves only the rows that can hold the
+maximum, and refines the best by the envelope condition.  A NaN or infinite
+deficit on any rate a scan reads is refused.
 
 Warnings leave by one route.  Each evaluation of p4, p5, p6, t2 or t4, and
 each rate ``alpha_curve`` inverts, opens a record (``_record``); every warning
@@ -369,15 +371,16 @@ def p3_general(source: SourceParams, alpha: float) -> float:
     return 2.0 * r / math.log1p(source.variance)
 
 
-def _genie_params(source: SourceParams, beta: float):
+def _genie_params(source: SourceParams, beta):
     """Effective (prefactor, sparsity rate, variance, entropy power) after a
     genie reveals the largest ``1 - beta`` fraction of nonzero values.
 
-    At ``beta = 1`` the genie reveals nothing: these are p6's own parameters,
-    the source's variance and entropy power, not their truncated recomputation.
+    At a float ``beta = 1`` the genie reveals nothing: these are p6's own
+    parameters, the source's variance and entropy power, not their truncated
+    recomputation.  An array of ``beta`` (each truncated) gives arrays.
     """
     omega = source.omega
-    if beta == 1.0:
+    if not (array := type(beta) is np.ndarray) and beta == 1.0:
         return 1.0, omega, source.variance, source.entropy_power
     tr = truncate(source.dist, beta)
     om_b = beta * omega
@@ -386,7 +389,8 @@ def _genie_params(source: SourceParams, beta: float):
     if tr.diff_entropy is None:
         vh_eff = 0.0
     else:
-        vh_eff = om_b * math.exp(2.0 * tr.diff_entropy) / (2.0 * math.pi * math.e)
+        exp = np.exp if array else math.exp
+        vh_eff = om_b * exp(2.0 * tr.diff_entropy) / (2.0 * math.pi * math.e)
     return pref, om_b, v_eff, vh_eff
 
 
@@ -407,7 +411,7 @@ def _beta_grid(source: SourceParams, alpha: float) -> np.ndarray:
 def _golden_max(f, lo: float, hi: float):
     """Golden-section maximization to a relative interval of BETA_REFINE_RTOL."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = float(lo), float(hi)  # each step's row then runs on floats, not NumPy scalars
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
@@ -560,11 +564,23 @@ def _genie_row(source: SourceParams, alpha: float, beta: float) -> tuple | None:
 
 def _grid_rows(source: SourceParams, alpha: float) -> tuple[np.ndarray, list]:
     """The beta grid and its :func:`_genie_row` rows, noting each skip: built once
-    per ``best_lower`` call (whose t2 and t4 each note the skips), else per call."""
+    per ``best_lower`` call (whose t2 and t4 each note the skips), else per call.
+
+    The rows below beta = 1 are one array pass, as floats within a few ulps of
+    the float rows, or if it raises (a nonzero-mean Gaussian, a log of an
+    underflowed 0, an overflow), the float rows.  The row at 1 is the float's.
+    """
     if (key := (source, alpha)) not in (tables := _tables.get({})):
         grid = _beta_grid(source, alpha)
         with _record(None) as skips:
-            tables[key] = grid, [_genie_row(source, alpha, beta) for beta in grid], skips
+            try:  # the rows below beta = 1, the grid's last point
+                with np.errstate(all="raise", under="ignore"):
+                    params = _genie_params(source, grid[:-1])
+                    r = rate_R(params[1] / params[0], np.minimum(alpha / grid[:-1], 1.0))
+                rows = list(zip(*(col.tolist() for col in np.broadcast_arrays(*params, r))))
+            except (ValueError, ArithmeticError):
+                rows = [_genie_row(source, alpha, beta) for beta in grid[:-1]]
+            tables[key] = grid, [*rows, _genie_row(source, alpha, grid[-1])], skips
     grid, rows, skips = tables[key]
     for skip in skips:
         _note(*skip)
@@ -824,6 +840,7 @@ def alpha_curve(source: SourceParams, bound: BoundId, rho_grid: list[float]) -> 
     omitted, with its reason in ``solver_meta``.  A NaN, infinite or negative
     rate raises ValueError before anything is evaluated.  The warnings of one
     rate's inversion, those of the bracket ends included, form one record.
+    Each distortion is evaluated once per call, and its notes replayed.
     """
     if bad := [rho for rho in rho_grid if not 0.0 <= rho < math.inf]:
         raise ValueError(f"rates must be finite and nonnegative, got {bad[0]}")
@@ -836,6 +853,7 @@ def alpha_curve(source: SourceParams, bound: BoundId, rho_grid: list[float]) -> 
         val_lo, _ = evaluate_bound(source, bound, ALPHA_FLOOR)
         val_hi, beta_hi = evaluate_bound(source, bound, 1.0 - 1e-9)
     rises = val_lo < val_hi
+    seen: dict[float, tuple] = {}  # alpha -> (value, beta*, notes)
     for rho in sorted(rho_grid):
         with _record(bound, rho, ends):
             lo, hi, beta = ALPHA_FLOOR, 1.0 - 1e-9, beta_hi
@@ -851,7 +869,12 @@ def alpha_curve(source: SourceParams, bound: BoundId, rho_grid: list[float]) -> 
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
                     break
-                val_mid, beta_mid = evaluate_bound(source, bound, mid)
+                if mid not in seen:
+                    with _record(None) as notes:
+                        seen[mid] = (*evaluate_bound(source, bound, mid), notes)
+                val_mid, beta_mid, notes = seen[mid]
+                for note in notes:
+                    _note(*note)
                 if val_mid <= rho:
                     hi, beta = mid, beta_mid
                 else:

@@ -5,10 +5,13 @@ probability mass at zero.  Each is a frozen dataclass that owns its closed
 forms (``moments``, ``truncate``, ``sample``, ``decay_rate``, ``scaled``) and
 says where they have ``kinks``; the module functions are the public names.
 ``truncate`` keeps the smallest-magnitude fraction ``beta`` of a distribution
-and returns its mean, variance, and differential entropy in closed form;
-``truncate_oracle`` recomputes the same quantities by adaptive quadrature of
-the closed-form densities (or exact atom summation) and by Monte Carlo so the
-closed forms can be checked independently.
+and returns its mean, variance, and differential entropy in closed form, for a
+float ``beta`` with ``math`` or an ndarray with NumPy (one formula per family,
+as in ``ratefun``; an array's values are within a few ulps of the floats', and
+exact at ``beta = 1`` where the float's are); ``truncate_oracle`` recomputes
+the same quantities by adaptive quadrature of the closed-form densities (or
+exact atom summation) and by Monte Carlo so the closed forms can be checked
+independently.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from scipy import integrate, optimize, special
@@ -59,14 +62,15 @@ class Gaussian:
         h = 0.5 * math.log(2.0 * math.pi * math.e * self.variance)
         return Moments(self.mean, self.variance, self.mean**2 + self.variance, h)
 
-    def truncate(self, beta: float) -> TruncationResult:
+    def truncate(self, beta) -> TruncationResult:
         """Zero mean only; ``beta = 1`` returns the moments exactly."""
         _, t, r = _gaussian_cut(beta)
         if self.mean != 0.0:
             raise ValueError("closed-form truncation requires a zero-mean Gaussian")
-        if beta == 1.0:
-            return TruncationResult(1.0, math.inf, 0.0, self.variance, self.moments().diff_entropy)
-        h = 0.5 * (math.log(2.0 * math.pi * beta * beta * self.variance) + r)
+        h = 0.5 * (_lib(beta).log(2.0 * math.pi * beta * beta * self.variance) + r)
+        one = beta == 1.0  # where the entropy is the moments' own
+        if one.any() if type(one) is np.ndarray else one:
+            h = _where(one, self.moments().diff_entropy, h)
         return TruncationResult(beta, t, 0.0, r * self.variance, h)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -101,17 +105,15 @@ class Uniform:
         h = 0.5 * math.log(12.0 * self.variance)
         return Moments(self.mean, self.variance, self.mean**2 + self.variance, h)
 
-    def truncate(self, beta: float) -> TruncationResult:
+    def truncate(self, beta) -> TruncationResult:
         a = self.mean - SQRT3 * math.sqrt(self.variance)
         b = self.mean + SQRT3 * math.sqrt(self.variance)
         width = beta * (b - a)
-        if a < 0 and width <= -2 * a:
-            lo, hi = -0.5 * width, 0.5 * width
-        else:
-            lo, hi = a, a + width
+        straddle = (a < 0) & (width <= -2 * a)  # the kept interval is centred on 0
+        lo, hi = _where(straddle, -0.5 * width, a), _where(straddle, 0.5 * width, a + width)
         mean = 0.5 * (lo + hi)
         var = beta * beta * self.variance
-        h = 0.5 * math.log(12.0 * var)
+        h = 0.5 * _lib(beta).log(12.0 * var)
         return TruncationResult(beta, hi, mean, var, h)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -169,16 +171,16 @@ class PointMass:
         # variance equals the power regardless of outer_mass.
         return Moments(0.0, self.power, self.power, None)
 
-    def truncate(self, beta: float) -> TruncationResult:
-        if self.limit and beta == 1.0:
-            return TruncationResult(1.0, math.inf, 0.0, self.power, None)
-        if self.limit or beta <= 1.0 - self.outer_mass:
-            return TruncationResult(beta, math.sqrt(self.floor_sq), 0.0, self.floor_sq, None)
-        eps = self.outer_mass
-        var = self.power - (1.0 - beta) * (1.0 - eps) / (beta * eps) * (
-            self.power - self.floor_sq
-        )
-        return TruncationResult(beta, math.sqrt(self.outer_sq), 0.0, var, None)
+    def truncate(self, beta) -> TruncationResult:
+        if self.limit:  # the outer atoms' vanishing mass is kept only at beta = 1
+            outer, var = beta == 1.0, self.power
+        else:
+            eps = self.outer_mass
+            outer = beta > 1.0 - eps  # some outer atoms are kept
+            b = _where(outer, beta, 1.0 - eps)  # the floor's betas take the floor's variance
+            var = self.power - (1.0 - b) * (1.0 - eps) / (b * eps) * (self.power - self.floor_sq)
+        t = _where(outer, math.sqrt(self.outer_sq), math.sqrt(self.floor_sq))
+        return TruncationResult(beta, t, 0.0, _where(outer, var, self.floor_sq), None)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """The limit case draws only its floor atoms."""
@@ -223,13 +225,13 @@ class SlicedGaussian:
         h = 0.5 * math.log(2.0 * math.pi * math.e * self.slice_variance)
         return Moments(0.0, self.power, self.power, h)
 
-    def truncate(self, beta: float) -> TruncationResult:
+    def truncate(self, beta) -> TruncationResult:
         e, t, r = _gaussian_cut(beta)
-        sz2 = self.slice_variance
+        sz2, lib = self.slice_variance, _lib(beta)
         # E[|Z|; |Z| <= t] / beta for a standard Gaussian Z
-        r_tilde = SQRT_2_OVER_PI * (-math.expm1(-e * e)) / beta
+        r_tilde = SQRT_2_OVER_PI * (-lib.expm1(-e * e)) / beta
         var = self.floor**2 + r * sz2 + 2.0 * self.floor * math.sqrt(sz2) * r_tilde
-        h = 0.5 * (math.log(2.0 * math.pi * beta * beta * sz2) + r)
+        h = 0.5 * (lib.log(2.0 * math.pi * beta * beta * sz2) + r)
         return TruncationResult(beta, t, 0.0, var, h)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -261,9 +263,9 @@ class Moments:
     diff_entropy: float | None
 
 
-@dataclass(frozen=True)
-class TruncationResult:
-    """Moments of the smallest-magnitude fraction ``beta`` of a distribution.
+class TruncationResult(NamedTuple):  # built in a third of a frozen dataclass's time
+    """Moments of the smallest-magnitude fraction ``beta`` of a distribution;
+    for an array of ``beta``, an array of each field that depends on ``beta``.
 
     ``threshold`` is the magnitude cutoff: in standardized units for Gaussian
     and sliced-Gaussian variants (the kept region is ``|x| <= sigma * t`` and
@@ -313,12 +315,24 @@ def q_inverse(p: float) -> float:
     return -float(special.ndtri(p))
 
 
-def _gaussian_cut(beta: float) -> tuple[float, float, float]:
+def _gaussian_cut(beta):
     """``(e, t, r)`` for a standard Gaussian cut at ``|z| <= t`` keeping mass
     ``beta``: ``e = t / sqrt(2) = erfinv(beta)`` (inf at ``beta = 1``) and the
-    kept variance fraction ``r = P(chi2_3 <= t^2) / beta = gammainc(3/2, e^2) / beta``."""
-    e = float(special.erfinv(beta))
-    return e, SQRT2 * e, float(special.gammainc(1.5, e * e)) / beta
+    kept variance fraction ``r = P(chi2_3 <= t^2) / beta = gammainc(3/2, e^2) / beta``:
+    floats for a float ``beta``, arrays for an array."""
+    e = special.erfinv(beta)
+    r = special.gammainc(1.5, e * e) / beta
+    return (e, SQRT2 * e, r) if type(beta) is np.ndarray else (float(e), SQRT2 * float(e), float(r))
+
+
+def _lib(beta):
+    """NumPy for an array ``beta``, else ``math``."""
+    return np if type(beta) is np.ndarray else math
+
+
+def _where(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``: ``np.where`` for an array ``cond``."""
+    return np.where(cond, a, b) if type(cond) is np.ndarray else a if cond else b
 
 
 # ---------------------------------------------------------------------------
@@ -518,14 +532,16 @@ def moments(dist: DistributionSpec) -> Moments:
     return dist.moments()
 
 
-def truncate(dist: DistributionSpec, beta: float) -> TruncationResult:
-    """Closed-form moments of the smallest-magnitude fraction ``beta``.
+def truncate(dist: DistributionSpec, beta) -> TruncationResult:
+    """Closed-form moments of the smallest-magnitude fraction ``beta``, a float
+    or an array (see the module docstring).
 
     ``beta = 1`` gives the untruncated moments up to rounding (the Gaussian
-    returns them exactly); ``beta = 0`` is a domain error.  The Gaussian
-    closed form requires a zero mean.
+    and the point masses return them exactly); ``beta = 0`` is a domain
+    error.  The Gaussian closed form requires a zero mean.
     """
-    if not 0.0 < beta <= 1.0:
+    array = type(beta) is np.ndarray
+    if not (((0.0 < beta) & (beta <= 1.0)).all() if array else 0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     return dist.truncate(beta)
 

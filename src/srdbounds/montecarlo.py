@@ -410,9 +410,7 @@ def power_ratio_scan(
     """
     big_l = decay_rate(dist)
     base = omega * moments(dist).second_moment
-    out = []
-    for beta in beta_grid:
-        tr = truncate(dist, beta)
-        ratio = (omega * tr.second_moment / base) / beta ** (2.0 * big_l)
-        out.append((float(beta), float(ratio)))
-    return out
+    beta = np.asarray(beta_grid, dtype=float)
+    tr = truncate(dist, beta)
+    ratio = (omega * tr.second_moment / base) / beta ** (2.0 * big_l)
+    return list(zip(beta.tolist(), np.broadcast_to(ratio, beta.shape).tolist()))

@@ -1,18 +1,19 @@
 """Closed-form functions shared by every sampling-rate bound.
 
 All entropies and rates are in nats.  The functions are pure.  The
-random-matrix rate functions (``delta``, ``xi``, ``info_G``, ``info_V``) take
-a float or an ndarray; ``xi``, ``info_G`` and ``info_V`` are each one formula,
-evaluated with ``math`` or NumPy as the argument's type picks.  A float runs
-``math``: an implicit solve bisects with single rates, and ``math`` is about
-ten times faster than NumPy on one value.  An array runs NumPy, broadcasting
-``r`` against a scalar ``gamma`` or one ``gamma`` per row, which lets a solver
-scan a whole rate grid at once, or a block of grids with one ``gamma`` each
-(t4's top-down pass bounds one row per retained fraction at the ends of each
-64-rate chunk, then evaluates on a chunk only the rows its bound does not
-clear).  Each element of an array goes through the same float operations
-whatever the broadcast, so a row of a block is bit-identical to the same row
-scanned alone.  Both evaluations raise the same errors.
+random-matrix rate functions (``delta``, ``xi``, ``info_G``, ``info_V``),
+``binary_entropy`` and ``rate_R`` take a float or an ndarray; all but
+``delta`` are one formula each, evaluated with ``math`` or NumPy as the
+argument's type picks.  A float runs ``math``: an implicit solve bisects with
+single rates, and ``math`` is about ten times faster than NumPy on one value.
+An array runs NumPy, broadcasting ``r`` against a scalar ``gamma`` or one
+``gamma`` per row, which lets a solver scan a whole rate grid at once, or a
+block of grids with one ``gamma`` each (t4's top-down pass bounds one row per
+retained fraction at the ends of each 64-rate chunk, then evaluates on a chunk
+only the rows its bound does not clear).  Each element of an array goes
+through the same float operations whatever the broadcast, so a row of a block
+is bit-identical to the same row scanned alone.  Both evaluations raise the
+same errors.
 """
 
 from __future__ import annotations
@@ -27,28 +28,45 @@ from .distributions import DistributionSpec, Gaussian, moments
 TWO_PI_E = 2.0 * math.pi * math.e
 
 
-def binary_entropy(p: float) -> float:
-    """Entropy of a Bernoulli(p) in nats, with H(0) = H(1) = 0 by continuity."""
-    if not 0.0 <= p <= 1.0:
+def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
+    """Entropy of a Bernoulli(p) in nats, with H(0) = H(1) = 0 by continuity;
+    ``p`` is a float or an array."""
+    array = type(p) is np.ndarray
+    if not (((0.0 <= p) & (p <= 1.0)).all() if array else 0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log(p) - (1.0 - p) * math.log1p(-p)
+    return _entropy(p, np if array else math)
 
 
-def rate_R(omega: float, alpha: float) -> float:
+def rate_R(omega: float | np.ndarray, alpha: float | np.ndarray) -> float | np.ndarray:
     """Nats per dimension needed to encode a sparsity pattern of rate ``omega``
     to within relative-overlap distortion ``alpha``; clamped at 0, as the
-    entropies cancel to a round-off of either sign just below ``1 - omega``."""
-    _check_args(omega, alpha)
-    if alpha >= 1.0 - omega:
-        return 0.0
-    return max(
-        0.0,
-        binary_entropy(omega)
-        - omega * binary_entropy(alpha)
-        - (1.0 - omega) * binary_entropy(omega * alpha / (1.0 - omega)),
+    entropies cancel to a round-off of either sign just below ``1 - omega``.
+    Takes floats, or two arrays of one shape (one pair per genie ``beta``)."""
+    if array := type(omega) is np.ndarray:
+        _check_args(omega.min(), alpha.min())  # a range holds if both its ends do
+        _check_args(omega.max(), alpha.max())
+        if (free := alpha >= 1.0 - omega).any():
+            return np.where(free, 0.0, rate_R(omega, np.where(free, 0.0, alpha)))
+    else:
+        _check_args(omega, alpha)
+        if alpha >= 1.0 - omega:
+            return 0.0
+    lib, rest = np if array else math, 1.0 - omega
+    r = (
+        _entropy(omega, lib)
+        - omega * _entropy(alpha, lib)
+        - rest * _entropy(omega * alpha / rest, lib)
     )
+    return np.maximum(0.0, r) if array else max(0.0, r)
+
+
+def _entropy(p, lib):
+    """:func:`binary_entropy` of a ``p`` in [0, 1], with ``lib`` math or NumPy."""
+    if lib is np and (edge := (p == 0.0) | (p == 1.0)).any():
+        return np.where(edge, 0.0, _entropy(np.where(edge, 0.5, p), np))
+    if lib is math and (p == 0.0 or p == 1.0):
+        return 0.0
+    return -p * lib.log(p) - (1.0 - p) * lib.log1p(-p)
 
 
 def rate_R_hamming(omega: float, alpha: float) -> float:

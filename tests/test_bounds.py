@@ -427,13 +427,14 @@ def test_t4_keeps_the_grid_row_when_it_cannot_refine(
 
     monkeypatch.setattr(bd, "_golden_max", spy)
     if case == "bracket-params-fail":
-        # Only the grid's own betas keep their parameters, so every golden
-        # step and the solve at the beta found are skipped.
+        # Only the grid's own betas (the array pass's among them) keep their
+        # parameters, so every golden step and the solve at the beta found
+        # are skipped.
         grid = set(bd._beta_grid(src, alpha).tolist())
         genie_params = bd._genie_params
 
         def patched(source, beta):
-            if beta not in grid:
+            if not set(np.atleast_1d(beta).tolist()) <= grid:
                 raise ValueError("patched failure")
             return genie_params(source, beta)
 
@@ -710,6 +711,8 @@ def test_top_down_pass_with_skipped_rows_and_mixed_zero_gamma(monkeypatch, no_va
     genie_params = bd._genie_params
 
     def patched(source, beta):
+        if isinstance(beta, np.ndarray):  # the rows are built one beta at a time
+            raise ValueError("patched out")
         pref, om_b, v_eff, vh_eff = genie_params(source, beta)
         if beta == grid[41]:
             raise ValueError("patched failure")
@@ -850,7 +853,7 @@ def test_genie_bounds_skip_a_beta_whose_parameters_fail(monkeypatch, caplog, bou
     genie_params = bd._genie_params
 
     def patched(source, beta):
-        if beta == grid[row]:
+        if np.any(beta == grid[row]):  # the array pass fails too, and falls back
             raise ValueError("patched failure")
         return genie_params(source, beta)
 
@@ -872,9 +875,12 @@ def test_best_lower_builds_the_beta_rows_once_per_call(monkeypatch, caplog):
     src = gaussian_source(1e-4, 20.0)
     grid = bd._beta_grid(src, 0.03)
     genie_params = bd._genie_params
-    on_grid = []
+    on_grid, passes = [], []
 
     def patched(source, beta):
+        if isinstance(beta, np.ndarray):  # the array pass holds grid[41], so it falls back
+            passes.append(beta.tolist())
+            raise ValueError("patched failure")
         on_grid.append(beta in grid)
         if beta == grid[41]:
             raise ValueError("patched failure")
@@ -883,13 +889,114 @@ def test_best_lower_builds_the_beta_rows_once_per_call(monkeypatch, caplog):
     monkeypatch.setattr(bd, "_genie_params", patched)
     with caplog.at_level("WARNING", logger="srdbounds.bounds"):
         first = bd.best_lower(src, 0.03, "iid")
-        assert sum(on_grid) == len(grid)
+        assert sum(on_grid) == len(grid) and passes == [grid[:-1].tolist()]
         assert bd.best_lower(src, 0.03, "iid") == first
-    assert sum(on_grid) == 2 * len(grid)
+    assert sum(on_grid) == 2 * len(grid) and len(passes) == 2
     assert [r.getMessage() for r in caplog.records] == 2 * [
         f"{bound} at alpha=0.03: skipping beta={grid[41]:g} (patched failure)"
         for bound in ("t2_genie", "t4_iid_genie")
     ]
+
+
+ROW_FAMILIES = [
+    Gaussian(0.0, 1.0),
+    Gaussian(1.0, 1.0),
+    Uniform(0.0, 1.0),
+    Uniform(2.0, 1.0),
+    PointMass(0.2, 1.0, outer_mass=0.1),
+    PointMass(0.2, 1.0, limit=True),
+    _sliced_from_eta(0.2),
+]
+
+
+def _ulps_apart(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    return abs(a - b) / np.spacing(max(abs(a), abs(b)))
+
+
+@given(
+    dist=st.sampled_from(ROW_FAMILIES),
+    omega=st.floats(1e-6, 0.5),
+    snr_db=st.floats(-30.0, 200.0),
+    alpha=st.floats(5e-324, 1.0 - 1e-16, allow_subnormal=True),
+)
+@example(dist=Gaussian(0.0, 1.0), omega=0.5, snr_db=0.0, alpha=5e-324)
+@example(dist=Gaussian(0.0, 1.0), omega=1e-4, snr_db=20.0, alpha=1.0 - 1e-16)
+@example(dist=PointMass(0.2, 1.0, outer_mass=0.1), omega=1e-4, snr_db=200.0, alpha=1e-300)
+@example(dist=_sliced_from_eta(0.2), omega=1e-4, snr_db=-30.0, alpha=1e-12)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_grid_rows_match_the_float_rows(dist, omega, snr_db, alpha):
+    """The rows of the array pass (or of its fallback) are those of the float
+    route: None and skip notes at the same betas in the same order and text,
+    the row at beta = 1 equal, the rest within a few ulps: the entropy power
+    as its entropy, whose rounding its exponential scales, and the target
+    rate, whose entropies cancel just above beta = alpha, to 1e-15 absolute."""
+    src = bd.source_at_snr(dist, omega, snr_db)
+    grid = bd._beta_grid(src, alpha)
+    with bd._record(None) as float_notes:
+        want = [bd._genie_row(src, alpha, beta) for beta in grid]
+    with bd._record(None) as notes:
+        got_grid, got = bd._grid_rows(src, alpha)
+    text = [[(k, a, b, type(e), str(e)) for k, a, b, e in held] for held in (notes, float_notes)]
+    assert text[0] == text[1]
+    assert np.array_equal(got_grid, grid) and len(got) == len(want)
+    assert [row is None for row in got] == [row is None for row in want]
+    assert got[-1] == want[-1]
+    for row, ref in zip(got[:-1], want[:-1]):
+        if row is None:
+            continue
+        assert all(_ulps_apart(x, y) <= 4 for x, y in zip(row[:3], ref[:3])), (row, ref)
+        if ref[3] > 0.0:  # the entropy 0.5 * log(vh_eff * 2 pi e / om_b)
+            h, h_ref = (0.5 * math.log(r[3] * 2.0 * math.pi * math.e / r[1]) for r in (row, ref))
+            assert abs(h - h_ref) <= 4 * np.spacing(max(abs(h), abs(h_ref), 1.0)), (row, ref)
+        else:
+            assert row[3] == ref[3]
+        assert _ulps_apart(row[4], ref[4]) <= 4 or abs(row[4] - ref[4]) <= 1e-15, (row, ref)
+
+
+def test_best_lower_builds_the_beta_rows_in_one_array_pass(monkeypatch):
+    # Per curves input, the array pass saves 199 scalar truncations and 199
+    # target rates against the float route (row by row, as the fallback does).
+    # Those rows are tuples of floats.
+    points = ((0.0, 3e-3), (20.0, 0.03), (40.0, 0.25))
+    inputs = [(dist, snr, alpha) for dist in T4_FAMILIES.values() for snr, alpha in points]
+    for dist, snr, alpha in inputs:
+        _, rows = bd._grid_rows(bd.source_at_snr(dist, 1e-4, snr), alpha)
+        assert all(type(x) is float for row in rows[:-1] for x in row)
+    genie_params = bd._genie_params
+
+    def scalar_calls(fall_back):
+        """Per input, the value and the scalar truncate and rate_R calls."""
+        calls = {"truncate": 0, "rate_R": 0}
+        out = []
+        with monkeypatch.context() as mp:
+            for name in calls:
+
+                def spy(*args, real=getattr(bd, name), name=name):
+                    calls[name] += not isinstance(args[-1], np.ndarray)
+                    return real(*args)
+
+                mp.setattr(bd, name, spy)
+            if fall_back:
+
+                def float_only(source, beta):
+                    if isinstance(beta, np.ndarray):
+                        raise ValueError("float route")
+                    return genie_params(source, beta)
+
+                mp.setattr(bd, "_genie_params", float_only)
+            for dist, snr, alpha in inputs:
+                calls.update(truncate=0, rate_R=0)
+                value = bd.best_lower(bd.source_at_snr(dist, 1e-4, snr), alpha, "iid")
+                out.append((value, calls["truncate"], calls["rate_R"]))
+        return out
+
+    for (value, truncs, rates), (row_value, row_truncs, row_rates) in zip(
+        scalar_calls(False), scalar_calls(True)
+    ):
+        assert value == row_value
+        assert row_truncs - truncs >= 190 and row_rates - rates >= 190, (truncs, row_truncs)
 
 
 def test_classify_scans_reads_each_row():
@@ -1235,9 +1342,11 @@ def test_alpha_curve_roundtrip():
 
 def test_alpha_curve_evaluates_the_bracket_ends_once(monkeypatch, caplog):
     # One call over several rates evaluates the two bracket ends once, and
-    # gives the points, beta* and warning lines of one call per rate.  Each
-    # end is made to hold a multi-crossing alpha, which every rate's line
-    # must count.
+    # every other alpha once too (each rate's bisection starts at the same
+    # midpoint), and gives the points, beta* and warning lines of one call per
+    # rate.  Every alpha is made to hold a multi-crossing note, which the line
+    # of every rate that reaches it must count: the ends' and the replayed
+    # notes of midpoints evaluated for an earlier rate.
     src = gaussian_source(1e-4, 10.0)
     rates = list(np.geomspace(1e-4, 1e-2, 8))
     ends = (bd.ALPHA_FLOOR, 1.0 - 1e-9)
@@ -1246,21 +1355,24 @@ def test_alpha_curve_evaluates_the_bracket_ends_once(monkeypatch, caplog):
 
     def counting(source, bound, alpha):
         calls.append(alpha)
-        if alpha in ends:
-            bd._note("crossings", alpha, detail=2)
+        bd._note("crossings", alpha, detail=2)
         return evaluate(source, bound, alpha)
 
     monkeypatch.setattr(bd, "evaluate_bound", counting)
     with caplog.at_level("WARNING", logger="srdbounds.bounds"):
-        single = [bd.alpha_curve(src, BoundId.P6_IID_ENTROPY, [rho]) for rho in rates]
-        single_calls = len(calls)
+        single, reached = [], []
+        for rho in rates:
+            single.append(bd.alpha_curve(src, BoundId.P6_IID_ENTROPY, [rho]))
+            reached.append(len(calls) - sum(reached))
+        single_calls = list(calls)
         single_lines = [r.getMessage() for r in caplog.records]
         calls.clear()
         caplog.clear()
         joint = bd.alpha_curve(src, BoundId.P6_IID_ENTROPY, rates)
         joint_lines = [r.getMessage() for r in caplog.records]
     assert [alpha for alpha in calls if alpha in ends] == list(ends)
-    assert len(calls) == single_calls - 2 * (len(rates) - 1)
+    assert len(calls) == len(set(calls)) and set(calls) == set(single_calls)
+    assert len(calls) < len(single_calls) - 2 * (len(rates) - 1)
     assert joint.points == [point for curve in single for point in curve.points]
     assert joint.solver_meta == {
         "omitted": [],
@@ -1269,6 +1381,7 @@ def test_alpha_curve_evaluates_the_bracket_ends_once(monkeypatch, caplog):
     }
     assert joint_lines == single_lines
     assert len(joint_lines) == len(rates)
+    assert all(f"{n} alpha values found more" in line for n, line in zip(reached, joint_lines))
     assert all(line.startswith("p6_iid_entropy at alpha=1e-06..1 ") for line in joint_lines)
     assert bd.alpha_curve(src, BoundId.P6_IID_ENTROPY, []).points == []
 

@@ -225,12 +225,13 @@ def test_gaussian_cut_matches_reference_values(beta, r, h, sliced_var):
             var = floor**2 + r * sv + 2 * floor * mp.sqrt(sv) * r_abs
             print(beta, mp.nstr(r, 17), mp.nstr(h, 17), mp.nstr(var, 17))
     """
-    tr = truncate(Gaussian(0.0, 1.0), beta)
-    assert tr.variance == pytest.approx(r, rel=1e-13, abs=0)
-    assert tr.diff_entropy == pytest.approx(h, rel=1e-13, abs=0)
-    assert truncate(SlicedGaussian(0.3, 1.1), beta).variance == pytest.approx(
-        sliced_var, rel=1e-13, abs=0
-    )
+    # On both routes: the float's, and an array's (beta last of two).
+    for route in (float, lambda b: np.array([0.5, b])):
+        tr = truncate(Gaussian(0.0, 1.0), route(beta))
+        assert np.atleast_1d(tr.variance)[-1] == pytest.approx(r, rel=1e-13, abs=0)
+        assert np.atleast_1d(tr.diff_entropy)[-1] == pytest.approx(h, rel=1e-13, abs=0)
+        sliced = truncate(SlicedGaussian(0.3, 1.1), route(beta)).variance
+        assert np.atleast_1d(sliced)[-1] == pytest.approx(sliced_var, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("dist", CONTINUOUS)
@@ -241,6 +242,73 @@ def test_truncate_matches_quadrature(dist, beta):
     assert closed.mean == pytest.approx(oracle.result.mean, abs=1e-8)
     assert closed.variance == pytest.approx(oracle.result.variance, abs=1e-8)
     assert closed.diff_entropy == pytest.approx(oracle.result.diff_entropy, abs=1e-8)
+
+
+# Betas every array below holds, with the family's kinks: tiny, the smallest
+# normal, subnormal, and 1.
+EDGE_BETAS = [1e-300, 2.2250738585072014e-308, 1e-310, 5e-324, 1.0]
+
+
+def _ulps_apart(a, b) -> float:
+    if a == b:
+        return 0.0
+    return abs(a - b) / np.spacing(max(abs(a), abs(b)))
+
+
+@given(
+    dist=st.sampled_from(ALL_VARIANTS + [Uniform(0.0, 1.0)]),
+    betas=st.lists(st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=True), max_size=30),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_array_truncation_matches_the_float_route(dist, betas):
+    """Every field of an array truncation is within 4 ulps of the float's at
+    each beta, and the moments' own where the float's are at beta = 1.  Where
+    some float truncation raises, the array raises under the row pass's error
+    state, and the other betas are compared."""
+    betas = [*betas, *EDGE_BETAS, *dist.kinks]
+    ok, want = [], []
+    for beta in betas:
+        try:
+            want.append(truncate(dist, beta))
+            ok.append(beta)
+        except (ValueError, ArithmeticError):
+            pass
+    if len(ok) < len(betas):
+        with pytest.raises((ValueError, ArithmeticError)):
+            with np.errstate(all="raise", under="ignore"):
+                truncate(dist, np.array(betas))
+    if not ok:
+        return
+    got = truncate(dist, np.array(ok))
+    for field, column in zip(got._fields, got):
+        for i, ref in enumerate(getattr(tr, field) for tr in want):
+            value = column[i] if isinstance(column, np.ndarray) else column
+            if ref is None or value is None:
+                assert ref is value, field
+            else:
+                assert _ulps_apart(float(value), ref) <= 4, (field, ok[i], value, ref)
+    full = truncate(dist, np.array([1.0]))
+    m = moments(dist)
+    if not isinstance(dist, Uniform | SlicedGaussian):  # the float's are the moments here
+        assert (full.variance, full.diff_entropy) == (m.variance, m.diff_entropy)
+        assert full == truncate(dist, 1.0)
+
+
+@pytest.mark.parametrize("dist", ALL_VARIANTS, ids=repr)
+def test_the_oracles_never_take_the_closed_form_route(monkeypatch, dist):
+    # Neither oracle calls a family's truncate, the Gaussian cut, or the
+    # helpers that pick math or NumPy for the closed forms.
+    def closed_form_route(*args):
+        raise AssertionError("an oracle called the closed-form route")
+
+    for name in ("_gaussian_cut", "_lib", "_where"):
+        monkeypatch.setattr(srdbounds.distributions, name, closed_form_route)
+    monkeypatch.setattr(type(dist), "truncate", closed_form_route)
+    with pytest.raises(AssertionError):
+        truncate(dist, np.array([0.3, 1.0]))
+    for beta in (0.3, 1.0):
+        assert math.isfinite(truncate_oracle(dist, beta, "quadrature").result.variance)
+    assert math.isfinite(truncate_oracle(dist, 0.3, "montecarlo", budget=2_000).result.variance)
 
 
 def _reference_density(dist):

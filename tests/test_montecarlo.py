@@ -425,6 +425,26 @@ def test_power_ratio_bounded_for_all_variants():
         assert math.isfinite(max(ratios))
 
 
+SLICED = SlicedGaussian(0.5, 0.4)
+
+
+def test_power_ratio_scan_truncates_once_as_the_float_loop_does(monkeypatch):
+    # One array truncation gives, to 4 ulps, the ratios of the per-beta float
+    # loop it replaced (kept here as the reference).
+    grid = np.geomspace(1e-3, 1.0, 50)
+    for dist in (Gaussian(0.0, 1.0), Uniform(0.5, 1.0), PointMass(0.2, 1.0, 0.1), SLICED):
+        base, power = 0.1 * mc.moments(dist).second_moment, 2.0 * mc.decay_rate(dist)
+        want = [0.1 * mc.truncate(dist, float(b)).second_moment / base / b**power for b in grid]
+        calls = []
+        truncate = mc.truncate
+        monkeypatch.setattr(mc, "truncate", lambda d, b: calls.append(b) or truncate(d, b))
+        got = mc.power_ratio_scan(dist, 0.1, grid)
+        monkeypatch.undo()
+        assert len(calls) == 1 and [beta for beta, _ in got] == grid.tolist()
+        for (_, ratio), ref in zip(got, want):
+            assert abs(ratio - ref) <= 4 * np.spacing(ref), (dist, ratio, ref)
+
+
 def test_power_ratio_pointmass_floor():
     scan = mc.power_ratio_scan(PointMass(0.2, 1.0, limit=True), 0.1, np.geomspace(1e-3, 0.99, 20))
     for _, ratio in scan:

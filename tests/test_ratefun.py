@@ -70,6 +70,27 @@ def test_rate_nonincreasing_in_alpha(omega, a1, a2):
     assert rate_R(omega, a1) >= rate_R(omega, a2) - 1e-12
 
 
+def test_entropy_and_rate_take_arrays_with_their_edges():
+    # Each element of an array is its float's value to a few ulps, at the
+    # edges too: H(0) = H(1) = 0, and no rate at alpha >= 1 - omega.  An
+    # element out of range rejects the whole array, as the float is rejected.
+    p = np.array([0.0, 1e-300, 0.1, 0.5, 0.9, 1.0])
+    want = [binary_entropy(float(x)) for x in p]
+    assert binary_entropy(p).tolist() == pytest.approx(want, rel=1e-15, abs=0)
+    omega = np.array([0.1, 0.1, 0.1, 1e-6, 0.5, 0.2])
+    alpha = np.array([0.0, 0.1, 0.9, 0.3, 1.0, 0.8 - 1e-9])
+    want = [rate_R(float(o), float(a)) for o, a in zip(omega, alpha)]
+    got = rate_R(omega, alpha).tolist()
+    assert got == pytest.approx(want, rel=1e-14, abs=1e-15) and got[2] == got[4] == 0.0
+    for bad in (p - 0.1, p + 0.1):
+        with pytest.raises(ValueError, match="p must lie"):
+            binary_entropy(bad)
+    with pytest.raises(ValueError, match="omega must lie"):
+        rate_R(omega + 0.4, alpha)
+    with pytest.raises(ValueError, match="alpha must lie"):
+        rate_R(omega, alpha + 0.1)
+
+
 def test_rate_hamming_variant():
     assert rate_R_hamming(0.1, 0.05) == pytest.approx(
         binary_entropy(0.1) - binary_entropy(0.05)
