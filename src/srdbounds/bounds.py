@@ -12,10 +12,10 @@ time.  p4, p6 and the genie-aided i.i.d. bound t4 share one deficit: p6 is t4
 at ``beta = 1``, where the genie reveals nothing, and p4 is p6 without a
 density.  t2 and t4 share one row per retained fraction ``beta`` (200 of
 them), built below ``beta = 1`` in one array pass, else one float at a time.
-t4 sweeps them in one top-down pass per rate grid that skips each chunk a
-monotone interval bound clears, solves only the rows that can hold the
-maximum, and refines the best by the envelope condition.  A NaN or infinite
-deficit on any rate a scan reads is refused.
+t4 reads each row on the rate grids its own scan climbs, one top-down pass per
+grid that skips each chunk a monotone interval bound clears, solves the rows
+whose upper end exceeds the largest lower end and refines the best by the
+envelope condition.  A NaN or infinite deficit on a rate a scan reads is refused.
 
 Warnings leave by one route.  Each evaluation of p4, p5, p6, t2 or t4, and
 each rate ``alpha_curve`` inverts, opens a record (``_record``); every warning
@@ -134,27 +134,31 @@ def _scan_implicit(deficit, hi: float):
 
     The deficit is LHS - RHS of the defining inequality; achievable rates have
     nonnegative deficit, so the lower bound is the last negative-to-nonnegative
-    crossing on an ascending log grid.  The scan range grows geometrically
-    while the inequality is still violated at its end; the deficit of every
-    supported bound eventually turns positive, so this terminates well before
-    the hard cap except for pathological inputs.  ``report`` is the final
-    answer when there is no crossing to refine; otherwise it is None and
-    ``bracket`` holds the grid points around the last crossing.
+    crossing on an ascending log grid.  The scan climbs the ladder of grids
+    (:func:`_next_end`) while the inequality is still violated at its end; the
+    deficit of every supported bound eventually turns positive, so this
+    terminates well before the hard cap except for pathological inputs.
+    ``report`` is the final answer when there is no crossing to refine;
+    otherwise it is None and ``bracket`` holds the grid points around the last crossing.
     """
     while True:
         grid = _rho_grid(hi)
         # A NaN or infinite value is refused below, so numpy need not warn.
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = deficit(grid)
-        if vals[-1] < 0.0 and hi < RHO_RANGE_CAP:
-            hi = min(hi * 100.0, RHO_RANGE_CAP)
-            continue
-        return _classify_scan(grid, vals)
+        if not vals[-1] < 0.0 or (hi := _next_end(hi)) is None:
+            return _classify_scan(grid, vals)
 
 
 def _scan_start(omega: float) -> float:
     """The upper end of the first rate grid a scan evaluates."""
     return max(8.0, 40.0 * omega)
+
+
+def _next_end(hi: float) -> float | None:
+    """The end of the next rate grid up the ladder a scan still violated at the
+    end ``hi`` climbs (100 times ``hi``, at most RHO_RANGE_CAP); None at the cap."""
+    return min(hi * 100.0, RHO_RANGE_CAP) if hi < RHO_RANGE_CAP else None
 
 
 def _refuse_non_finite(grid: np.ndarray, vals: np.ndarray) -> None:
@@ -247,17 +251,16 @@ def _note(kind: str, alpha: float | None, beta: float | None = None, detail=None
 
 
 @contextlib.contextmanager
-def _record(bound: BoundId | None, rho: float | None = None, notes=()):
+def _record(bound: BoundId | None, rho: float | None = None):
     """Open the record of one evaluation of ``bound`` (also as a decorator), or
-    of one rate ``rho``'s inversion starting with ``notes``; nested in an open
-    record, the block adds to that one, and with ``bound`` None the record is
-    new and only held.  Closed without an error, a record logs one line per
-    kind and alpha, in the order first noted (a rate's crossings and skipped
-    betas fold over alpha): the only warnings this module logs."""
+    of one rate ``rho``'s inversion; nested in an open record, the block adds to
+    it, and with ``bound`` None the record is new and only held.  Closed without
+    an error, a record logs one line per kind and alpha, in the order first noted
+    (a rate's crossings and skipped betas fold over alpha): the module's only warnings."""
     if bound is not None and (outer := _notes.get()) is not None:
         yield outer
         return
-    held = list(notes)
+    held: list = []
     token = _notes.set(held)
     try:
         yield held
@@ -594,7 +597,8 @@ def _top_down_pass(params, hi: float) -> tuple[np.ndarray, np.ndarray]:
     The rate grid ending at ``hi`` is read TOP_PASS_POINTS rates at a time from
     its end down, to the first chunk where some row is negative.  Each such row's
     bracket surrounds its last negative rate (upper end ``inf`` at the grid's
-    end); every other row reads ``-inf``, or all read 0 if no row is negative.
+    end); every other row is nonnegative from the chunk's lowest rate up and
+    reads (``-inf``, that rate), or all read 0 if no row is negative.
     A row is evaluated only on the chunks [a, b] its interval bound does not
     clear: the deficit's operations on ``info_G`` at a and ``info_V`` at b,
     above a 1e-12 relative margin, where both rise (gamma and r*gamma of
@@ -604,7 +608,8 @@ def _top_down_pass(params, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """
     rates = _rho_grid(hi)
     stops = np.arange(rates.size, 0, -TOP_PASS_POINTS)
-    lows, tops = rates[np.maximum(stops - TOP_PASS_POINTS, 0)], rates[stops - 1]
+    starts = np.maximum(stops - TOP_PASS_POINTS, 0)
+    lows, tops = rates[starts], rates[stops - 1]
     # One column per parameter broadcasts to one row per beta.
     pref, om_b, v, vh, r_t = cols = np.array(params).T[:, :, None]
     with np.errstate(all="ignore"):  # a bound that is not finite clears nothing
@@ -613,19 +618,19 @@ def _top_down_pass(params, hi: float) -> tuple[np.ndarray, np.ndarray]:
         rising = (v <= MONOTONE_GAMMA) & (tops / pref * v <= MONOTONE_GAMMA)
         rising &= (r_v <= INFO_V_PEAK) | (lows / om_b >= 1.0)
         clear = rising & (g - r_t - om_v > 1e-12 * (abs(g) + r_t + om_v))
-    lower, upper = np.full((2, len(params)), -math.inf)
-    for stop, cleared in zip(stops, clear.T):
+    for start, stop, cleared in zip(starts, stops, clear.T):
         if not (rows := np.flatnonzero(~cleared)).size:
             continue
         # A NaN or infinite value is refused here, so numpy need not warn.
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = _genie_deficit(*cols[:, rows])(rates[max(stop - TOP_PASS_POINTS, 0) : stop])
+            vals = _genie_deficit(*cols[:, rows])(rates[start:stop])
             if not np.isfinite(vals).all():
                 _refuse_non_finite(rates, _genie_deficit(*cols)(rates))  # the lowest such rate
         neg = vals < 0.0
         hit = neg.any(axis=1)
         if hit.any():
             last = stop - 1 - np.argmax(neg[hit, ::-1], axis=1)  # last negative index
+            lower, upper = np.full(len(params), -math.inf), np.full(len(params), rates[start])
             lower[rows[hit]] = rates[last]
             upper[rows[hit]] = np.append(rates, math.inf)[last + 1]
             return lower, upper
@@ -637,14 +642,13 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     """Genie-aided entropy-power bound for i.i.d. matrices.
 
     Maximizes the solved rate over the retained fraction ``beta``; returns the
-    best solve report and ``beta_star``.  The top-down pass reads the bracket
-    of each grid row that can hold the maximum, and on each grown rate grid
-    that of each row still violated at the last grid's end.  The rows whose
-    bracket on the last grid reaches above the largest lower end are solved
-    from it as p4 and p6 are, in index order, and the first of the largest
-    rates is kept.  When no row is negative on the first grid, its first row
-    not skipped is solved; when no lower end on a grown grid reaches the last
-    end, the first grid's rows are solved from it.  The best row is refined by
+    best solve report and ``beta_star``.  Each grid row follows the ladder of
+    rate grids its own scan would: the top-down pass reads its bracket on the
+    first grid, and on each next grid while it is still violated at the end.
+    The rows whose upper end on the grid where they stop exceeds the largest
+    lower end read on such a grid are solved from that grid, as p4 and p6 are,
+    in index order, and the first of the largest rates is kept; if there are
+    none, the first row not skipped is solved.  The best row is refined by
     the envelope condition (the deficit's beta-derivative vanishes at the
     maximizer's rate): golden section over the neighbouring grid points finds
     the beta most violated at the best rate so far, and a full solve there
@@ -664,23 +668,20 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
         return _noted(_solve_implicit(_genie_deficit(*params), rho_hi), alpha, beta)
 
     grid, rows = _grid_rows(source, alpha)
-    live = [i for i, p in enumerate(rows) if p is not None and (p[4] != 0.0 or p[3] != 0.0)]
-    start = rho_hi = _scan_start(omega)
-    kept, last_end = [], 0.0
-    if live:
-        lower, upper = _top_down_pass([rows[i] for i in live], rho_hi)
-        kept = first = [live[j] for j in np.flatnonzero(upper > lower.max())]
-        # Rows go on as their scans do; a row dropped ends below the end a kept row must reach.
-        while upper.max() == math.inf and rho_hi < RHO_RANGE_CAP:
-            last_end, rho_hi = rho_hi, min(rho_hi * 100.0, RHO_RANGE_CAP)
-            lower, upper = _top_down_pass([rows[i] for i in kept], rho_hi)
-            kept = [kept[j] for j in np.flatnonzero(upper > lower.max())]
-        if lower.max() < last_end:
-            kept, rho_hi = first, start
-    # A bisection ends inside its bracket, so a row that is not solved ends
-    # strictly below the largest lower end: the largest solved rate is the maximum.
-    kept = kept or [next(i for i, p in enumerate(rows) if p is not None)]
-    reports = ((solve(grid[i], rows[i], rho_hi), i) for i in kept)
+    rising = [i for i, p in enumerate(rows) if p is not None and (p[4] != 0.0 or p[3] != 0.0)]
+    ends = {}  # row -> (the end of the grid its scan stops on, its lower and upper end there)
+    rho_hi = start = _scan_start(omega)
+    while rising and rho_hi is not None:  # a row still violated at its grid's end climbs on
+        lower, upper = _top_down_pass([rows[i] for i in rising], rho_hi)
+        ends.update((i, (rho_hi, lo, up)) for i, lo, up in zip(rising, lower, upper))
+        rising, rho_hi = [i for i, up in zip(rising, upper) if up == math.inf], _next_end(rho_hi)
+    # A solve reaches its row's lower end and ends inside its bracket, so a row not
+    # solved ends at or below a solved one (below, unless it reads 0 where no row is
+    # negative).  The first grid puts every row in ``ends``, in index order.
+    top = max((lo for _, lo, _ in ends.values()), default=-math.inf)
+    kept = [(i, end) for i, (end, _, up) in ends.items() if up > top]
+    kept = kept or [(next(i for i, p in enumerate(rows) if p is not None), start)]
+    reports = ((solve(grid[i], rows[i], end), i) for i, end in kept)
     report, best = max(reports, key=lambda pair: pair[0].rho_lower)  # the first largest
     beta_star = float(grid[best])
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
@@ -846,17 +847,21 @@ def alpha_curve(source: SourceParams, bound: BoundId, rho_grid: list[float]) -> 
         raise ValueError(f"rates must be finite and nonnegative, got {bad[0]}")
     points: list[tuple[float, float]] = []
     meta: dict = {"omitted": [], "alpha_floor": ALPHA_FLOOR, "beta_star": {}}
-    if not rho_grid:
-        return BoundCurve(bound, source, "alpha_vs_rho", points, meta)
-    # The bracket ends serve every rate; each rate's record starts with their notes.
-    with _record(None) as ends:
-        val_lo, _ = evaluate_bound(source, bound, ALPHA_FLOOR)
-        val_hi, beta_hi = evaluate_bound(source, bound, 1.0 - 1e-9)
-    rises = val_lo < val_hi
     seen: dict[float, tuple] = {}  # alpha -> (value, beta*, notes)
+
+    def at(alpha):  # the bound at alpha, evaluated once per call; its notes replayed
+        if alpha not in seen:
+            with _record(None) as notes:
+                seen[alpha] = (*evaluate_bound(source, bound, alpha), notes)
+        for note in seen[alpha][2]:
+            _note(*note)
+        return seen[alpha][:2]
+
     for rho in sorted(rho_grid):
-        with _record(bound, rho, ends):
-            lo, hi, beta = ALPHA_FLOOR, 1.0 - 1e-9, beta_hi
+        with _record(bound, rho):  # each rate's record starts with the bracket ends' notes
+            lo, hi = ALPHA_FLOOR, 1.0 - 1e-9
+            (val_lo, _), (val_hi, beta) = at(lo), at(hi)
+            rises = val_lo < val_hi
             if rises or val_hi > rho:  # or val_lo >= val_hi > rho: no alpha meets rho
                 reason = "non-monotone bracket" if rises else "bound exceeds rho on full range"
                 meta["omitted"].append((rho, reason))
@@ -869,12 +874,7 @@ def alpha_curve(source: SourceParams, bound: BoundId, rho_grid: list[float]) -> 
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
                     break
-                if mid not in seen:
-                    with _record(None) as notes:
-                        seen[mid] = (*evaluate_bound(source, bound, mid), notes)
-                val_mid, beta_mid, notes = seen[mid]
-                for note in notes:
-                    _note(*note)
+                val_mid, beta_mid = at(mid)
                 if val_mid <= rho:
                     hi, beta = mid, beta_mid
                 else:

@@ -1,6 +1,6 @@
 """Bound evaluators: closed forms, implicit solves, genie maximization."""
 
-import contextlib
+import dataclasses
 import math
 
 import numpy as np
@@ -341,6 +341,12 @@ T4_FAMILIES = {
     "pointmass": PointMass(0.2, 1.0, limit=True),
     "sliced": _sliced_from_eta(0.2),
 }
+# T4_FAMILIES and two more value families, for cases of the sweep below.
+SWEEP_FAMILIES = {
+    **T4_FAMILIES,
+    "pointmass-outer": PointMass(0.2, 1.0, outer_mass=0.1),
+    "uniform-mean0": Uniform(0.0, 1.0),
+}
 
 
 BOUND_DOMAIN_FAMILIES = st.one_of(
@@ -365,10 +371,15 @@ T4_SWEEP_CASES = (
        ("sliced", 1e-4, 10.0, 3e-3)]
     # the winning row has two crossings
     + [("gaussian", 0.1, 0.0, 0.7)]
-    # rows still violated at the end of the first grid, and of the second, with
-    # no row's last negative rate on the grown grid at or above the last end
+    # rows still violated at the end of the first grid (and of later ones),
+    # where no row read on the last grid reached has its last negative rate at
+    # or above the end of the grid below
     + [("sliced", 2.9431656555363204e-05, -30.40512251094672, 1.7273046740990054e-08),
-       ("uniform", 0.2071066427863769, 32.748154372636705, 0.008824258671098149)]
+       ("uniform", 0.2071066427863769, 32.748154372636705, 0.008824258671098149),
+       ("gaussian", 0.0008626442025169886, 4.377947882428991, 0.0017799716936468786),
+       ("gaussian", 1.706689875161713e-06, -3.7011728111156614, 0.0024220430708122975),
+       ("pointmass-outer", 0.10909804614226754, -36.95183167108149, 1.3144707673385472e-07),
+       ("uniform-mean0", 1.0027241650431184e-05, 56.734721852259355, 4.687244389594833e-07)]
 )
 
 
@@ -376,7 +387,7 @@ T4_SWEEP_CASES = (
 def test_t4_batched_sweep_matches_per_beta_solves(family, omega, snr_db, alpha):
     # t4 is a full solve at its beta, no smaller than the best grid row solved
     # alone, and that very row when the refinement does not beat it.
-    src = bd.source_at_snr(T4_FAMILIES[family], omega, snr_db)
+    src = bd.source_at_snr(SWEEP_FAMILIES[family], omega, snr_db)
     rep, beta = bd.t4_genie_iid(src, alpha)
     row, row_beta = _best_grid_row(src, alpha)
     assert rep == _solve_t4_row(src, alpha, beta)
@@ -555,47 +566,46 @@ def _check_top_down_pass(source, alpha, hi, among=None, alone=False):
     largest_lower = max(lower for lower, _ in ends)
     assert max(lower for lower, _ in read) == largest_lower
     for (lower, upper), want in zip(read, ends):
-        # A row the pass does not read ends at or below the largest lower end.
-        assert (lower, upper) == want or (lower == upper == -math.inf and want[1] <= largest_lower)
+        # A row the pass does not read has an upper end at or above its own
+        # scan's, and at or below the largest lower end.
+        assert (lower, upper) == want or (lower == -math.inf and want[1] <= upper <= largest_lower)
     return ends, kinds
 
 
-def _pass_grids(source, alpha):
+def _row_stops(source, alpha):
     """Check t4's pass on each rate grid it reads: on the first grid over every
     grid row, then on each grown grid over the rows still violated at the last
-    grid's end, each of those also passed alone.  Returns ``(hi, ends)`` for
-    each grid, its end and each row's scan ends there."""
+    grid's end, each of those also passed alone.  Returns, for each grid row,
+    the end of the grid where its own scan stops and its scan ends there."""
     hi = bd._scan_start(source.omega)
-    grids = [(hi, _check_top_down_pass(source, alpha, hi)[0])]
+    ends = _check_top_down_pass(source, alpha, hi)[0]
+    stops = {i: (hi, row_ends) for i, row_ends in enumerate(ends)}
     while hi < bd.RHO_RANGE_CAP:
-        among = [i for i, (_, upper) in enumerate(grids[-1][1]) if upper == math.inf]
+        among = [i for i, (end, (_, upper)) in stops.items() if end == hi and upper == math.inf]
         if not among:
             break
         hi = min(hi * 100.0, bd.RHO_RANGE_CAP)
-        grids.append((hi, _check_top_down_pass(source, alpha, hi, among, alone=True)[0]))
-    return grids
+        ends = _check_top_down_pass(source, alpha, hi, among, alone=True)[0]
+        stops.update((i, (hi, ends[i])) for i in among)
+    return stops
 
 
 @pytest.mark.parametrize("family, omega, snr_db, alpha", T4_SWEEP_CASES)
 def test_t4_solves_only_rows_that_can_hold_the_maximum(
     monkeypatch, caplog, family, omega, snr_db, alpha
 ):
-    src = bd.source_at_snr(T4_FAMILIES[family], omega, snr_db)
-    grid = bd._beta_grid(src, alpha)
-    grids = _pass_grids(src, alpha)
-    (hi, ends), end = grids[-1], grids[-2][0] if len(grids) > 1 else 0.0
-    if max(lower for lower, _ in ends) < end:  # a kept row may end below a row dropped
-        hi, ends = grids[0]
-    rates = bd._rho_grid(bd._scan_start(omega))
+    src = bd.source_at_snr(SWEEP_FAMILIES[family], omega, snr_db)
+    stops = _row_stops(src, alpha)
+    start = bd._scan_start(omega)
+    rates = bd._rho_grid(start)
 
     def on_grid(deficit):
         with np.errstate(all="ignore"):
             return deficit(rates).tobytes()
 
-    row_of = {}
-    for i, beta in enumerate(grid):
-        with contextlib.suppress(ValueError, ArithmeticError):
-            row_of[on_grid(bd._genie_deficit(*bd._genie_row(src, alpha, beta)))] = i
+    # The rows t4 solves, those of the array pass: a float row may differ in an ulp.
+    _, rows = bd._grid_rows(src, alpha)
+    row_of = {on_grid(bd._genie_deficit(*row)): i for i, row in enumerate(rows) if row is not None}
     solves, grid_ends = [], []
     solve = bd._solve_implicit
 
@@ -609,13 +619,13 @@ def test_t4_solves_only_rows_that_can_hold_the_maximum(
     with caplog.at_level("WARNING", logger="srdbounds.bounds"):
         bd.t4_genie_iid(src, alpha)
     solved = [row_of[key] for key, _ in solves if key in row_of]
-    largest_lower = max(lower for lower, _ in ends)
-    want = [i for i, (_, upper) in enumerate(ends) if upper > largest_lower]
-    # Only the rows whose bracket on the last grid read reaches above the
-    # largest lower end there, solved from that grid; when none does, the row
-    # argmax picks.
+    largest_lower = max(lower for _, (lower, _) in stops.values())
+    want = [i for i, (_, (_, upper)) in stops.items() if upper > largest_lower]
+    # Only the rows whose upper end, on the grid where their own scan stops,
+    # exceeds the largest lower end read on such a grid, each solved from that
+    # grid; when none does, the first row not skipped, from the first grid.
     assert solved == want or (not want and len(solved) <= 1)
-    assert grid_ends[: len(solved)] == len(solved) * [hi]
+    assert grid_ends[: len(solved)] == [stops[i][0] if want else start for i in solved]
     assert len(solved) < bd.BETA_GRID_POINTS
     # The multi-crossing line counts every solve that found several crossings.
     multi = {key for key, report in solves if report.crossings_found > 1}
@@ -658,25 +668,6 @@ def test_t4_follows_the_rows_violated_at_a_grid_end_up_the_rate_grids(monkeypatc
     assert len(growth) > 90 and passes == [start, 1e2 * start, 1e4 * start]
     assert not [params for params in rescans if params in growth]
     assert 0 < len(starts) <= 6 and starts[0] == passes[-1]
-
-
-def test_t4_solves_from_the_first_grid_when_the_grown_pass_finds_no_negative_row(monkeypatch):
-    # The negative stretch of each row still violated at the first grid's end
-    # may fall between the grown grid's points: then t4 solves the first grid's
-    # kept rows from the first grid, one by one, as it did before it grew the pass.
-    src, alpha = gaussian_source(1e-4, -10.0), 1e-3
-    want = bd.t4_genie_iid(src, alpha)
-    start = bd._scan_start(src.omega)
-    top_down_pass, solve, starts = bd._top_down_pass, bd._solve_implicit, []
-
-    def none_negative(params, hi):
-        ends = top_down_pass(params, hi)
-        return ends if hi == start else (np.zeros(len(params)), np.zeros(len(params)))
-
-    monkeypatch.setattr(bd, "_top_down_pass", none_negative)
-    monkeypatch.setattr(bd, "_solve_implicit", lambda d, hi: starts.append(hi) or solve(d, hi))
-    assert bd.t4_genie_iid(src, alpha) == want
-    assert len(starts) >= len(_growth_rows(src, alpha)) > 90 and set(starts) == {start}
 
 
 @pytest.mark.parametrize(
@@ -735,19 +726,21 @@ def test_top_down_pass_with_skipped_rows_and_mixed_zero_gamma(monkeypatch, no_va
 
 def _full_top_down_pass(params, hi):
     """The top-down pass without interval bounds: every row is evaluated on
-    every chunk down to the first where some row is negative."""
+    every chunk down to the first where some row is negative, and every other
+    row reads (-inf, the chunk's lowest rate)."""
     rates = bd._rho_grid(hi)
     block = bd._genie_deficit(*np.array(params).T[:, :, None])
-    lower, upper = np.full((2, len(params)), -math.inf)
     for stop in range(rates.size, 0, -bd.TOP_PASS_POINTS):
+        start = max(stop - bd.TOP_PASS_POINTS, 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = block(rates[max(stop - bd.TOP_PASS_POINTS, 0) : stop])
+            vals = block(rates[start:stop])
             if not np.isfinite(vals).all():
                 bd._refuse_non_finite(rates, block(rates))
         neg = vals < 0.0
         hit = neg.any(axis=1)
         if hit.any():
             last = stop - 1 - np.argmax(neg[hit, ::-1], axis=1)
+            lower, upper = np.full(len(params), -math.inf), np.full(len(params), rates[start])
             lower[hit] = rates[last]
             upper[hit] = np.append(rates, math.inf)[last + 1]
             return lower, upper
@@ -1102,6 +1095,30 @@ def test_every_rate_bound_evaluates(bound):
 def test_c1_test_is_not_a_rate_bound():
     with pytest.raises(ValueError):
         bd.evaluate_bound(gaussian_source(), BoundId.C1_TEST, 0.1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: bd.t2_genie(s, 0.0), "alpha must lie in (0, 1), got 0.0"),
+        (lambda s: bd.t2_genie(s, 1.0), "alpha must lie in (0, 1), got 1.0"),
+        (lambda s: bd.t4_genie_iid(s, 0.0), "alpha must lie in (0, 1), got 0.0"),
+        (lambda s: bd.t4_genie_iid(s, 1.0), "alpha must lie in (0, 1), got 1.0"),
+        (lambda s: bd.p8_shape(s, 0.0, s.power), "alpha must lie in (0, 1/4), got 0.0"),
+        (lambda s: bd.p8_shape(s, 0.25, s.power), "alpha must lie in (0, 1/4), got 0.25"),
+        (lambda s: bd.best_lower(s, 0.1, "gaussian"),
+         "matrix_class must be 'any' or 'iid', got gaussian"),
+        (lambda s: bd.p3_general(dataclasses.replace(s, variance=0.0), 0.1),
+         "source variance must be positive"),
+        (lambda s: bd.p4_iid(dataclasses.replace(s, variance=-1.0), 0.1),
+         "source variance must be positive"),
+    ],
+    ids=["t2-0", "t2-1", "t4-0", "t4-1", "p8-0", "p8-quarter", "best_lower", "p3", "p4"],
+)
+def test_arguments_outside_a_bounds_domain_are_refused(call, message):
+    with pytest.raises(ValueError) as refused:
+        call(gaussian_source(1e-4, 20.0))
+    assert str(refused.value) == message
 
 
 BEST_LOWER_ORDER = {

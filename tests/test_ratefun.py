@@ -182,6 +182,14 @@ def test_xi_values():
     assert xi(0.3, 0.0) == 0.0
     assert xi(1.0, 1.0) == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, abs=1e-12)
     assert xi(4.0, 1.0) == pytest.approx(3.0 - math.sqrt(5.0), abs=1e-12)
+    # An array of r against a column of gamma (0 among them) is the float
+    # xi of each pair to within 4 ulps.
+    r = np.geomspace(1e-9, 1e4, 53)
+    gamma = np.array([0.0, 1e-12, 1e-3, 0.5, 1.0, 7.0, 1e3, 1e6, 1e10])[:, None]
+    got = xi(r, gamma)
+    want = np.array([[xi(float(a), float(g)) for a in r] for g in gamma[:, 0]])
+    assert got.shape == want.shape and (got[0] == 0.0).all()
+    assert (np.abs(got - want) <= 4 * np.spacing(want)).all()
 
 
 def test_info_g_basics():
