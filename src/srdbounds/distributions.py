@@ -64,9 +64,9 @@ class Gaussian:
 
     def truncate(self, beta) -> TruncationResult:
         """Zero mean only; ``beta = 1`` returns the moments exactly."""
-        _, t, r = _gaussian_cut(beta)
         if self.mean != 0.0:
             raise ValueError("closed-form truncation requires a zero-mean Gaussian")
+        _, t, r = _gaussian_cut(beta)
         h = 0.5 * (_lib(beta).log(2.0 * math.pi * beta * beta * self.variance) + r)
         one = beta == 1.0  # where the entropy is the moments' own
         if one.any() if type(one) is np.ndarray else one:

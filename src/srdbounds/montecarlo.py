@@ -7,11 +7,10 @@ brackets, and the truncated-power ratio scan, plus the support enumeration
 every exhaustive search shares.  Per-trial randomness comes from a
 counter-based generator keyed by the (seed, trial) pair.
 
-Both random-matrix limits sample through one loop, ``_sampled_logdets``: it
-draws each trial's matrix, forms its smaller Gram, and takes each target's
-log-determinant from one Cholesky factor.  A draw whose factor raises or whose
-log-determinant is not finite is rejected, and that target takes the trial's
-next draw."""
+Both random-matrix limits sample one bidiagonal matrix of chi variates per
+trial, whose singular values have the law of the i.i.d. Gaussian matrix's
+(Dumitriu & Edelman 2002), and sum O(n) logs of positive terms: no draw
+fails and none is redrawn."""
 
 from __future__ import annotations
 
@@ -27,7 +26,8 @@ from .ratefun import info_G
 
 _CHUNK_BYTES = 1 << 22  # covering_bracket's overlap blocks and gain updates
 _TABLE_ENTRIES = 1 << 26  # covering_bracket's neighbour table: 256 MB of int32
-_MATRIX_ENTRIES = 1 << 24  # _sampled_logdets: 128 MB of float64 per draw
+# simulate's matrix: 128 MB of float64.  verify's samplers refuse above it.
+_MATRIX_ENTRIES = 1 << 24
 _RANK_RTOL = 1e-8  # a column this close to its span, relative to its norm, adds nothing
 # Tree nodes or supports handled per step of a search: the temporaries are
 # then small enough for the allocator to reuse, instead of paging in fresh
@@ -68,7 +68,8 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """A Monte-Carlo mean with its standard error and distance to the target."""
+    """A Monte-Carlo mean with its standard error and distance to the target.
+    ``rejected`` is always 0; the benchmark's trace still reads it."""
 
     mean: float
     std_error: float
@@ -86,11 +87,11 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _estimate(values: np.ndarray, target: float, rejected: int = 0) -> MCEstimate:
+def _estimate(values: np.ndarray, target: float) -> MCEstimate:
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else math.inf
     gap = abs(mean - target) / max(abs(target), 1e-12)
-    return MCEstimate(mean, se, len(values), target, gap, rejected)
+    return MCEstimate(mean, se, len(values), target, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -108,79 +109,60 @@ def _check_matrix_budget(config: MCConfig) -> None:
         )
 
 
-def _sampled_logdets(config: MCConfig, targets) -> tuple[np.ndarray, list[int]]:
-    """log det(shift I + scale G) for each (shift, scale) of ``targets``, one
-    per trial, with G the smaller Gram of the trial's draw (M^T M at m = n);
-    returns them as a (target, trial) array, and each target's rejected draws.
-
-    Each draw and its Gram serve every pending target.  A target whose factor
-    raises or whose log-determinant is not finite waits for the trial's next
-    draw, so its values equal a one-target run's.  A matrix of more than 2**24
-    entries raises BudgetError before the first draw.
-    """
+def _sampled_bidiagonals(config: MCConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's squared diagonal a^2 (chi-square with q, q - 1, ...,
+    q - p + 1 degrees of freedom) and subdiagonal b^2 (p - 1, ..., 1, then 0)
+    of the p x p lower bidiagonal B, p = min(m, n) and q = max(m, n), drawn
+    from ``trial_rng(seed, trial)`` as (trial, p) arrays.  B's singular values
+    have the law of the m x n Gaussian M's, and det(M^T M) = prod a^2 at m >= n
+    (Bartlett 1933).  M of over 2**24 entries raises BudgetError first."""
     _check_matrix_budget(config)
-    n, m = config.n, config.m
-    values = np.empty((len(targets), config.trials))
-    rejected = [0] * len(targets)
+    p, q = min(config.m, config.n), max(config.m, config.n)
+    diag = np.empty((config.trials, p))
+    sub = np.zeros((config.trials, p))
     for trial in range(config.trials):
         rng = trial_rng(config.seed, trial)
-        pending = list(range(len(targets)))
-        while pending:
-            mat = rng.standard_normal((m, n))
-            # At shift 1 both orientations have one log-determinant; shift 0 needs m >= n.
-            gram = mat @ mat.T if m < n else mat.T @ mat
-            waiting = []
-            for t in pending:
-                shift, scale = targets[t]
-                shifted = scale * gram
-                shifted[np.diag_indices_from(shifted)] += shift
-                try:
-                    with np.errstate(divide="ignore", invalid="ignore"):  # refused below
-                        val = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(shifted)))))
-                except np.linalg.LinAlgError:
-                    val = math.nan
-                values[t, trial] = val
-                if not math.isfinite(val):
-                    rejected[t] += 1
-                    waiting.append(t)
-            pending = waiting
-    return values, rejected
+        diag[trial] = rng.chisquare(np.arange(q, q - p, -1))
+        sub[trial, :-1] = rng.chisquare(np.arange(p - 1, 0, -1))
+    return diag, sub
 
 
 def _mp_logdets(config: MCConfig, gammas: tuple[float, ...]) -> list[MCEstimate]:
-    """:func:`mp_logdet` at each of ``gammas`` (``config.gamma`` is ignored),
-    each a target of one :func:`_sampled_logdets` run."""
+    """:func:`mp_logdet` at each of ``gammas`` (``config.gamma`` is ignored)
+    from one :func:`_sampled_bidiagonals` draw: log det(I + s M M^T), s =
+    gamma/n, sums the logs of the LDL^T pivots of T = I + s B B^T, d_1 = T_11
+    and d_i = T_ii - s^2 a_(i-1)^2 b_(i-1)^2 / d_(i-1), taken without a
+    subtraction or an s^2 as d_i = e_i + s a_i^2, e_1 = 1 and e_(i+1) = 1 +
+    s b_i^2 e_i / d_i.  Every pivot is at least 1, so nothing can fail."""
     n, m = config.n, config.m
-    logdets, rejected = _sampled_logdets(config, [(1.0, gamma / n) for gamma in gammas])
-    return [
-        _estimate(logdets[g] / (2.0 * n), info_G(m / n, gamma), rejected[g])
-        for g, gamma in enumerate(gammas)
-    ]
+    diag, sub = _sampled_bidiagonals(config)
+    scale = np.array(gammas, dtype=float)[:, None] / n
+    logdets, rest = 0.0, 1.0  # (gamma, trial) arrays from the first pivot on
+    for a2, b2 in zip(diag.T, sub.T):
+        pivot = rest + scale * a2
+        logdets = logdets + np.log(pivot)
+        rest = 1.0 + scale * b2 * (rest / pivot)
+    return [_estimate(row / (2.0 * n), info_G(m / n, gamma)) for row, gamma in zip(logdets, gammas)]
 
 
 def mp_logdet(config: MCConfig) -> MCEstimate:
     """Sample (1/2n) log det(I + (gamma/n) M M^T) for i.i.d. standard Gaussian
-    M and compare with the asymptotic log-determinant rate.  Draws, rejections
-    and the matrix budget are :func:`_sampled_logdets`'s, at shift 1 and scale
-    gamma/n."""
+    M and compare with the asymptotic log-determinant rate.  Draws and the
+    matrix budget are :func:`_sampled_bidiagonals`'s."""
     return _mp_logdets(config, (config.gamma,))[0]
 
 
 def det_power(config: MCConfig) -> MCEstimate:
     """Sample |(1/m) M^T M|^(1/n) in the log domain and compare with its
-    almost-sure limit, defined for r >= 1.  Draws, rejections and the matrix
-    budget are :func:`_sampled_logdets`'s, at shift 0 and scale 1."""
+    almost-sure limit, defined for r >= 1.  log det(M^T M) sums the logs of
+    :func:`_sampled_bidiagonals`'s squared diagonal, under its budget."""
     n, m = config.n, config.m
     r = m / n
     if r < 1.0:
         raise ValueError(f"det_power requires aspect ratio >= 1, got {r}")
-    if r == 1.0:
-        target = 1.0 / math.e
-    else:
-        target = (r / (r - 1.0)) ** (r - 1.0) / math.e
-    (logdets,), (rejected,) = _sampled_logdets(config, [(0.0, 1.0)])
-    values = [math.exp((logdet - n * math.log(m)) / n) for logdet in logdets]
-    return _estimate(np.array(values), target, rejected)
+    target = (r / (r - 1.0)) ** (r - 1.0) / math.e if r > 1.0 else 1.0 / math.e
+    diag, _ = _sampled_bidiagonals(config)
+    return _estimate(np.exp((np.sum(np.log(diag), axis=1) - n * math.log(m)) / n), target)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +353,13 @@ def covering_bracket(n: int, k: int, alpha: float, seed: int = 0) -> tuple[int, 
     min_overlap = k - int(math.floor(alpha * k))
     rows = max(1, _CHUNK_BYTES // (incidence.itemsize * total))
     table = np.empty((total, width), dtype=np.int32)
+    # One buffer for every block: a fresh one per block is paged in anew on a first call.
+    overlap = np.empty((rows, total), dtype=np.float32)
     for start in range(0, total, rows):
-        near = incidence[start : start + rows] @ incidence.T >= min_overlap
+        block = overlap[: min(rows, total - start)]
+        np.matmul(incidence[start : start + rows], incidence.T, out=block)
         # Flat positions, less each row's offset, are the column indices.
-        cols = np.flatnonzero(near).reshape(-1, width)
+        cols = np.flatnonzero(block >= min_overlap).reshape(-1, width)
         table[start : start + rows] = cols - total * np.arange(len(cols))[:, None]
     # gain[i] counts the uncovered neighbours of support i.  The neighbour
     # relation is symmetric, so covering j lowers the gain of each of j's

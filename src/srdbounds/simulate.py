@@ -35,6 +35,7 @@ from .montecarlo import (
 
 SPAN_RTOL = 1e-9
 MAX_SUPPORTS = 1_000_000
+MAX_SPAN_BYTES = 1 << 28  # rate_sharing_recover's stage-1 span bases: 256 MiB
 # exhaustive_ml's tolerances (see its docstring).  True residual gaps can be
 # tiny: on one noiseless draw at n=20, k=2, m=3 (seed 9, trial 32) a wrong
 # support comes within 5.4e-13 |y|^2 of the true one.  So ties stay well
@@ -100,6 +101,11 @@ class SimConfig:
                     "rate sharing targets rho < omega; "
                     f"got rho={self.rho}, omega={self.omega}"
                 )
+            if self.span_bytes > MAX_SPAN_BYTES:
+                raise BudgetError(
+                    f"stage 1 would hold {self.span_bytes} bytes of span bases, "
+                    f"over the budget of {MAX_SPAN_BYTES}"
+                )
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
 
@@ -110,6 +116,20 @@ class SimConfig:
     @property
     def m(self) -> int:
         return int(math.ceil(self.rho * self.n))
+
+    @property
+    def zeroed_size(self) -> int:
+        """Columns the rate-sharing ensemble zeroes: ceil((1 - (1-eps) rho/omega) n)."""
+        size = math.ceil((1.0 - (1.0 - self.epsilon) * self.rho / self.omega) * self.n)
+        return min(max(size, 0), self.n)
+
+    @property
+    def span_bytes(self) -> int:
+        """Most bytes two consecutive kept levels of stage 1 hold: level j <
+        min(live, m, k) holds C(live, j) x (j + 1) x m float64 (bases, y_perp)."""
+        live = self.n - self.zeroed_size
+        kept = [math.comb(live, j) * (j + 1) * self.m * 8 for j in range(min(live, self.m, self.k))]
+        return max(map(sum, zip(kept, kept[1:])), default=sum(kept))
 
     def effective_dist(self) -> DistributionSpec:
         if self.snr_db is None:
@@ -179,9 +199,7 @@ def sample(x: np.ndarray, config: SimConfig, rng: np.random.Generator) -> Sample
     mat = rng.standard_normal((m, n)) / math.sqrt(n)
     zeroed = None
     if config.matrix == "rate_sharing":
-        u_size = int(math.ceil((1.0 - (1.0 - config.epsilon) * config.rho / config.omega) * n))
-        u_size = min(max(u_size, 0), n)
-        zeroed = np.sort(rng.choice(n, size=u_size, replace=False))
+        zeroed = np.sort(rng.choice(n, size=config.zeroed_size, replace=False))
         mat[:, zeroed] = 0.0
     y = mat @ x
     if config.snr_db is not None:

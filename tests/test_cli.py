@@ -159,6 +159,25 @@ def test_simulate_budget_refusal(tmp_path):
     assert code == 4
 
 
+def test_simulate_stage1_span_budget_refusal(tmp_path, capsys):
+    # Stage 1 would hold 572 MiB of span bases; refused before any draw.
+    out = tmp_path / "never.csv"
+    code = run_cli(
+        [
+            "simulate",
+            "--n", "22",
+            "--omega", "0.5",
+            "--rho", "0.49",
+            "--matrix", "rate_sharing",
+            "--epsilon", "0",
+            "--noiseless",
+            "--out", str(out),
+        ]
+    )
+    assert code == 4 and not out.exists()
+    assert capsys.readouterr().err.startswith("budget refused: stage 1 would hold ")
+
+
 @pytest.mark.parametrize("suite", ["mp_logdet", "det_power"])
 def test_verify_matrix_budget_refusal(tmp_path, monkeypatch, capsys, suite):
     # A 100000 x 100000 draw would need 80 GB; the refusal comes first.

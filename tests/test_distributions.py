@@ -359,7 +359,11 @@ def test_quadrature_oracle_avoids_the_closed_form_route(monkeypatch, dist):
 
     monkeypatch.setattr(special, "erfinv", closed_form_route)
     monkeypatch.setattr(special, "gammainc", closed_form_route)
-    if not isinstance(dist, Uniform):
+    if isinstance(dist, Gaussian) and dist.mean != 0.0:
+        # Refused before any special function is called.
+        with pytest.raises(ValueError, match="zero-mean"):
+            truncate(dist, 0.3)
+    elif not isinstance(dist, Uniform):
         with pytest.raises(AssertionError):
             truncate(dist, 0.3)
     for beta in (0.3, 1.0):
@@ -571,14 +575,20 @@ def test_bounds_warns_only_from_its_record():
 
 
 def test_montecarlo_factors_in_one_loop():
-    # Both random-matrix limits draw, factor and redraw through one loop: the
-    # module has one Cholesky call, inside it, and no second factor helper.
-    tree = ast.parse(Path(srdbounds.montecarlo.__file__).read_text())
-    calls = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("cholesky")
-    ]
-    (loop,) = [node for node in tree.body if getattr(node, "name", None) == "_sampled_logdets"]
-    assert len(calls) == 1 and calls[0] in list(ast.walk(loop))
-    assert "_shifted_logdet" not in {getattr(node, "name", None) for node in ast.walk(tree)}
+    # Both random-matrix limits read one bidiagonal draw: the module calls no
+    # Cholesky factor and no redraw remains, and the samplers form no matrix
+    # product (no Gram) and call nothing from np.linalg.
+    source = Path(srdbounds.montecarlo.__file__).read_text()
+    tree = ast.parse(source)
+    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert not [name for name in calls if "cholesky" in name]
+    assert "LinAlgError" not in source and "_sampled_logdets" not in source
+    sampler_names = {"_sampled_bidiagonals", "_mp_logdets", "mp_logdet", "det_power"}
+    samplers = [node for node in tree.body if getattr(node, "name", None) in sampler_names]
+    assert len(samplers) == len(sampler_names)
+    for node in (node for sampler in samplers for node in ast.walk(sampler)):
+        assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            assert "linalg" not in name, name
+            assert name.split(".")[-1] not in {"dot", "matmul", "einsum", "inner", "tensordot"}

@@ -401,6 +401,32 @@ def test_rate_sharing_stage1_memory_stays_small():
     assert peak <= 64 << 20
 
 
+def test_stage1_span_budget_refuses_before_drawing():
+    # n = 22, omega = 0.5, rho = 0.49, eps = 0: 21 live columns and depth 11.
+    # Kept levels 9 and 10 hold C(21, 9) * 10 + C(21, 10) * 11 bases of
+    # m = 11 floats: 572 MiB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(sim.BudgetError, match="^stage 1 would hold 600087488 bytes"):
+            config(n=22, omega=0.5, rho=0.49, matrix="rate_sharing", epsilon=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_stage1_span_budget_allows_the_rate_sharing_sizes():
+    # The largest rate-sharing walk the tests run (n = 28, 26 live columns,
+    # k = m = 6) needs about 21.5 MiB; n = 24 at rho = 0.15 far less.
+    big = config(n=28, omega=0.2143, rho=0.2, matrix="rate_sharing", epsilon=0.0)
+    assert big.span_bytes == (math.comb(26, 4) * 5 + math.comb(26, 5) * 6) * 6 * 8
+    for epsilon in (0.0, 0.1):
+        small = config(n=24, omega=0.25, rho=0.15, matrix="rate_sharing", epsilon=epsilon)
+        assert small.span_bytes < 1 << 20
+    # The i.i.d. ensemble runs no stage 1, so the refused sizes stay allowed.
+    assert config(n=22, omega=0.5, rho=0.49).matrix == "iid_gaussian"
+
+
 def test_rate_sharing_matches_exact_conditional_mean():
     cfg = config(
         n=24, omega=0.25, rho=0.15, matrix="rate_sharing", epsilon=0.1, trials=500, seed=21
