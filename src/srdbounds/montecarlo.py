@@ -3,9 +3,9 @@
 Random-matrix log-determinant and determinant-power limits, rank-deficiency
 decay for discrete matrix entries, exact pattern-counting with covering-number
 brackets, and the truncated-power ratio scan, plus the support enumeration
-(a lexicographic prefix tree) and the one-column Gram-Schmidt span step that
-every exhaustive search shares.  Per-trial randomness comes from a
-counter-based generator keyed by the (seed, trial) pair.
+(a lexicographic prefix tree, read leaf by leaf) and the Gram-Schmidt span
+step that every exhaustive search shares.  Per-trial randomness comes from
+a counter-based generator keyed by the (seed, trial) pair.
 
 Both random-matrix limits sample one bidiagonal matrix of chi variates per
 trial, whose singular values have the law of the i.i.d. Gaussian matrix's
@@ -238,8 +238,8 @@ def _prefix_tree(n: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     elements in level j - 1 (level 0 is the empty sequence, index 0) and its
     last element.  A node's children extend it by each larger element, are
     contiguous and end at n - 1, so the sibling that ends in c instead of a
-    sits c - a places later.  Level k is the size-k subsets themselves, and
-    the tree to depth j < k is this one's first j levels.
+    sits c - a places later.  Level k is the size-k subsets themselves, read
+    by :func:`_leaves`, and the tree to depth j < k is its first j levels.
     """
     levels = []
     last = np.full(1, -1)  # the empty sequence: its children start at 0
@@ -254,19 +254,16 @@ def _prefix_tree(n: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(levels)
 
 
-@lru_cache(maxsize=8)
-def _support_array(n: int, k: int) -> np.ndarray:
-    """All size-k subsets of range(n), one per row in lexicographic order,
-    read off the leaves of the prefix tree."""
-    levels = _prefix_tree(n, k)
-    node = np.arange(math.comb(n, k))
-    arr = np.empty((len(node), k), dtype=np.int64)
-    for j in range(k - 1, -1, -1):
-        parent, last = levels[j]
-        arr[:, j] = last[node]
-        node = parent[node]
-    arr.setflags(write=False)
-    return arr
+def _leaves(levels, nodes) -> np.ndarray:
+    """The supports at the indices ``nodes`` of the last level of ``levels``
+    (a :func:`_prefix_tree` or its first j levels), one increasing row each,
+    read by climbing from each node to the root."""
+    nodes = np.asarray(nodes, dtype=np.intp)
+    out = np.empty((len(nodes), len(levels)), dtype=np.int64)
+    for j, (parent, last) in reversed(list(enumerate(levels))):
+        out[:, j] = last[nodes]
+        nodes = parent[nodes]
+    return out
 
 
 def _span_step(basis: np.ndarray, y_perp: np.ndarray, cols: np.ndarray):
@@ -349,7 +346,7 @@ def covering_bracket(n: int, k: int, alpha: float, seed: int = 0) -> tuple[int, 
     lower = -(-total // width)
     # float32 products of 0/1 rows count overlaps exactly (at most n <= 24).
     incidence = np.zeros((total, n), dtype=np.float32)
-    np.put_along_axis(incidence, _support_array(n, k), 1.0, axis=1)
+    np.put_along_axis(incidence, _leaves(_prefix_tree(n, k), np.arange(total)), 1.0, axis=1)
     min_overlap = k - int(math.floor(alpha * k))
     rows = max(1, _CHUNK_BYTES // (incidence.itemsize * total))
     table = np.empty((total, width), dtype=np.int32)

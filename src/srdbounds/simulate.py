@@ -26,16 +26,16 @@ from .montecarlo import (
     _CHUNK,
     _MATRIX_ENTRIES,
     BudgetError,
+    _leaves,
     _prefix_tree,
     _span_residuals,
     _span_step,
-    _support_array,
     trial_rng,
 )
 
 SPAN_RTOL = 1e-9
 MAX_SUPPORTS = 1_000_000
-MAX_SPAN_BYTES = 1 << 28  # rate_sharing_recover's stage-1 span bases: 256 MiB
+MAX_SPAN_BYTES = 1 << 28  # one level of rate_sharing_recover's stage-1 walk: 256 MiB
 # exhaustive_ml's tolerances (see its docstring).  True residual gaps can be
 # tiny: on one noiseless draw at n=20, k=2, m=3 (seed 9, trial 32) a wrong
 # support comes within 5.4e-13 |y|^2 of the true one.  So ties stay well
@@ -103,7 +103,7 @@ class SimConfig:
                 )
             if self.span_bytes > MAX_SPAN_BYTES:
                 raise BudgetError(
-                    f"stage 1 would hold {self.span_bytes} bytes of span bases, "
+                    f"stage 1 would hold {self.span_bytes} bytes at one level of its walk, "
                     f"over the budget of {MAX_SPAN_BYTES}"
                 )
         if self.trials < 1:
@@ -125,11 +125,18 @@ class SimConfig:
 
     @property
     def span_bytes(self) -> int:
-        """Most bytes two consecutive kept levels of stage 1 hold: level j <
-        min(live, m, k) holds C(live, j) x (j + 1) x m float64 (bases, y_perp)."""
-        live = self.n - self.zeroed_size
-        kept = [math.comb(live, j) * (j + 1) * self.m * 8 for j in range(min(live, self.m, self.k))]
-        return max(map(sum, zip(kept, kept[1:])), default=sum(kept))
+        """Most bytes one level j <= min(live, m, k) of stage 1 holds: level
+        j - 1's bases and y_perp, its own unless it is the deepest, a residual
+        per node, and per node of one ``_CHUNK`` its j - 1 gathered columns,
+        nine m-vectors (:func:`_span_step`'s, the chunk before's), four floats."""
+        live, m = self.n - self.zeroed_size, self.m
+        depth, floats = min(live, m, self.k), 0
+        for j in range(1, depth + 1):
+            nodes = math.comb(live, j)
+            own = nodes * (j + 1) * m if j < depth else 0
+            chunk = min(nodes, _CHUNK) * ((j + 8) * m + 4)
+            floats = max(floats, math.comb(live, j - 1) * j * m + own + nodes + chunk)
+        return 8 * floats
 
     def effective_dist(self) -> DistributionSpec:
         if self.snr_db is None:
@@ -259,8 +266,9 @@ def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
     bordered Gram matrix [[G_S, b_S], [b_S^T, |y|^2]] (G = A^T A, b = A^T y).
     Supports that share a lexicographic prefix share that prefix's factor
     rows, so the factors are built one level of the prefix tree at a time
-    (:func:`_extend`).  Only the last level touches all C(n, k) supports.
-    Levels run ``_CHUNK`` nodes at a time.
+    (:func:`_extend`), ``_CHUNK`` nodes at a time.  Only the last level
+    touches all C(n, k) supports, as tree nodes: :func:`_leaves` reads the
+    supports of the nodes rescored and of the winner.
 
     A pivot at or below ``PIVOT_RTOL`` times its column's squared norm marks
     the support deficient (the column lies within ~0.03 rad of the span
@@ -270,13 +278,12 @@ def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
     within ``RESCORE_RTOL`` |y|^2 of the smallest Gram residual, are scored
     again by projection onto their column span, built column by column
     with the Gram-Schmidt step stage 1 of :func:`rate_sharing_recover` uses
-    (:func:`_span_residuals`).  Residuals within
-    ``TIE_RTOL`` |y|^2 of the minimum tie, and ties go to the
-    lexicographically first support.  If the first two supports rescored
-    both span y, as every support does when m <= k, the first wins without
-    scoring the rest: no residual is below 0.  ``residual_min`` is the
-    chosen support's residual and ``runner_up_gap`` the gap between the two
-    smallest residuals (0 when they tie).
+    (:func:`_span_residuals`).  Residuals within ``TIE_RTOL`` |y|^2 of the
+    minimum tie, and ties go to the lexicographically first support.  If the
+    first two supports rescored both span y, as every support does when
+    m <= k, the first wins without scoring the rest: no residual is below 0.
+    ``residual_min`` is the chosen support's residual and ``runner_up_gap``
+    the gap between the two smallest residuals (0 when they tie).
     """
     n = mat.shape[1]
     if not 1 <= k <= n:
@@ -301,24 +308,22 @@ def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
                     out[part] = f
             state = tuple(grown)
     resid, deficient = state[0], state[1]
-    supports = _support_array(n, k)
     tie = TIE_RTOL * norm_y
     gram_min = np.min(resid, where=~deficient, initial=np.inf)
     again = np.flatnonzero(deficient | (resid <= gram_min + RESCORE_RTOL * norm_y))
-    first = _span_residuals(y, mat, supports[again[:2]])
+    first = _span_residuals(y, mat, _leaves(levels, again[:2]))
     if len(first) == 2 and first.max() <= tie:
-        return MLResult(tuple(int(i) for i in supports[again[0]]), float(first[0]), 0.0)
+        return MLResult(tuple(_leaves(levels, again[:1])[0].tolist()), float(first[0]), 0.0)
     resid[again[:2]] = first
     if len(again) > 2:
-        resid[again[2:]] = _span_residuals(y, mat, supports[again[2:]])
+        resid[again[2:]] = _span_residuals(y, mat, _leaves(levels, again[2:]))
     resid = np.maximum(resid, 0.0)
 
     best = int(np.argmax(resid <= resid.min() + tie))
     low = np.partition(resid, 1)[:2] if len(resid) > 1 else resid[[0, 0]]
     gap = low[1] - low[0]
-    return MLResult(
-        tuple(int(i) for i in supports[best]), float(resid[best]), float(gap) if gap > tie else 0.0
-    )
+    support = tuple(_leaves(levels, [best])[0].tolist())
+    return MLResult(support, float(resid[best]), float(gap) if gap > tie else 0.0)
 
 
 def _grow_spans(basis, y_perp, cols, parent, last, keep):
@@ -361,9 +366,9 @@ def rate_sharing_recover(
     :class:`MultipleMinimalSupportsError`.  The search walks the prefix tree
     of the live columns one level, so one subset size, at a time, and each
     node extends its parent's span by one Gram-Schmidt step
-    (:func:`_span_step`); it stops at the first level with a spanning node.
-    Stage 2 fills the remaining indices uniformly at random from the zeroed
-    set.
+    (:func:`_span_step`); it stops at the first level with a spanning node,
+    whose support :func:`_leaves` reads.  Stage 2 fills the remaining
+    indices uniformly at random from the zeroed set.
     """
     live = np.setdiff1d(np.arange(mat.shape[1]), zeroed)
     norm_y = math.sqrt(float(y @ y))
@@ -382,10 +387,7 @@ def rate_sharing_recover(
                     f"{len(spanning)} spanning supports of size {size}"
                 )
             if len(spanning) == 1:
-                node = int(spanning[0])
-                for parent, last in reversed(levels[:size]):
-                    stage1 = (int(live[last[node]]),) + stage1
-                    node = int(parent[node])
+                stage1 = tuple(live[_leaves(levels[:size], spanning)[0]].tolist())
                 break
         else:
             raise MultipleMinimalSupportsError(
@@ -462,7 +464,7 @@ def discrete_single_sample_demo(
     """
     if n > 12:
         raise ValueError("demo is capped at n = 12")
-    supports = _support_array(n, k)
+    supports = _leaves(_prefix_tree(n, k), np.arange(math.comb(n, k)))
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=k)))
     exact = 0
     for trial in range(trials):

@@ -186,6 +186,18 @@ def test_p5_p6_orderings_gaussian():
             assert p6 <= p5 * (1 + 1e-9) + 1e-15
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="p6 exceeds p5 by 1.8e-4 relative 1.5e-7 below alpha = 1 - omega: "
+    "info_G's near-cancelling class",
+)
+def test_p5_p6_ordering_next_to_alpha_one_minus_omega():
+    # p6 = 9.294951747177161e-08 > p5 = 9.29328786029252e-08 at this input.
+    src = bd.source_at_snr(Gaussian(0.0, 1.0), 0.12680391339544358, 65.94150148267686)
+    alpha = 0.8731959362205927
+    assert bd.p5_gaussian(src, alpha).rho_lower >= bd.p6_entropy(src, alpha).rho_lower
+
+
 def test_p6_rejects_sources_without_density():
     src = bd.source_at_snr(PointMass(0.2, 1.0, limit=True), 0.1, 10.0)
     with pytest.raises(ValueError):

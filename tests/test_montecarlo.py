@@ -347,7 +347,7 @@ def test_projection_residuals_match_lstsq_on_deficient_spans():
     mat[:, 6] = 2.0 * mat[:, 4] - mat[:, 3]
     y = rng.standard_normal(5)
     for k in (1, 2, 3, 4, 6):  # k = 6 > m = 5 makes every support wide
-        supports = mc._support_array(8, k)
+        supports = mc._leaves(mc._prefix_tree(8, k), np.arange(math.comb(8, k)))
         got = mc._span_residuals(y, mat, supports)
         assert np.allclose(got, lstsq_residuals(y, mat, supports), rtol=1e-10, atol=1e-12)
 
@@ -357,7 +357,7 @@ def test_span_residuals_on_nearly_dependent_columns():
     # Gram-Schmidt pass loses orthogonality in proportion to its square and
     # leaves a residual far above round-off on the support that spans y.
     rng = np.random.default_rng(11)
-    supports = mc._support_array(5, 4)
+    supports = mc._leaves(mc._prefix_tree(5, 4), np.arange(5))
     for _ in range(10):
         base = rng.standard_normal(5)
         mat = np.column_stack([base + d * rng.standard_normal(5) for d in (0, 1e-5, 1e-5, 1e-5, 1)])
@@ -368,11 +368,24 @@ def test_span_residuals_on_nearly_dependent_columns():
         assert np.allclose(got[1:], want, rtol=1e-5, atol=0)
 
 
-def test_support_array_is_lexicographic_combinations():
+def test_leaves_are_lexicographic_combinations():
+    def combinations(n, j):
+        rows = list(itertools.combinations(range(n), j))
+        return np.array(rows, dtype=np.int64).reshape(len(rows), j)
+
+    rng = np.random.default_rng(4)
     for n in (1, 5, 9, 24):
         for k in range(0, min(n, 6) + 1):
-            want = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
-            assert np.array_equal(mc._support_array(n, k), want.reshape(math.comb(n, k), k))
+            levels = mc._prefix_tree(n, k)
+            want = combinations(n, k)
+            assert np.array_equal(mc._leaves(levels, np.arange(len(want))), want)
+            nodes = rng.integers(0, len(want), size=min(len(want), 50))
+            assert np.array_equal(mc._leaves(levels, nodes), want[nodes])
+            # The first j levels are the tree to depth j, as stage 1 reads them.
+            for j in range(k):
+                want = combinations(n, j)
+                nodes = rng.integers(0, len(want), size=min(len(want), 50))
+                assert np.array_equal(mc._leaves(levels[:j], nodes), want[nodes])
 
 
 def test_prefix_tree_lists_every_extension_of_every_prefix():

@@ -188,6 +188,23 @@ def test_ml_breaks_ties_lexicographically_when_every_support_spans():
         assert result.residual_min <= 1e-28
 
 
+def test_ml_reads_only_the_supports_it_rescores():
+    # n = 24, k = 6: a table of all 134,596 supports would hold 6.2 MiB.  With
+    # the prefix tree cached, the walk's own level fields trace about 5.8 MiB.
+    rng = trial_rng(3, 0)
+    mat = rng.standard_normal((8, 24)) / math.sqrt(24)
+    y = mat[:, [1, 5, 9, 13, 17, 21]] @ rng.standard_normal(6)
+    sim._prefix_tree(24, 6)
+    tracemalloc.start()
+    try:
+        result = sim.exhaustive_ml(y, mat, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.support == (1, 5, 9, 13, 17, 21)
+    assert peak < 7 << 20
+
+
 def test_ml_ties_between_parallel_columns_go_to_the_first():
     rng = trial_rng(15, 0)
     mat = rng.standard_normal((6, 10))
@@ -403,11 +420,11 @@ def test_rate_sharing_stage1_memory_stays_small():
 
 def test_stage1_span_budget_refuses_before_drawing():
     # n = 22, omega = 0.5, rho = 0.49, eps = 0: 21 live columns and depth 11.
-    # Kept levels 9 and 10 hold C(21, 9) * 10 + C(21, 10) * 11 bases of
-    # m = 11 floats: 572 MiB.
+    # Level 10 reads C(21, 9) * 10 and keeps C(21, 10) * 11 bases of m = 11
+    # floats, with one chunk of temporaries: 625 MiB.
     tracemalloc.start()
     try:
-        with pytest.raises(sim.BudgetError, match="^stage 1 would hold 600087488 bytes"):
+        with pytest.raises(sim.BudgetError, match="^stage 1 would hold 655862304 bytes"):
             config(n=22, omega=0.5, rho=0.49, matrix="rate_sharing", epsilon=0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -417,14 +434,35 @@ def test_stage1_span_budget_refuses_before_drawing():
 
 def test_stage1_span_budget_allows_the_rate_sharing_sizes():
     # The largest rate-sharing walk the tests run (n = 28, 26 live columns,
-    # k = m = 6) needs about 21.5 MiB; n = 24 at rho = 0.15 far less.
+    # k = m = 6) needs about 42.5 MiB, at level 5; n = 24 at rho = 0.15 far less.
     big = config(n=28, omega=0.2143, rho=0.2, matrix="rate_sharing", epsilon=0.0)
-    assert big.span_bytes == (math.comb(26, 4) * 5 + math.comb(26, 5) * 6) * 6 * 8
+    nodes = math.comb(26, 5)
+    chunk = sim._CHUNK * (13 * 6 + 4)
+    assert big.span_bytes == 8 * (math.comb(26, 4) * 5 * 6 + nodes * 6 * 6 + nodes + chunk)
     for epsilon in (0.0, 0.1):
         small = config(n=24, omega=0.25, rho=0.15, matrix="rate_sharing", epsilon=epsilon)
         assert small.span_bytes < 1 << 20
     # The i.i.d. ensemble runs no stage 1, so the refused sizes stay allowed.
     assert config(n=22, omega=0.5, rho=0.49).matrix == "iid_gaussian"
+
+
+@pytest.mark.parametrize("n, omega, rho", [(28, 0.2143, 0.2), (22, 0.5, 0.4)])
+def test_stage1_span_budget_covers_the_traced_peak(n, omega, rho):
+    cfg = config(n=n, omega=omega, rho=rho, matrix="rate_sharing", epsilon=0.0)
+    live = n - cfg.zeroed_size
+    sim._prefix_tree(live, min(live, cfg.m, cfg.k))  # cached, apart from the walk
+    rng = trial_rng(0, 0)
+    drawn = sim.sample(sim.draw_source(cfg, rng), cfg, rng)
+    tracemalloc.start()
+    try:
+        try:
+            sim.rate_sharing_recover(drawn.y, drawn.matrix, cfg.k, drawn.zeroed, rng)
+        except sim.MultipleMinimalSupportsError:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.span_bytes / 2 < peak <= cfg.span_bytes
 
 
 def test_rate_sharing_matches_exact_conditional_mean():
