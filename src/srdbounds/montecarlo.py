@@ -1,7 +1,8 @@
 """Monte-Carlo and combinatorial verification of the asymptotic claims.
 
 Random-matrix log-determinant and determinant-power limits, rank-deficiency
-decay for discrete matrix entries, exact pattern-counting with covering-number
+decay for discrete matrix entries (a stack of trials decided exactly by one
+fraction-free elimination), exact pattern-counting with covering-number
 brackets, and the truncated-power ratio scan, plus the support enumeration
 (a lexicographic prefix tree, read leaf by leaf) and the Gram-Schmidt span
 step that every exhaustive search shares.  Per-trial randomness comes from
@@ -24,7 +25,7 @@ from .distributions import DistributionSpec, decay_rate, moments, truncate
 from .ratefun import info_G
 
 
-_CHUNK_BYTES = 1 << 22  # covering_bracket's overlap blocks and gain updates
+_CHUNK_BYTES = 1 << 22  # covering_bracket's blocks and rank_deficiency's stacks
 _TABLE_ENTRIES = 1 << 26  # covering_bracket's neighbour table: 256 MB of int32
 # simulate's matrix: 128 MB of float64.  verify's samplers refuse above it.
 _MATRIX_ENTRIES = 1 << 24
@@ -170,38 +171,39 @@ def det_power(config: MCConfig) -> MCEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _int_rank(mat: list[list[int]]) -> int:
-    """Exact rank of an integer matrix by fraction-free elimination."""
-    a = [row[:] for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
-    prev_pivot = 1
-    row = 0
-    for col in range(cols):
-        pivot_row = next((i for i in range(row, rows) if a[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        a[row], a[pivot_row] = a[pivot_row], a[row]
-        pivot = a[row][col]
-        for i in range(row + 1, rows):
-            for j in range(col + 1, cols):
-                a[i][j] = (a[i][j] * pivot - a[i][col] * a[row][j]) // prev_pivot
-            a[i][col] = 0
-        prev_pivot = pivot
-        rank += 1
-        row += 1
-        if row == rows:
-            break
-    return rank
+def _singular(stack: np.ndarray) -> np.ndarray:
+    """Which matrices of a (trials, k, k) stack with entries in {-1, 0, 1}
+    are singular, by fraction-free (Bareiss) elimination of the whole stack
+    at once, each matrix with its own row swaps.  A matrix with no pivot in a
+    column is singular; it keeps its last pivot there, so its divisions stay
+    exact.  Each product is of two minors, at most (k - 1)^(k - 1) by
+    Hadamard's bound: int64 holds it up to k = 16, Python ints above."""
+    trials, k = stack.shape[:2]
+    a = stack.astype(np.int64 if k <= 16 else object)
+    at, prev = np.arange(trials), np.ones(trials, dtype=a.dtype)
+    singular = np.zeros(trials, dtype=bool)
+    for c in range(k):
+        nonzero = a[:, c:, c] != 0
+        found = nonzero.any(axis=1)
+        singular |= ~found
+        row = c + np.argmax(nonzero, axis=1)
+        a[at, c], a[at, row] = a[at, row], a[at, c]
+        pivot = np.where(found, a[:, c, c], prev)
+        below = a[:, c + 1 :, c + 1 :]
+        below *= pivot[:, None, None]
+        below -= a[:, c + 1 :, c, None] * a[:, None, c, c + 1 :]
+        below //= prev[:, None, None]
+        prev = pivot
+    return singular
 
 
 def rank_deficiency(
     n: int, omega: float, entry_law: str = "rademacher", trials: int = 2000, seed: int = 0
 ) -> float:
     """Empirical probability that a k x k i.i.d. submatrix is rank deficient,
-    with k = floor(omega * n).  Exact integer elimination decides rank for the
-    rademacher law; the Gaussian law uses floating-point rank."""
+    with k = floor(omega * n) and trial t drawn from ``trial_rng(seed, t)``.
+    About ``_CHUNK_BYTES`` of draws at a time are decided together: exactly by
+    :func:`_singular` (rademacher) or by floating-point rank (gaussian)."""
     k = int(math.floor(omega * n))
     if not 1 <= k <= n:
         raise ValueError(f"k = floor(omega * n) = {k} out of range for n = {n}")
@@ -209,17 +211,14 @@ def rank_deficiency(
         raise ValueError(f"entry_law must be 'gaussian' or 'rademacher', got {entry_law}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    deficient = 0
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        if entry_law == "gaussian":
-            mat = rng.standard_normal((k, k))
-            if np.linalg.matrix_rank(mat) < k:
-                deficient += 1
-        else:
-            mat = rng.choice([-1, 1], size=(k, k)).astype(int).tolist()
-            if _int_rank(mat) < k:
-                deficient += 1
+    gaussian, block, deficient = entry_law == "gaussian", max(1, _CHUNK_BYTES // (8 * k * k)), 0
+    for start in range(0, trials, block):
+        mats = np.empty((min(block, trials - start), k, k))
+        for i in range(len(mats)):
+            rng = trial_rng(seed, start + i)
+            mats[i] = rng.standard_normal((k, k)) if gaussian else rng.choice([-1, 1], size=(k, k))
+        singular = np.linalg.matrix_rank(mats) < k if gaussian else _singular(mats)
+        deficient += int(np.count_nonzero(singular))
     return deficient / trials
 
 

@@ -35,7 +35,7 @@ from .montecarlo import (
 
 SPAN_RTOL = 1e-9
 MAX_SUPPORTS = 1_000_000
-MAX_SPAN_BYTES = 1 << 28  # one level of rate_sharing_recover's stage-1 walk: 256 MiB
+MAX_SPAN_BYTES = 1 << 28  # rate_sharing_recover's stage-1 walk and its prefix tree: 256 MiB
 # exhaustive_ml's tolerances (see its docstring).  True residual gaps can be
 # tiny: on one noiseless draw at n=20, k=2, m=3 (seed 9, trial 32) a wrong
 # support comes within 5.4e-13 |y|^2 of the true one.  So ties stay well
@@ -103,7 +103,7 @@ class SimConfig:
                 )
             if self.span_bytes > MAX_SPAN_BYTES:
                 raise BudgetError(
-                    f"stage 1 would hold {self.span_bytes} bytes at one level of its walk, "
+                    f"stage 1 would hold {self.span_bytes} bytes in its walk and prefix tree, "
                     f"over the budget of {MAX_SPAN_BYTES}"
                 )
         if self.trials < 1:
@@ -125,18 +125,22 @@ class SimConfig:
 
     @property
     def span_bytes(self) -> int:
-        """Most bytes one level j <= min(live, m, k) of stage 1 holds: level
-        j - 1's bases and y_perp, its own unless it is the deepest, a residual
-        per node, and per node of one ``_CHUNK`` its j - 1 gathered columns,
-        nine m-vectors (:func:`_span_step`'s, the chunk before's), four floats."""
+        """Most bytes stage 1 holds: the prefix tree it walks, two ints a
+        node (built first, with temporaries below the walk's deepest level),
+        and the most any level j <= min(live, m, k) of the walk holds: level
+        j - 1's bases, y_perp and residuals, its own unless it is the
+        deepest, a residual per node, and per node of one ``_CHUNK`` its
+        j - 1 gathered columns, y_perp, :func:`_span_step`'s five m-vectors
+        and four floats."""
         live, m = self.n - self.zeroed_size, self.m
-        depth, floats = min(live, m, self.k), 0
+        depth, floats, tree = min(live, m, self.k), 0, 0
         for j in range(1, depth + 1):
             nodes = math.comb(live, j)
+            tree += 2 * nodes
             own = nodes * (j + 1) * m if j < depth else 0
-            chunk = min(nodes, _CHUNK) * ((j + 8) * m + 4)
-            floats = max(floats, math.comb(live, j - 1) * j * m + own + nodes + chunk)
-        return 8 * floats
+            chunk = min(nodes, _CHUNK) * ((j + 5) * m + 4)
+            floats = max(floats, math.comb(live, j - 1) * (j * m + 1) + own + nodes + chunk)
+        return 8 * (floats + tree)
 
     def effective_dist(self) -> DistributionSpec:
         if self.snr_db is None:
@@ -326,29 +330,27 @@ def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
     return MLResult(support, float(resid[best]), float(gap) if gap > tie else 0.0)
 
 
-def _grow_spans(basis, y_perp, cols, parent, last, keep):
+def _grow_spans(spans, cols, parent, last, keep):
     """One level of stage 1's prefix-tree walk, ``_CHUNK`` nodes at a time:
     node i adds column ``last[i]`` to the span of node ``parent[i]`` of the
-    level above, whose orthonormal ``basis`` (j, m, N) and residual ``y_perp``
-    (m, N) are laid out as in :func:`_span_step`.  Returns every node's
-    |y_perp| and, if ``keep``, the level's own basis and y_perp (else None
-    for both).
+    level above.  ``spans`` (j + 1, m, N) holds each node's j orthonormal
+    basis columns and, last, its residual y_perp, laid out as in
+    :func:`_span_step`.  Returns every node's |y_perp| and, if ``keep``, the
+    level's own spans (else None).
     """
     resid = np.empty(len(parent))
-    if keep:
-        grown = np.empty((len(basis) + 1, len(y_perp), len(parent)))
-        grown_perp = np.empty((len(y_perp), len(parent)))
+    grown = np.empty((len(spans) + 1, spans.shape[1], len(parent))) if keep else None
     for start in range(0, len(parent), _CHUNK):
         part = slice(start, start + _CHUNK)
-        node_basis = np.take(basis, parent[part], axis=2)
-        node_perp = np.take(y_perp, parent[part], axis=1)
-        q, perp = _span_step(node_basis, node_perp, cols[:, last[part]])
+        node = np.take(spans, parent[part], axis=2)
+        q, perp = _span_step(node[:-1], node[-1], cols[:, last[part]])
         resid[part] = np.sqrt(np.einsum("mn,mn->n", perp, perp))
         if keep:
-            grown[:-1, :, part] = node_basis
-            grown[-1, :, part] = q
-            grown_perp[:, part] = perp
-    return (resid, grown, grown_perp) if keep else (resid, None, None)
+            grown[:-2, :, part] = node[:-1]
+            grown[-2, :, part] = q
+            grown[-1, :, part] = perp
+        del node, q, perp  # before the next chunk is gathered
+    return resid, grown
 
 
 def rate_sharing_recover(
@@ -377,10 +379,9 @@ def rate_sharing_recover(
         depth = min(len(live), mat.shape[0], k)
         levels = _prefix_tree(len(live), depth)
         cols = mat[:, live]
-        # Level 0, the empty support: no basis, and all of y is residual.
-        basis, y_perp = np.empty((0, len(y), 1)), y[:, None]
+        spans = y[None, :, None]  # level 0, the empty support: all of y is residual
         for size, (parent, last) in enumerate(levels, 1):
-            resid, basis, y_perp = _grow_spans(basis, y_perp, cols, parent, last, size < depth)
+            resid, spans = _grow_spans(spans, cols, parent, last, size < depth)
             spanning = np.flatnonzero(resid <= SPAN_RTOL * norm_y)
             if len(spanning) > 1:
                 raise MultipleMinimalSupportsError(

@@ -160,7 +160,7 @@ def test_simulate_budget_refusal(tmp_path):
 
 
 def test_simulate_stage1_span_budget_refusal(tmp_path, capsys):
-    # Stage 1 would hold 625 MiB at one level of its walk; refused before any draw.
+    # Stage 1 would hold 641 MiB in its walk and prefix tree; refused before any draw.
     out = tmp_path / "never.csv"
     code = run_cli(
         [

@@ -222,12 +222,140 @@ def test_rank_deficiency_rademacher_decreases():
     assert probs[0] > probs[1] > probs[2]
 
 
+def _int_rank(mat: list[list[int]]) -> int:
+    """The per-matrix route the batched elimination replaced, kept as its
+    reference: exact rank of an integer matrix by fraction-free elimination,
+    entry by entry in Python ints."""
+    a = [row[:] for row in mat]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    rank = 0
+    prev_pivot = 1
+    row = 0
+    for col in range(cols):
+        pivot_row = next((i for i in range(row, rows) if a[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        a[row], a[pivot_row] = a[pivot_row], a[row]
+        pivot = a[row][col]
+        for i in range(row + 1, rows):
+            for j in range(col + 1, cols):
+                a[i][j] = (a[i][j] * pivot - a[i][col] * a[row][j]) // prev_pivot
+            a[i][col] = 0
+        prev_pivot = pivot
+        rank += 1
+        row += 1
+        if row == rows:
+            break
+    return rank
+
+
+def _reference_singular(stack) -> np.ndarray:
+    return np.array([_int_rank(mat.tolist()) < len(mat) for mat in stack])
+
+
+def _suite_draws(k, trials, seed=0):
+    return np.stack([mc.trial_rng(seed, t).choice([-1, 1], size=(k, k)) for t in range(trials)])
+
+
 def test_int_rank_matches_float_rank():
+    # The reference agrees with floating-point rank, and the batched
+    # elimination with the reference, on small +-1 matrices.
     rng = np.random.default_rng(4)
-    for _ in range(300):
-        k = int(rng.integers(2, 7))
-        mat = rng.choice([-1, 1], size=(k, k)).astype(int)
-        assert mc._int_rank(mat.tolist()) == np.linalg.matrix_rank(mat.astype(float))
+    for k in range(2, 7):
+        stack = rng.choice([-1, 1], size=(60, k, k))
+        ranks = [_int_rank(mat.tolist()) for mat in stack]
+        assert ranks == list(np.linalg.matrix_rank(stack.astype(float)))
+        assert mc._singular(stack).tolist() == [rank < k for rank in ranks]
+
+
+@pytest.mark.parametrize("k, trials", [(4, 1000), (8, 1000), (16, 1000), (17, 100), (20, 60)])
+def test_singular_matches_the_int_rank_reference_on_the_suite_draws(k, trials):
+    # k = 4, 8 and 16 are every matrix verify's rank suite draws at its
+    # defaults (seed 0, 1,000 trials); k >= 17 runs on Python ints.
+    stack = _suite_draws(k, trials)
+    got = mc._singular(stack)
+    assert got.tolist() == _reference_singular(stack).tolist()
+    if k <= 8:
+        assert 0 < np.count_nonzero(got) < trials
+
+
+def test_singular_handles_row_swaps_and_zero_columns():
+    # {-1, 0, 1} entries, most of them 0: leading zeros force row swaps and
+    # some columns have no pivot left, at int64 and Python-int sizes.
+    rng = np.random.default_rng(12)
+    for k, trials in [(1, 300), (2, 600), (3, 600), (5, 600), (9, 300), (16, 200), (18, 60)]:
+        stack = rng.choice([-1, 0, 0, 1], size=(trials, k, k))
+        assert mc._singular(stack).tolist() == _reference_singular(stack).tolist()
+    swap = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])  # det 2, pivot 0 at (0, 0)
+    middle = np.array([[1, 0, 1], [1, 0, -1], [-1, 0, 1]])  # zero middle column
+    last = np.array([[1, 1, 0], [1, -1, 0], [1, 1, 0]])  # zero last column
+    after = np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1]])  # zero pivot after a step, det 4
+    twins = np.array([[1, -1, 1], [0, 1, 1], [1, -1, 1]])  # two equal rows
+    got = mc._singular(np.stack([swap, middle, last, after, twins]))
+    assert got.tolist() == [False, True, True, False, True]
+
+
+def _sylvester(k):
+    h = np.array([[1]])
+    while len(h) < k:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def test_singular_is_exact_past_the_int64_edge():
+    # Hadamard matrices reach the largest |det| of any +-1 matrix: 16^8 at
+    # k = 16, the last int64 size, and 32^16 at k = 32, whose minors overflow
+    # int64.  Flipping one entry keeps a matrix nonsingular; a copied row or
+    # a zeroed column (then divisions by the kept pivot) makes it singular.
+    for k in (16, 32):
+        h = _sylvester(k)
+        flipped, copied, zeroed = h.copy(), h.copy(), h.copy()
+        flipped[5, 7] *= -1
+        copied[-1] = copied[3]
+        zeroed[:, 6] = 0
+        stack = np.stack([h, -h, h[::-1], flipped, copied, zeroed])
+        got = mc._singular(stack).tolist()
+        assert got == [False, False, False, False, True, True]
+        assert got == _reference_singular(stack).tolist()
+
+
+def test_rank_deficiency_decides_each_block_in_one_call(monkeypatch):
+    calls = []
+    singular = mc._singular
+
+    def spy(stack):
+        calls.append(len(stack))
+        return singular(stack)
+
+    monkeypatch.setattr(mc, "_singular", spy)
+    whole = mc.rank_deficiency(16, 0.5, "rademacher", trials=1000, seed=3)
+    assert calls == [1000]
+    # One block of 7 trials at a time gives the same count, and that count is
+    # the reference's on the same draws.
+    calls.clear()
+    monkeypatch.setattr(mc, "_CHUNK_BYTES", 8 * 8 * 8 * 7)
+    assert mc.rank_deficiency(16, 0.5, "rademacher", trials=1000, seed=3) == whole
+    assert calls == [7] * 142 + [6]
+    reference = _reference_singular(_suite_draws(8, 1000, seed=3))
+    assert whole == np.count_nonzero(reference) / 1000
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 0.5, "rademacher", 10), r"^k = floor\(omega \* n\) = 0 out of range for n = 1$"),
+        ((4, 2.0, "gaussian", 10), r"^k = floor\(omega \* n\) = 8 out of range for n = 4$"),
+        ((8, 0.5, "bernoulli", 10), r"^entry_law must be 'gaussian' or 'rademacher', got bernoulli$"),
+        ((8, 0.5, "rademacher", 0), r"^trials must be at least 1, got 0$"),
+    ],
+)
+def test_rank_deficiency_refuses_before_drawing(monkeypatch, args, message):
+    drawn = []
+    monkeypatch.setattr(mc, "trial_rng", lambda *key: drawn.append(key))
+    with pytest.raises(ValueError, match=message):
+        mc.rank_deficiency(*args)
+    assert drawn == []
 
 
 # ---------------------------------------------------------------------------

@@ -421,10 +421,10 @@ def test_rate_sharing_stage1_memory_stays_small():
 def test_stage1_span_budget_refuses_before_drawing():
     # n = 22, omega = 0.5, rho = 0.49, eps = 0: 21 live columns and depth 11.
     # Level 10 reads C(21, 9) * 10 and keeps C(21, 10) * 11 bases of m = 11
-    # floats, with one chunk of temporaries: 625 MiB.
+    # floats, with one chunk of temporaries, beside a 21.4 MiB tree: 641 MiB.
     tracemalloc.start()
     try:
-        with pytest.raises(sim.BudgetError, match="^stage 1 would hold 655862304 bytes"):
+        with pytest.raises(sim.BudgetError, match="^stage 1 would hold 671983648 bytes"):
             config(n=22, omega=0.5, rho=0.49, matrix="rate_sharing", epsilon=0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -434,11 +434,15 @@ def test_stage1_span_budget_refuses_before_drawing():
 
 def test_stage1_span_budget_allows_the_rate_sharing_sizes():
     # The largest rate-sharing walk the tests run (n = 28, 26 live columns,
-    # k = m = 6) needs about 42.5 MiB, at level 5; n = 24 at rho = 0.15 far less.
+    # k = m = 6) needs about 42.9 MiB, at level 5 beside its 4.8 MiB tree;
+    # n = 24 at rho = 0.15 far less.
     big = config(n=28, omega=0.2143, rho=0.2, matrix="rate_sharing", epsilon=0.0)
     nodes = math.comb(26, 5)
-    chunk = sim._CHUNK * (13 * 6 + 4)
-    assert big.span_bytes == 8 * (math.comb(26, 4) * 5 * 6 + nodes * 6 * 6 + nodes + chunk)
+    chunk = sim._CHUNK * (10 * 6 + 4)
+    tree = 2 * sum(math.comb(26, j) for j in range(1, 7))
+    assert big.span_bytes == 8 * (
+        math.comb(26, 4) * (5 * 6 + 1) + nodes * 6 * 6 + nodes + chunk + tree
+    )
     for epsilon in (0.0, 0.1):
         small = config(n=24, omega=0.25, rho=0.15, matrix="rate_sharing", epsilon=epsilon)
         assert small.span_bytes < 1 << 20
@@ -446,11 +450,13 @@ def test_stage1_span_budget_allows_the_rate_sharing_sizes():
     assert config(n=22, omega=0.5, rho=0.49).matrix == "iid_gaussian"
 
 
-@pytest.mark.parametrize("n, omega, rho", [(28, 0.2143, 0.2), (22, 0.5, 0.4)])
-def test_stage1_span_budget_covers_the_traced_peak(n, omega, rho):
-    cfg = config(n=n, omega=omega, rho=rho, matrix="rate_sharing", epsilon=0.0)
-    live = n - cfg.zeroed_size
-    sim._prefix_tree(live, min(live, cfg.m, cfg.k))  # cached, apart from the walk
+def traced_stage1_peak(cfg, cold):
+    """Traced peak of one rate_sharing_recover call on trial 0's draw, with
+    its prefix tree built inside the call (``cold``) or cached before it."""
+    live = cfg.n - cfg.zeroed_size
+    sim._prefix_tree.cache_clear()
+    if not cold:
+        sim._prefix_tree(live, min(live, cfg.m, cfg.k))
     rng = trial_rng(0, 0)
     drawn = sim.sample(sim.draw_source(cfg, rng), cfg, rng)
     tracemalloc.start()
@@ -462,7 +468,27 @@ def test_stage1_span_budget_covers_the_traced_peak(n, omega, rho):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cfg.span_bytes / 2 < peak <= cfg.span_bytes
+    return peak
+
+
+@pytest.mark.parametrize(
+    "n, omega, rho, cold",
+    [
+        pytest.param(n, omega, rho, cold, id=f"{n}-{omega}-{rho}" + ("-cold" if cold else ""))
+        for n, omega, rho in [(28, 0.2143, 0.2), (22, 0.5, 0.4)]
+        for cold in (False, True)
+    ],
+)
+def test_stage1_span_budget_covers_the_traced_peak(n, omega, rho, cold):
+    cfg = config(n=n, omega=omega, rho=rho, matrix="rate_sharing", epsilon=0.0)
+    assert cfg.span_bytes / 2 < traced_stage1_peak(cfg, cold) <= cfg.span_bytes
+
+
+def test_stage1_frees_each_chunk_before_gathering_the_next():
+    # Level 5 of this walk has two chunks of nodes: 37.4 MiB with the tree
+    # cached, 40.4 MiB when one chunk's arrays outlived it.
+    cfg = config(n=28, omega=0.2143, rho=0.2, matrix="rate_sharing", epsilon=0.0)
+    assert traced_stage1_peak(cfg, cold=False) < 39 << 20
 
 
 def test_rate_sharing_matches_exact_conditional_mean():
