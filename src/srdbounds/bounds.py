@@ -22,7 +22,13 @@ each rate ``alpha_curve`` inverts, opens a record (``_record``); every warning
 site adds a note to the open one, and each record logs its notes as it closes.
 
 One table (``_BOUNDS``) says which bounds exist, how each is evaluated, which
-sources it applies to and which matrix class ``best_lower`` uses it for.
+sources it applies to and which matrix class ``best_lower`` uses it for.  For
+p3, p4, p5 and p6, which depend on alpha only through the target rate
+``rate_R``, it also names the rest of the inequality, c.  ``alpha_curve``
+inverts those by bisecting on ``rate_R`` against c, with no implicit solve, and
+then solves the bound at the bracket it ends on: the bound confirms the
+bracket, or the bracket is widened and bisected on the bound.  t2 and t4,
+whose beta grid alpha also sets, bisect on the bound at every step.
 
 Every evaluator returns the largest sampling rate that the corresponding
 necessary condition rules out, i.e. a lower bound on the achievable rate at
@@ -503,13 +509,15 @@ def p5_gaussian(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     r_target = rate_R(omega, alpha)
     if r_target == 0.0:
         return _ZERO_REPORT
-    v = source.variance
+    return _noted(_solve_implicit(_p5_deficit(source, r_target), _scan_start(omega)), alpha)
+
+
+def _p5_deficit(source: SourceParams, r_target):
+    """Deficit of p5's inequality as a function of the rate (a float or an
+    array): the Gaussian conditional information replaces the entropy power."""
+    omega, v = source.omega, source.variance
     cond_gamma = omega * source.dist.variance
-
-    def deficit(rho):
-        return info_G(rho, v) - r_target - omega * info_G(rho / omega, cond_gamma)
-
-    return _noted(_solve_implicit(deficit, _scan_start(omega)), alpha)
+    return lambda rho: info_G(rho, v) - r_target - omega * info_G(rho / omega, cond_gamma)
 
 
 @_record(BoundId.P6_IID_ENTROPY)
@@ -749,11 +757,16 @@ class _Bound:
     ``matrix_class`` is the class of matrices for which ``best_lower`` uses the
     bound ("any", or "iid" for i.i.d. matrices only), or None when it never
     does; ``applies(source)`` is False for sources the bound rejects.
+    ``target_free(source)``, for a bound that depends on alpha only through
+    the target ``rate_R(omega, alpha)``, is the rest of its inequality, c: its
+    deficit at target 0, of a float or an array of rates (``alpha_curve``
+    inverts such a bound on ``rate_R``).
     """
 
     evaluate: Callable[[SourceParams, float], tuple[float, float | None]]
     matrix_class: str | None
     applies: Callable[[SourceParams], bool] = lambda source: True
+    target_free: Callable[[SourceParams], Callable] | None = None
 
 
 def _t4_value(source: SourceParams, alpha: float) -> tuple[float, float]:
@@ -766,14 +779,22 @@ def _t4_value(source: SourceParams, alpha: float) -> tuple[float, float]:
 # walks the rows in this order and keeps the first of equal values, so the
 # order decides ties.
 _BOUNDS: dict[BoundId, _Bound] = {
-    BoundId.P3_GENERAL: _Bound(lambda s, a: (p3_general(s, a), None), "any"),
+    BoundId.P3_GENERAL: _Bound(
+        lambda s, a: (p3_general(s, a), None), "any",
+        target_free=lambda s: lambda rho: 0.5 * rho * math.log1p(s.variance),
+    ),
     BoundId.T2_GENIE: _Bound(lambda s, a: t2_genie(s, a), "any"),
-    BoundId.P4_IID: _Bound(lambda s, a: (p4_iid(s, a).rho_lower, None), "iid"),
+    BoundId.P4_IID: _Bound(
+        lambda s, a: (p4_iid(s, a).rho_lower, None), "iid",
+        target_free=lambda s: _genie_deficit(1.0, s.omega, s.variance, 0.0, 0.0),
+    ),
     BoundId.P5_IID_GAUSSIAN: _Bound(
-        lambda s, a: (p5_gaussian(s, a).rho_lower, None), "iid", lambda s: s.is_gaussian()
+        lambda s, a: (p5_gaussian(s, a).rho_lower, None), "iid", lambda s: s.is_gaussian(),
+        lambda s: _p5_deficit(s, 0.0),
     ),
     BoundId.P6_IID_ENTROPY: _Bound(
-        lambda s, a: (p6_entropy(s, a).rho_lower, None), "iid", lambda s: s.entropy_power > 0.0
+        lambda s, a: (p6_entropy(s, a).rho_lower, None), "iid", lambda s: s.entropy_power > 0.0,
+        lambda s: _genie_deficit(1.0, s.omega, s.variance, s.entropy_power, 0.0),
     ),
     BoundId.T4_IID_GENIE: _Bound(_t4_value, "iid"),
     BoundId.T3_NOISELESS_IID_F: _Bound(lambda s, a: (t3_noiseless_iid(s, a), None), "iid"),
@@ -832,6 +853,59 @@ def best_lower(
     return best_val, best_id
 
 
+def _bisect_alpha(meets, lo: float, hi: float) -> tuple[float, float]:
+    """Halve ``[lo, hi]`` towards the smallest distortion that ``meets`` (a
+    predicate that holds at ``hi`` and not at ``lo``), at most 60 times or
+    until the ends are neighbouring floats; returns the last bracket."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+    return lo, hi
+
+
+def _widen(meets, lo: float, hi: float, floor: float, top: float) -> tuple[float, float]:
+    """Grow ``[lo, hi]`` geometrically, from its own width and within
+    ``[floor, top]``, until ``meets`` holds at ``hi`` and not at ``lo``; it
+    must hold at ``top`` and not at ``floor``, which end the widening."""
+    step = hi - lo
+    while not meets(hi):
+        lo, step = hi, 2.0 * step
+        hi = min(hi + step, top)
+    while meets(lo):
+        hi, step = lo, 2.0 * step
+        lo = max(lo - step, floor)
+    return lo, hi
+
+
+def _threshold(c, omega: float):
+    """For a bound's target-free ``c``, the map from a rate rho to T(rho): the
+    least c at each rate above rho on the first grid of the scan's ladder that
+    ends above rho, and at the float above rho unless rho is below the grids'
+    floor (a NaN is passed over).  At a target rate of at most T(rho), a scan
+    stops on that grid or below it, and its deficit is nonnegative at every
+    rate it reads above rho.  A scan reads no rate below the floor, where the
+    rate functions underflow, so there a scanned bound meets rho only at 0
+    (p3, which does not scan, is then left to the bound's confirmation)."""
+    least = {}  # the end of a ladder grid -> the least c from each of its rates up
+
+    def threshold(rho: float) -> float:
+        end = _scan_start(omega)
+        while end is not None and end <= rho:
+            end = _next_end(end)
+        t = c(math.nextafter(rho, math.inf)) if rho >= RHO_GRID_FLOOR else math.inf
+        if end is None:
+            return t
+        grid = _rho_grid(end)
+        if end not in least:
+            with np.errstate(all="ignore"):  # a NaN or infinite c only passes or fails the test
+                least[end] = np.append(np.fmin.accumulate(c(grid)[::-1])[::-1], math.inf)
+        return float(np.fmin(t, least[end][np.searchsorted(grid, rho, side="right")]))
+
+    return threshold
+
+
 def alpha_curve(source: SourceParams, bound: BoundId, rho_grid: list[float]) -> BoundCurve:
     """Invert a bound to distortion-versus-rate: for each rate, the smallest
     distortion whose bound does not exceed it.
@@ -842,12 +916,29 @@ def alpha_curve(source: SourceParams, bound: BoundId, rho_grid: list[float]) -> 
     rate raises ValueError before anything is evaluated.  The warnings of one
     rate's inversion, those of the bracket ends included, form one record.
     Each distortion is evaluated once per call, and its notes replayed.
+
+    Two routes bisect the bracket, with the same midpoints.  t2 and t4 (whose
+    beta grid alpha also sets) test the bound itself at each one.  A bound
+    whose table row names its target-free c (p3, p4, p5, p6) tests only
+    ``rate_R(omega, alpha) <= T(rho)`` (:func:`_threshold`), with no implicit
+    solve; the bound itself then confirms the bracket: it must meet rho at the
+    upper end and exceed it at the lower.  Where it does not, the bracket is
+    widened geometrically until the bound confirms both ends, and bisected on
+    the bound.  So the bound is evaluated at every distortion written, as the
+    first route does.  ``solver_meta`` holds each rate's last bracket
+    (``"bracket"``) and the rates where the bound overruled the bracket that
+    c gave (``"repaired"``).
     """
     if bad := [rho for rho in rho_grid if not 0.0 <= rho < math.inf]:
         raise ValueError(f"rates must be finite and nonnegative, got {bad[0]}")
     points: list[tuple[float, float]] = []
-    meta: dict = {"omitted": [], "alpha_floor": ALPHA_FLOOR, "beta_star": {}}
+    meta: dict = {
+        "omitted": [], "alpha_floor": ALPHA_FLOOR, "beta_star": {}, "bracket": {}, "repaired": []
+    }
     seen: dict[float, tuple] = {}  # alpha -> (value, beta*, notes)
+    target_free = _BOUNDS[bound].target_free if bound in _BOUNDS else None
+    threshold = None if target_free is None else _threshold(target_free(source), source.omega)
+    floor, top = ALPHA_FLOOR, 1.0 - 1e-9
 
     def at(alpha):  # the bound at alpha, evaluated once per call; its notes replayed
         if alpha not in seen:
@@ -859,8 +950,7 @@ def alpha_curve(source: SourceParams, bound: BoundId, rho_grid: list[float]) -> 
 
     for rho in sorted(rho_grid):
         with _record(bound, rho):  # each rate's record starts with the bracket ends' notes
-            lo, hi = ALPHA_FLOOR, 1.0 - 1e-9
-            (val_lo, _), (val_hi, beta) = at(lo), at(hi)
+            (val_lo, _), (val_hi, _) = at(floor), at(top)
             rises = val_lo < val_hi
             if rises or val_hi > rho:  # or val_lo >= val_hi > rho: no alpha meets rho
                 reason = "non-monotone bracket" if rises else "bound exceeds rho on full range"
@@ -870,16 +960,20 @@ def alpha_curve(source: SourceParams, bound: BoundId, rho_grid: list[float]) -> 
             if val_lo <= rho:
                 points.append((rho, 0.0))
                 continue
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                val_mid, beta_mid = at(mid)
-                if val_mid <= rho:
-                    hi, beta = mid, beta_mid
-                else:
-                    lo = mid
-            meta["beta_star"][rho] = beta
+
+            def meets(alpha):
+                return at(alpha)[0] <= rho
+
+            if threshold is None:
+                lo, hi = _bisect_alpha(meets, floor, top)
+            else:
+                t = threshold(rho)
+                lo, hi = _bisect_alpha(lambda alpha: rate_R(source.omega, alpha) <= t, floor, top)
+                if not (meets(hi) and not meets(lo)):
+                    meta["repaired"].append(rho)
+                    lo, hi = _bisect_alpha(meets, *_widen(meets, lo, hi, floor, top))
+            meta["beta_star"][rho] = seen[hi][1]
+            meta["bracket"][rho] = (lo, hi)
             points.append((rho, hi))
     return BoundCurve(bound, source, "alpha_vs_rho", points, meta)
 

@@ -1371,11 +1371,12 @@ def test_alpha_curve_roundtrip():
 
 def test_alpha_curve_evaluates_the_bracket_ends_once(monkeypatch, caplog):
     # One call over several rates evaluates the two bracket ends once, and
-    # every other alpha once too (each rate's bisection starts at the same
-    # midpoint), and gives the points, beta* and warning lines of one call per
-    # rate.  Every alpha is made to hold a multi-crossing note, which the line
-    # of every rate that reaches it must count: the ends' and the replayed
-    # notes of midpoints evaluated for an earlier rate.
+    # every other alpha once too, and gives the points, beta*, brackets and
+    # warning lines of one call per rate.  p6 evaluates only the alphas that
+    # confirm (or repair) each rate's bisection on rate_R, none of them shared
+    # between rates, so the joint call saves exactly the repeated ends.  Every
+    # alpha is made to hold a multi-crossing note, which the line of every
+    # rate that reaches it must count: the ends' replayed notes included.
     src = gaussian_source(1e-4, 10.0)
     rates = list(np.geomspace(1e-4, 1e-2, 8))
     ends = (bd.ALPHA_FLOOR, 1.0 - 1e-9)
@@ -1401,12 +1402,15 @@ def test_alpha_curve_evaluates_the_bracket_ends_once(monkeypatch, caplog):
         joint_lines = [r.getMessage() for r in caplog.records]
     assert [alpha for alpha in calls if alpha in ends] == list(ends)
     assert len(calls) == len(set(calls)) and set(calls) == set(single_calls)
-    assert len(calls) < len(single_calls) - 2 * (len(rates) - 1)
+    assert len(calls) == len(single_calls) - 2 * (len(rates) - 1)
     assert joint.points == [point for curve in single for point in curve.points]
+    merged = {key: {k: v for curve in single for k, v in curve.solver_meta[key].items()}
+              for key in ("beta_star", "bracket")}
     assert joint.solver_meta == {
         "omitted": [],
         "alpha_floor": bd.ALPHA_FLOOR,
-        "beta_star": {k: v for curve in single for k, v in curve.solver_meta["beta_star"].items()},
+        **merged,
+        "repaired": [rho for curve in single for rho in curve.solver_meta["repaired"]],
     }
     assert joint_lines == single_lines
     assert len(joint_lines) == len(rates)
@@ -1425,6 +1429,104 @@ def test_alpha_curve_saturates_at_zero():
     src = gaussian_source(1e-4, 20.0)
     curve = bd.alpha_curve(src, BoundId.P4_IID, [1.0])
     assert curve.points[0][1] == 0.0
+
+
+def _bisected_alpha(source, bound, rho):
+    """The reference inversion: bisection over alpha on the bound itself, with
+    alpha_curve's bracket, midpoints and step cap; None where it omits rho."""
+    lo, hi = bd.ALPHA_FLOOR, 1.0 - 1e-9
+    val_lo, val_hi = (bd.evaluate_bound(source, bound, a)[0] for a in (lo, hi))
+    if val_lo < val_hi or val_hi > rho:
+        return None
+    if val_lo <= rho:
+        return 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if bd.evaluate_bound(source, bound, mid)[0] <= rho:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+INVERTED_ON_RATE_R = [BoundId.P3_GENERAL, BoundId.P4_IID, BoundId.P5_IID_GAUSSIAN, BoundId.P6_IID_ENTROPY]
+
+
+@given(
+    dist=BOUND_DOMAIN_FAMILIES,
+    omega=st.floats(1e-6, 0.5),
+    snr_db=st.floats(-30.0, 80.0),
+    pick=st.integers(0, 3),
+    alphas=st.lists(st.floats(1e-6, 1.0, exclude_max=True), min_size=1, max_size=3),
+    scale=st.floats(-0.3, 0.3),
+)
+@example(dist=Gaussian(0.0, 1.0), omega=0.5, snr_db=-30.0, pick=3, alphas=[1e-6, 0.01, 0.3], scale=0.0)
+@example(dist=Uniform(math.sqrt(2.3), 1.0), omega=0.2, snr_db=-25.0, pick=1, alphas=[1e-3, 0.1],
+         scale=0.2)
+@example(dist=Gaussian(0.0, 1.0), omega=1e-3, snr_db=60.0, pick=2, alphas=[1e-5, 0.05, 0.9], scale=-0.1)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_inversion_on_rate_r_is_confirmed_by_the_bound(dist, omega, snr_db, pick, alphas, scale):
+    # Each rate is the bound at a drawn alpha, scaled by up to 2x either way,
+    # so the rates reach as far up the ladder of scan grids as the bound does.
+    # Every alpha written meets rho, and the bound exceeds rho at the lower
+    # end of its last bracket.  Where rho > 0 the alpha is the reference
+    # bisection's to 1e-12 relative, or 2^-59 (the width of a bracket halved
+    # 60 times).  Where rho = 0 the bound is 0 wherever rate_R has cancelled
+    # to 0, a set round-off leaves ragged just below 1 - omega, so the two
+    # bisections may stop at different alphas of it (1e-9 apart was seen).
+    src = bd.source_at_snr(dist, omega, snr_db)
+    bounds = [b for b in INVERTED_ON_RATE_R if bd._BOUNDS[b].applies(src)]
+    bound = bounds[pick % len(bounds)]
+    rates = [bd.evaluate_bound(src, bound, a)[0] * 10.0**scale for a in alphas]
+    curve = bd.alpha_curve(src, bound, rates)
+    written = dict(curve.points)
+    for rho in rates:
+        want = _bisected_alpha(src, bound, rho)
+        assert (want is None) == (rho not in written)
+        if want:
+            alpha = written[rho]
+            lo, hi = curve.solver_meta["bracket"][rho]
+            assert hi == alpha and lo < alpha
+            assert bd.evaluate_bound(src, bound, alpha)[0] <= rho < bd.evaluate_bound(src, bound, lo)[0]
+            if rho > 0.0:
+                assert alpha == pytest.approx(want, rel=1e-12, abs=2.0**-59)
+        elif want == 0.0:
+            assert written[rho] == 0.0
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.5], ids=["c-too-small", "c-too-large"])
+def test_inversion_repairs_a_bracket_the_bound_overrules(monkeypatch, factor):
+    # A c scaled away from p6's own sends the bisection on rate_R to a wrong
+    # bracket.  The bound overrules it at one end; the bracket is widened
+    # until the bound confirms both ends and is bisected on the bound, so the
+    # alphas are those of the honest c and of the reference.
+    src = gaussian_source(1e-4, 10.0)
+    rates = [float(rho) for rho in np.geomspace(1e-4, 1e-2, 8)[[0, 2]]]
+    honest = bd.alpha_curve(src, BoundId.P6_IID_ENTROPY, rates)
+    assert honest.solver_meta["repaired"] == []
+    row = bd._BOUNDS[BoundId.P6_IID_ENTROPY]
+    misled = dataclasses.replace(row, target_free=lambda s: lambda rho: factor * row.target_free(s)(rho))
+    monkeypatch.setitem(bd._BOUNDS, BoundId.P6_IID_ENTROPY, misled)
+    alphas = []
+    evaluate = bd.evaluate_bound
+
+    def counting(source, bound, alpha):
+        alphas.append(alpha)
+        return evaluate(source, bound, alpha)
+
+    monkeypatch.setattr(bd, "evaluate_bound", counting)
+    curve = bd.alpha_curve(src, BoundId.P6_IID_ENTROPY, rates)
+    assert curve.solver_meta["repaired"] == rates
+    assert len(alphas) > 2 + 2 * len(rates)  # more than the ends and two confirmations a rate
+    for (rho, alpha), (_, want) in zip(curve.points, honest.points):
+        lo, hi = curve.solver_meta["bracket"][rho]
+        assert hi == alpha and {lo, hi} <= set(alphas)
+        assert evaluate(src, BoundId.P6_IID_ENTROPY, hi)[0] <= rho
+        assert evaluate(src, BoundId.P6_IID_ENTROPY, lo)[0] > rho
+        assert alpha == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert alpha == pytest.approx(_bisected_alpha(src, BoundId.P6_IID_ENTROPY, rho), rel=1e-12)
 
 
 def test_snr_monotonicity():

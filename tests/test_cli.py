@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import srdbounds
+from srdbounds import bounds as bd
 from srdbounds.cli import GRID_MAX_POINTS, _coerce, _fmt, _parse_grid, _sliced_from_eta, main
 from srdbounds.distributions import PointMass, truncate
 from srdbounds.montecarlo import BudgetError
@@ -121,6 +122,44 @@ def test_inversion_logs_one_crossing_line_per_rate(tmp_path, caplog):
     pairs = [(line.split(" at ")[0], line.split("rho=")[1].split(")")[0]) for line in lines]
     assert len(set(pairs)) == len(pairs)
     assert all(" values found more than one crossing" in line for line in lines)
+
+
+def test_benchmark_inversion_is_pinned_and_solves_few_bounds(tmp_path, monkeypatch):
+    # The benchmark's inversion writes the rows that bisecting on each bound
+    # wrote, and p4 and p6 invert on rate_R: at most 40 implicit solves in
+    # all, the bracket ends included (422 when each bisection step solved).
+    alphas = []
+    evaluate = bd.evaluate_bound
+
+    def counting(source, bound, alpha):
+        alphas.append(alpha)
+        return evaluate(source, bound, alpha)
+
+    monkeypatch.setattr(bd, "evaluate_bound", counting)
+    out = tmp_path / "inv.csv"
+    argv = ["bounds", "--invert", "--bounds", "p4_iid,p6_iid_entropy", "--grid", "1e-4:1e-2:8:log",
+            "--out", str(out)]
+    assert run_cli(argv) == 0
+    assert len(alphas) <= 40
+    assert out.read_text() == (
+        "bound,rho,alpha,beta_star\n"
+        "p4_iid,0.0001,0.820618097917,\n"
+        "p4_iid,0.000193069772888,0.687199587521,\n"
+        "p4_iid,0.000372759372031,0.459757663162,\n"
+        "p4_iid,0.000719685673001,0.100462693813,\n"
+        "p4_iid,0.00138949549437,0,\n"
+        "p4_iid,0.00268269579528,0,\n"
+        "p4_iid,0.00517947467923,0,\n"
+        "p4_iid,0.01,0,\n"
+        "p6_iid_entropy,0.0001,0.92807291282,\n"
+        "p6_iid_entropy,0.000193069772888,0.851352378656,\n"
+        "p6_iid_entropy,0.000372759372031,0.642013849666,\n"
+        "p6_iid_entropy,0.000719685673001,0.26984632329,\n"
+        "p6_iid_entropy,0.00138949549437,0,\n"
+        "p6_iid_entropy,0.00268269579528,0,\n"
+        "p6_iid_entropy,0.00517947467923,0,\n"
+        "p6_iid_entropy,0.01,0,\n"
+    )
 
 
 def test_simulate_command_and_summary(tmp_path):

@@ -341,6 +341,22 @@ def test_rank_deficiency_decides_each_block_in_one_call(monkeypatch):
     assert whole == np.count_nonzero(reference) / 1000
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_rank_deficiency_draws_what_choice_draws(monkeypatch, n):
+    # Every +-1 matrix the rank suite draws at its defaults (seed 0, 1,000
+    # trials, k = n / 2) is the one rng.choice([-1, 1]) draws from its stream.
+    stacks = []
+    singular = mc._singular
+
+    def spy(stack):
+        stacks.append(stack.copy())
+        return singular(stack)
+
+    monkeypatch.setattr(mc, "_singular", spy)
+    mc.rank_deficiency(n, 0.5, "rademacher", trials=1000, seed=0)
+    np.testing.assert_array_equal(np.concatenate(stacks), _suite_draws(n // 2, 1000))
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
