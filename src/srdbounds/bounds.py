@@ -10,8 +10,10 @@ is written once: the rate functions of ``ratefun`` take a float or an array,
 so the same deficit scans the grid as an array and bisects one float at a
 time.  p4, p6 and the genie-aided i.i.d. bound t4 share one deficit: p6 is t4
 at ``beta = 1``, where the genie reveals nothing, and p4 is p6 without a
-density.  t2 and t4 share one row per retained fraction ``beta`` (200 of
-them), built below ``beta = 1`` in one array pass, else one float at a time.
+density; a ``best_lower`` call solves each such deficit once.  t2 and t4
+share one row per retained fraction ``beta`` (200 of them), built below
+``beta = 1`` in one array pass, else one float at a time; the float row at a
+``beta`` off the grid, which golden section reads, is built once per call.
 t4 reads each row on the rate grids its own scan climbs, one top-down pass per
 grid that skips each chunk a monotone interval bound clears, solves the rows
 whose upper end exceeds the largest lower end and refines the best by the
@@ -212,15 +214,16 @@ def _solve_implicit(deficit, hi: float) -> ImplicitSolveReport:
 def _bisect(deficit, crossings: int, bracket) -> ImplicitSolveReport:
     """Refine a scan bracket by bisection, one rate at a time."""
     lo, hi = bracket
+    f_lo = None  # the float deficit at lo, once lo is no longer the grid point
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if deficit(mid) < 0.0:
-            lo = mid
+        if (f_mid := deficit(mid)) < 0.0:
+            lo, f_lo = mid, f_mid
         else:
             hi = mid
-    return ImplicitSolveReport(lo, crossings, (lo, hi), deficit(lo))
+    return ImplicitSolveReport(lo, crossings, (lo, hi), deficit(lo) if f_lo is None else f_lo)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +231,8 @@ def _bisect(deficit, crossings: int, bracket) -> ImplicitSolveReport:
 # ---------------------------------------------------------------------------
 
 # Each kind of note's line, after "<bound> at alpha=<alpha>: " (but for the last
-# three), from the first note and the count n and range lo..hi of the betas noted.
+# three), from the first note and the count n and range lo..hi of the betas noted
+# (an inversion's alphas, written as one alpha when n is 1).
 _LINES = {
     "crossings": "implicit solve found {detail} crossings; keeping the largest violated rate",
     "beta crossings": "{n} beta values found more than one crossing (beta in [{lo:g}, {hi:g}]); "
@@ -238,16 +242,17 @@ _LINES = {
     "cap": "still violated at the scan cap rho={detail:g}; the bound is at least the cap",
     "check": "simplified bound {detail[0]:.6g} exceeds solved p6 bound {detail[1]:.6g}",
     "omitted": "inverting rho={rho:g}: rate omitted ({detail})",
-    "inversion": "at alpha={lo:g}..{hi:g} (inverting rho={rho:g}): {n} alpha values found more "
+    "inversion": "at alpha={lo:g}{up_to} (inverting rho={rho:g}): {n} alpha value{s} found more "
     "than one crossing; kept the largest violated rate for each",
-    "inversion skips": "at alpha={lo:g}..{hi:g} (inverting rho={rho:g}): skipping beta values "
-    "at {n} alpha values (first: {detail})",
+    "inversion skips": "at alpha={lo:g}{up_to} (inverting rho={rho:g}): skipping beta values "
+    "at {n} alpha value{s} (first: {detail})",
 }
 # In a rate's inversion, these kinds fold over alpha into one line of the kind named.
 _OVER_ALPHA = {"crossings": "inversion", "beta crossings": "inversion", "skip": "inversion skips"}
 
 _notes: contextvars.ContextVar[list | None] = contextvars.ContextVar("_notes", default=None)
-_tables: contextvars.ContextVar[dict] = contextvars.ContextVar("_tables")  # set by best_lower
+# Set by best_lower: (source, alpha) -> _grid_rows' tables, "solves" -> _genie_solve's reports.
+_tables: contextvars.ContextVar[dict] = contextvars.ContextVar("_tables")
 
 
 def _note(kind: str, alpha: float | None, beta: float | None = None, detail=None) -> None:
@@ -279,8 +284,10 @@ def _record(bound: BoundId | None, rho: float | None = None):
         groups.setdefault((kind, alpha), []).append((beta, detail))
     for (kind, alpha), got in groups.items():
         (beta, detail), spread = got[0], {beta for beta, _ in got}
+        lo, hi, n = min(spread), max(spread), len(spread)
         line = _LINES["skips" if kind == "skip" and len(got) > 1 else kind].format(
-            rho=rho, beta=beta, detail=detail, n=len(spread), lo=min(spread), hi=max(spread)
+            rho=rho, beta=beta, detail=detail, n=n, lo=lo, hi=hi,
+            s="s" if n > 1 else "", up_to=f"..{hi:g}" if n > 1 else "",
         )
         log.warning("%s %s%s", bound.value, "" if alpha is None else f"at alpha={alpha:g}: ", line)
 
@@ -457,11 +464,11 @@ def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
         return 2.0 * pref * r / math.log1p(v_eff)
 
     # The grid maximum, refined by golden section over its neighbours.
-    grid, rows = _grid_rows(source, alpha)
+    grid, rows, row_at = _grid_rows(source, alpha)
     values = np.array([value(row) for row in rows])
     best = int(np.argmax(values))
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
-    beta_star, val = _golden_max(lambda beta: value(_genie_row(source, alpha, beta)), lo, hi)
+    beta_star, val = _golden_max(lambda beta: value(row_at(beta)), lo, hi)
     if values[best] >= val:
         return float(values[best]), float(grid[best])
     return float(val), float(beta_star)
@@ -486,6 +493,16 @@ def _genie_deficit(pref, om_b, v_eff, vh_eff, r_target):
     return lambda rho: info_G(rho / pref, v_eff) - r_target - om_t * info_V(rho / om_b, vh_eff)
 
 
+def _genie_solve(params: tuple, hi: float) -> ImplicitSolveReport:
+    """:func:`_solve_implicit` of :func:`_genie_deficit` at ``params``, from the
+    grid ending at ``hi``: solved once per ``best_lower`` call, where p4's or
+    p6's deficit is t4's row at ``beta = 1``."""
+    solves = _tables.get({}).setdefault("solves", {})
+    if (key := (params, hi)) not in solves:
+        solves[key] = _solve_implicit(_genie_deficit(*params), hi)
+    return solves[key]
+
+
 @_record(BoundId.P4_IID)
 def p4_iid(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     """Log-determinant bound for i.i.d. matrices (unique crossing)."""
@@ -495,8 +512,8 @@ def p4_iid(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     r_target = rate_R(source.omega, alpha)
     if r_target == 0.0:
         return _ZERO_REPORT
-    deficit = _genie_deficit(1.0, source.omega, source.variance, 0.0, r_target)
-    return _noted(_solve_implicit(deficit, _scan_start(source.omega)), alpha)
+    params = (1.0, source.omega, source.variance, 0.0, r_target)
+    return _noted(_genie_solve(params, _scan_start(source.omega)), alpha)
 
 
 @_record(BoundId.P5_IID_GAUSSIAN)
@@ -534,8 +551,8 @@ def p6_entropy(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     r_target = rate_R(omega, alpha)
     if r_target == 0.0:
         return _ZERO_REPORT
-    deficit = _genie_deficit(1.0, omega, source.variance, source.entropy_power, r_target)
-    report = _noted(_solve_implicit(deficit, _scan_start(omega)), alpha)
+    params = (1.0, omega, source.variance, source.entropy_power, r_target)
+    report = _noted(_genie_solve(params, _scan_start(omega)), alpha)
     simple = s_cor_thm2(source, alpha)
     if simple > report.rho_lower * (1.0 + 1e-9) + 1e-12:
         _note("check", alpha, detail=(simple, report.rho_lower))
@@ -566,23 +583,45 @@ def _genie_row(source: SourceParams, alpha: float, beta: float) -> tuple | None:
     :func:`_genie_deficit`, and of t2's objective.  None, and a note, when
     they cannot be computed at this ``beta``, which t2 and t4 then skip."""
     try:
-        pref, om_b, v_eff, vh_eff = _genie_params(source, beta)
-        return pref, om_b, v_eff, vh_eff, rate_R(om_b / pref, min(alpha / beta, 1.0))
+        return _genie_args(source, alpha, beta)
     except (ValueError, ArithmeticError) as exc:
         _note("skip", alpha, beta, exc)
         return None
 
 
-def _grid_rows(source: SourceParams, alpha: float) -> tuple[np.ndarray, list]:
-    """The beta grid and its :func:`_genie_row` rows, noting each skip: built once
-    per ``best_lower`` call (whose t2 and t4 each note the skips), else per call.
+def _genie_args(source: SourceParams, alpha: float, beta: float) -> tuple:
+    """:func:`_genie_row`'s row at a float ``beta``, raising what skips it."""
+    pref, om_b, v_eff, vh_eff = _genie_params(source, beta)
+    return pref, om_b, v_eff, vh_eff, rate_R(om_b / pref, min(alpha / beta, 1.0))
+
+
+def _grid_rows(source: SourceParams, alpha: float) -> tuple[np.ndarray, list, Callable]:
+    """The beta grid, its :func:`_genie_row` rows, noting each skip, and a
+    function giving the float row at any beta, built once and its skip noted
+    on every read: all made once per ``best_lower`` call (whose t2 and t4 each
+    note the skips), else per call.
 
     The rows below beta = 1 are one array pass, as floats within a few ulps of
     the float rows, or if it raises (a nonzero-mean Gaussian, a log of an
     underflowed 0, an overflow), the float rows.  The row at 1 is the float's.
+    The float rows of the betas off the grid, which golden section reads, are
+    never taken from the array pass.
     """
     if (key := (source, alpha)) not in (tables := _tables.get({})):
         grid = _beta_grid(source, alpha)
+        built: dict = {}  # a float beta -> its float row, or the error that skips it
+
+        def row(beta):
+            if (got := built.get(beta)) is None:
+                try:
+                    got = built[beta] = _genie_args(source, alpha, beta)
+                except (ValueError, ArithmeticError) as exc:
+                    got = built[beta] = exc
+            if type(got) is tuple:
+                return got
+            _note("skip", alpha, beta, got)
+            return None
+
         with _record(None) as skips:
             try:  # the rows below beta = 1, the grid's last point
                 with np.errstate(all="raise", under="ignore"):
@@ -591,11 +630,11 @@ def _grid_rows(source: SourceParams, alpha: float) -> tuple[np.ndarray, list]:
                 rows = list(zip(*(col.tolist() for col in np.broadcast_arrays(*params, r))))
             except (ValueError, ArithmeticError):
                 rows = [_genie_row(source, alpha, beta) for beta in grid[:-1]]
-            tables[key] = grid, [*rows, _genie_row(source, alpha, grid[-1])], skips
-    grid, rows, skips = tables[key]
+            tables[key] = grid, [*rows, row(grid[-1])], skips, row
+    grid, rows, skips, row = tables[key]
     for skip in skips:
         _note(*skip)
-    return grid, rows
+    return grid, rows, row
 
 
 def _top_down_pass(params, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -673,9 +712,9 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     def solve(beta, params, rho_hi):
         if params[4] == 0.0 and params[3] == 0.0:  # no rate needed and no density
             return _ZERO_REPORT
-        return _noted(_solve_implicit(_genie_deficit(*params), rho_hi), alpha, beta)
+        return _noted(_genie_solve(params, rho_hi), alpha, beta)
 
-    grid, rows = _grid_rows(source, alpha)
+    grid, rows, row_at = _grid_rows(source, alpha)
     rising = [i for i, p in enumerate(rows) if p is not None and (p[4] != 0.0 or p[3] != 0.0)]
     ends = {}  # row -> (the end of the grid its scan stops on, its lower and upper end there)
     rho_hi = start = _scan_start(omega)
@@ -695,7 +734,7 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
 
     def violation(beta, rho):  # minus the deficit at a fixed rate; skipped as on the grid
-        params = _genie_row(source, alpha, beta)
+        params = row_at(beta)
         return -math.inf if params is None else -_genie_deficit(*params)(rho)
 
     for _ in range(BETA_REFINE_ROUNDS):
@@ -703,7 +742,7 @@ def t4_genie_iid(source: SourceParams, alpha: float) -> tuple[ImplicitSolveRepor
         if report.rho_lower == 0.0 or report.diagnostic:
             break
         beta, _ = _golden_max(functools.partial(violation, rho=report.rho_lower), lo, hi)
-        if beta == beta_star or (found := _genie_row(source, alpha, beta)) is None:
+        if beta == beta_star or (found := row_at(beta)) is None:
             break
         solved = solve(beta, found, start)
         if not solved.rho_lower > report.rho_lower:

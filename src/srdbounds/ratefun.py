@@ -161,6 +161,8 @@ def _xi(r, gamma, sqrt):
 
 def _check_rate_args(r, gamma) -> bool:
     """Reject r <= 0 and gamma < 0; True when either argument is an array."""
+    if type(r) is float and type(gamma) is float and r > 0.0 and gamma >= 0.0:
+        return False  # an implicit solve's single rate, checked without NumPy
     r_array = isinstance(r, np.ndarray)
     gamma_array = isinstance(gamma, np.ndarray)
     r_min = r.min() if r_array else r

@@ -616,7 +616,7 @@ def test_t4_solves_only_rows_that_can_hold_the_maximum(
             return deficit(rates).tobytes()
 
     # The rows t4 solves, those of the array pass: a float row may differ in an ulp.
-    _, rows = bd._grid_rows(src, alpha)
+    _, rows, _ = bd._grid_rows(src, alpha)
     row_of = {on_grid(bd._genie_deficit(*row)): i for i, row in enumerate(rows) if row is not None}
     solves, grid_ends = [], []
     solve = bd._solve_implicit
@@ -650,7 +650,7 @@ def test_t4_solves_only_rows_that_can_hold_the_maximum(
 
 def _growth_rows(source, alpha):
     """The grid rows still violated at the end of the first rate grid."""
-    _, rows = bd._grid_rows(source, alpha)
+    _, rows, _ = bd._grid_rows(source, alpha)
     ends, _ = _check_top_down_pass(source, alpha, bd._scan_start(source.omega))
     return [rows[i] for i, (_, upper) in enumerate(ends) if upper == math.inf]
 
@@ -761,7 +761,7 @@ def _full_top_down_pass(params, hi):
 
 def _live_rows(source, alpha):
     """The deficit arguments of t4's grid rows that are neither skipped nor zero."""
-    _, rows = bd._grid_rows(source, alpha)
+    _, rows, _ = bd._grid_rows(source, alpha)
     return [p for p in rows if p is not None and (p[4] != 0.0 or p[3] != 0.0)]
 
 
@@ -942,7 +942,7 @@ def test_grid_rows_match_the_float_rows(dist, omega, snr_db, alpha):
     with bd._record(None) as float_notes:
         want = [bd._genie_row(src, alpha, beta) for beta in grid]
     with bd._record(None) as notes:
-        got_grid, got = bd._grid_rows(src, alpha)
+        got_grid, got, _ = bd._grid_rows(src, alpha)
     text = [[(k, a, b, type(e), str(e)) for k, a, b, e in held] for held in (notes, float_notes)]
     assert text[0] == text[1]
     assert np.array_equal(got_grid, grid) and len(got) == len(want)
@@ -967,7 +967,7 @@ def test_best_lower_builds_the_beta_rows_in_one_array_pass(monkeypatch):
     points = ((0.0, 3e-3), (20.0, 0.03), (40.0, 0.25))
     inputs = [(dist, snr, alpha) for dist in T4_FAMILIES.values() for snr, alpha in points]
     for dist, snr, alpha in inputs:
-        _, rows = bd._grid_rows(bd.source_at_snr(dist, 1e-4, snr), alpha)
+        _, rows, _ = bd._grid_rows(bd.source_at_snr(dist, 1e-4, snr), alpha)
         assert all(type(x) is float for row in rows[:-1] for x in row)
     genie_params = bd._genie_params
 
@@ -1002,6 +1002,117 @@ def test_best_lower_builds_the_beta_rows_in_one_array_pass(monkeypatch):
     ):
         assert value == row_value
         assert row_truncs - truncs >= 190 and row_rates - rates >= 190, (truncs, row_truncs)
+
+
+def _noisy(slope, root, amp):
+    """A deficit rising through ``root`` at ``slope``, plus a deterministic
+    round-off-like term of at most ``amp`` that flips its sign near the root."""
+
+    def deficit(rho):
+        return slope * (rho - root) + amp * (hash(rho) % 2001 / 1000.0 - 1.0)
+
+    return deficit
+
+
+@given(
+    lo=st.floats(1e-8, 1e8),
+    ratio=st.floats(1e-15, 1e4),
+    at=st.floats(0.0, 1.0),
+    slope=st.floats(1e-6, 1e6),
+    amp=st.sampled_from([0.0, 1e-16, 1e-12, 1e-8]),
+)
+@example(lo=1.0, ratio=1e-15, at=0.0, slope=1.0, amp=0.0)
+@example(lo=0.01, ratio=0.0093, at=0.4, slope=1e-3, amp=1e-12)
+@example(lo=1e-8, ratio=1e4, at=0.9, slope=1.0, amp=0.0)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_bisect_keeps_its_contract_over_random_brackets(lo, ratio, at, slope, amp):
+    # Any bracket whose deficit is negative at its lower end and not at its
+    # upper end, the deficit smooth or noisy near its root: the report's ends
+    # keep those signs and are adjacent floats unless the BISECTION_STEPS cap
+    # was hit, and its residual is the float deficit at its lower end.  Each
+    # step reads one new midpoint; the residual is read again only while the
+    # lower end is still the scan's grid point.
+    hi = lo * (1.0 + ratio)
+    if not lo < hi < math.inf:
+        return
+    root = math.nextafter(lo, math.inf) + at * (hi - lo)
+    deficit, calls = _noisy(slope, root, amp), []
+
+    def counted(rho):
+        calls.append(rho)
+        return deficit(rho)
+
+    if not deficit(lo) < 0.0 <= deficit(hi):
+        return
+    report = bd._bisect(counted, 3, (lo, hi))
+    r_lo, r_hi = report.bracket
+    assert r_lo == report.rho_lower and lo <= r_lo < r_hi <= hi
+    assert r_lo == lo or deficit(r_lo) < 0.0
+    assert r_hi == hi or deficit(r_hi) >= 0.0
+    assert report.residual == deficit(r_lo) and report.crossings_found == 3
+    mids = calls[:-1] if r_lo == lo else calls
+    assert r_lo != lo or calls[-1] == lo
+    assert all(lo < rho < hi for rho in mids) and len(set(mids)) == len(mids)
+    assert math.nextafter(r_lo, math.inf) == r_hi or len(mids) == bd.BISECTION_STEPS
+
+
+CURVE_INPUTS = [
+    (dist, snr, alpha) for dist in T4_FAMILIES.values()
+    for snr in (0.0, 20.0, 40.0) for alpha in (3e-3, 3e-2, 0.25)
+]
+
+
+def test_best_lower_builds_each_float_beta_row_once(monkeypatch):
+    # t2's and t4's golden steps and t4's refinement read the float rows of
+    # one call's memo, so no beta's row is built twice in a call; the next
+    # call builds its own.
+    built = []
+    genie_args = bd._genie_args
+
+    def spy(source, alpha, beta):
+        built.append(float(beta))
+        return genie_args(source, alpha, beta)
+
+    monkeypatch.setattr(bd, "_genie_args", spy)
+    for dist, snr, alpha in CURVE_INPUTS:
+        src = bd.source_at_snr(dist, 1e-4, snr)
+        for _ in range(2):
+            built.clear()
+            bd.best_lower(src, alpha, "iid")
+            assert len(built) > 1 and len(set(built)) == len(built), (dist, snr, alpha)
+
+
+def test_best_lower_solves_each_genie_deficit_once(monkeypatch):
+    # p4's or p6's deficit is t4's row at beta = 1, solved from the same grid
+    # end: one best_lower call solves it once, and every bound reads the
+    # report that a solve of its own gives.
+    genie_solve, solve = bd._genie_solve, bd._solve_implicit
+    keys, reports, solved = [], [], []
+
+    def own(params, hi):
+        reports.append(bd._solve_implicit(bd._genie_deficit(*params), hi))
+        return reports[-1]
+
+    def shared(params, hi):
+        keys.append((params, hi))
+        reports.append(genie_solve(params, hi))
+        return reports[-1]
+
+    monkeypatch.setattr(bd, "_solve_implicit", lambda deficit, hi: solved.append(hi) or solve(deficit, hi))
+    repeats = 0
+    for dist, snr, alpha in CURVE_INPUTS:
+        src = bd.source_at_snr(dist, 1e-4, snr)
+        runs = []
+        for genie in (own, shared):
+            keys.clear(), reports.clear(), solved.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(bd, "_genie_solve", genie)
+                runs.append((bd.best_lower(src, alpha, "iid"), list(reports), len(solved)))
+        (want, want_reports, n_own), (got, got_reports, n_shared) = runs
+        assert got == want and got_reports == want_reports, (dist, snr, alpha)
+        assert n_own - n_shared == len(keys) - len(set(keys))
+        repeats += len(keys) - len(set(keys))
+    assert repeats >= len(T4_FAMILIES)
 
 
 def test_classify_scans_reads_each_row():
@@ -1064,6 +1175,35 @@ def test_rate_functions_take_per_row_gamma(info):
         want = [info(rate, float(gi)) for gi in gamma]
         np.testing.assert_allclose(info(rate, gamma), want, rtol=1e-14, atol=0.0)
     assert np.all(info(r, 0.0) == 0.0)
+
+
+def test_inversion_lines_write_one_alpha_as_one(caplog):
+    # A rate's folded lines name one alpha, and "1 alpha value", when every
+    # note came from one alpha (two skipped betas at one alpha included);
+    # else the range and the count of alphas.
+    tail = "found more than one crossing; kept the largest violated rate for each"
+    with caplog.at_level("WARNING", logger="srdbounds.bounds"):
+        with bd._record(BoundId.P6_IID_ENTROPY, 1e-4):
+            bd._note("crossings", 0.5, None, 2)
+        with bd._record(BoundId.P6_IID_ENTROPY, 1e-4):
+            bd._note("crossings", 0.25, None, 2)
+            bd._note("crossings", 0.5, None, 3)
+        with bd._record(BoundId.T2_GENIE, 2e-4):
+            bd._note("skip", 0.5, 0.7, "first")
+            bd._note("skip", 0.5, 0.9, "second")
+        with bd._record(BoundId.T4_IID_GENIE, 2e-4):
+            bd._note("skip", 0.5, 0.7, "first")
+            bd._note("beta crossings", 0.5, 0.8, 2)
+            bd._note("skip", 0.75, 0.8, "second")
+    assert [r.getMessage() for r in caplog.records] == [
+        f"p6_iid_entropy at alpha=0.5 (inverting rho=0.0001): 1 alpha value {tail}",
+        f"p6_iid_entropy at alpha=0.25..0.5 (inverting rho=0.0001): 2 alpha values {tail}",
+        "t2_genie at alpha=0.5 (inverting rho=0.0002): skipping beta values at 1 alpha value "
+        "(first: first)",
+        "t4_iid_genie at alpha=0.5..0.75 (inverting rho=0.0002): skipping beta values at 2 alpha "
+        "values (first: first)",
+        f"t4_iid_genie at alpha=0.5 (inverting rho=0.0002): 1 alpha value {tail}",
+    ]
 
 
 def test_single_solve_warnings_name_alpha(caplog):

@@ -121,7 +121,11 @@ def test_inversion_logs_one_crossing_line_per_rate(tmp_path, caplog):
     assert lines
     pairs = [(line.split(" at ")[0], line.split("rho=")[1].split(")")[0]) for line in lines]
     assert len(set(pairs)) == len(pairs)
-    assert all(" values found more than one crossing" in line for line in lines)
+    # One alpha is written as one, with "1 alpha value"; several as a range.
+    for line in lines:
+        span, n = line.split("at alpha=")[1].split(" ")[0], int(line.split("): ")[1].split(" ")[0])
+        assert (".." in span) == (n > 1), line
+        assert f"{n} alpha value{'s' if n > 1 else ''} found more than one crossing" in line
 
 
 def test_benchmark_inversion_is_pinned_and_solves_few_bounds(tmp_path, monkeypatch):
