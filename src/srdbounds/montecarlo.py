@@ -15,6 +15,7 @@ fails and none is redrawn."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,8 +26,8 @@ from .distributions import DistributionSpec, decay_rate, moments, truncate
 from .ratefun import info_G
 
 
-_CHUNK_BYTES = 1 << 22  # covering_bracket's blocks and rank_deficiency's stacks
-_TABLE_ENTRIES = 1 << 26  # covering_bracket's neighbour table: 256 MB of int32
+_CHUNK_BYTES = 1 << 22  # rank_deficiency's stacks of draws
+_TABLE_ENTRIES = 1 << 26  # covering_bracket's supports, subset ranks and counts
 # simulate's matrix: 128 MB of float64.  verify's samplers refuse above it.
 _MATRIX_ENTRIES = 1 << 24
 _RANK_RTOL = 1e-8  # a column this close to its span, relative to its norm, adds nothing
@@ -323,13 +324,15 @@ def covering_bracket(n: int, k: int, alpha: float, seed: int = 0) -> tuple[int, 
 
     Lower end is the exact counting quotient ceil(C(n,k) / n_tilde); upper end
     is the size of a greedy cover (most uncovered supports first, ties to the
-    lexicographically smallest).  Every support has exactly n_tilde neighbours
-    (the supports sharing at least k - floor(alpha k) of its indices), so the
-    neighbours form one (C(n,k), n_tilde) table, built from overlap counts of
-    0/1 incidence rows a few MB at a time.  The greedy step keeps each
-    support's count of uncovered neighbours and lowers it through the table
-    rows of the supports each pick covers.  More than 200,000 supports, or a
-    table of more than 2**26 entries, raises BudgetError before anything is
+    lexicographically smallest).  A ball is the n_tilde supports sharing at
+    least m = k - floor(alpha k) indices with its centre.  A support's gain,
+    its ball's count of uncovered supports, falls after each pick by the
+    newly covered supports in its ball: by inclusion-exclusion over shared
+    index subsets, the sum over s = m..k of (-1)^(s - m) C(s - 1, m - 1)
+    times the newly covered supports' count of s-subset ranks, read through
+    the support's own.  The picks hold C(n,k) (k + sum_s C(k,s)) entries,
+    the supports and their ranks, and two per s-subset of range(n).  Over
+    200,000 supports, or 2**26 entries, raises BudgetError before anything is
     allocated.  ``seed`` is unused.
     """
     if n > 24:
@@ -338,43 +341,39 @@ def covering_bracket(n: int, k: int, alpha: float, seed: int = 0) -> tuple[int, 
     if total > 200_000:
         raise BudgetError(f"C({n},{k}) = {total} exceeds the enumeration budget")
     width = n_tilde(n, k, alpha)
-    if total * width > _TABLE_ENTRIES:
-        raise BudgetError(
-            f"the neighbour table of C({n},{k}) = {total} supports with {width} "
-            f"neighbours each exceeds the budget of {_TABLE_ENTRIES} entries"
-        )
     lower = -(-total // width)
-    # float32 products of 0/1 rows count overlaps exactly (at most n <= 24).
-    incidence = np.zeros((total, n), dtype=np.float32)
-    np.put_along_axis(incidence, _leaves(_prefix_tree(n, k), np.arange(total)), 1.0, axis=1)
-    min_overlap = k - int(math.floor(alpha * k))
-    rows = max(1, _CHUNK_BYTES // (incidence.itemsize * total))
-    table = np.empty((total, width), dtype=np.int32)
-    # One buffer for every block: a fresh one per block is paged in anew on a first call.
-    overlap = np.empty((rows, total), dtype=np.float32)
-    for start in range(0, total, rows):
-        block = overlap[: min(rows, total - start)]
-        np.matmul(incidence[start : start + rows], incidence.T, out=block)
-        # Flat positions, less each row's offset, are the column indices.
-        cols = np.flatnonzero(block >= min_overlap).reshape(-1, width)
-        table[start : start + rows] = cols - total * np.arange(len(cols))[:, None]
-    # gain[i] counts the uncovered neighbours of support i.  The neighbour
-    # relation is symmetric, so covering j lowers the gain of each of j's
-    # neighbours by one; argmax takes the first of the largest gains.
-    gain = np.full(total, width, dtype=np.int64)
-    uncovered = np.ones(total, dtype=bool)
-    left = total
-    cover_size = 0
-    while True:
-        ball = table[int(np.argmax(gain))]
-        newly = ball[uncovered[ball]]
+    if width in (1, total):  # each ball holds only its centre, or every support
+        return lower, lower
+    keep = k - int(math.floor(alpha * k))
+    sizes = range(keep, k + 1)
+    per_support, subsets = sum(math.comb(k, s) for s in sizes), [math.comb(n, s) for s in sizes]
+    if total * (k + per_support) + 2 * sum(subsets) > _TABLE_ENTRIES:
+        raise BudgetError(
+            f"the C({n},{k}) = {total} supports with {per_support} subsets of size "
+            f"{keep} or more each exceed the budget of {_TABLE_ENTRIES} entries"
+        )
+    # One row per position, so that member[supports] sums along contiguous rows.
+    supports = np.ascontiguousarray(_leaves(_prefix_tree(n, k), np.arange(total)).T)
+    # A row per s-subset of positions: the colex rank sum_t C(a_t, t) of each
+    # support's a_1 < ... < a_s there, past the ranks of the smaller sizes.
+    binom = np.array([[math.comb(a, t) for a in range(n)] for t in range(k + 1)], dtype=np.int32)
+    ranks = np.empty((per_support, total), dtype=np.int32)
+    for row, at in zip(ranks, (at for s in sizes for at in itertools.combinations(range(k), s))):
+        offset = sum(subsets[: len(at) - keep])
+        row[:] = offset + sum(binom[t][supports[c]] for t, c in enumerate(at, start=1))
+    weights = np.repeat([(-1) ** (s - keep) * math.comb(s - 1, keep - 1) for s in sizes], subsets)
+    gain, uncovered = np.full(total, width, dtype=np.int64), np.ones(total, dtype=bool)
+    for cover_size in itertools.count(1):
+        # argmax takes the first of the largest gains.
+        member = np.isin(np.arange(n), supports[:, int(np.argmax(gain))])
+        newly = np.flatnonzero(uncovered & (member[supports].sum(axis=0) >= keep))
         uncovered[newly] = False
-        left -= len(newly)
-        cover_size += 1
-        if left == 0:
+        if not uncovered.any():
             return lower, cover_size
-        for start in range(0, len(newly), rows):
-            gain -= np.bincount(table[newly[start : start + rows]].ravel(), minlength=total)
+        # One row of ranks at a time: no temporary outgrows a row or a count.
+        counts = sum(np.bincount(row[newly], minlength=len(weights)) for row in ranks) * weights
+        for row in ranks:
+            gain -= counts[row]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from srdbounds import montecarlo as mc
@@ -463,6 +465,68 @@ def test_covering_bracket_pinned_reference_case():
     assert mc.covering_bracket(22, 4, 0.5) == (8, 21)
 
 
+def test_covering_bracket_pinned_at_a_size_the_neighbour_table_refused():
+    # 134,596 supports with 18,724 neighbours each: a neighbour table would
+    # take 10 GB.  A separate table-free greedy, which lowers the gains by
+    # overlap counts against the newly covered supports block by block, gave
+    # the same bracket in about a minute.
+    assert mc.covering_bracket(24, 6, 0.5) == (8, 28)
+
+
+def covering_bracket_by_table(n, k, alpha):
+    """Reference: the greedy cover through a (C(n,k), n_tilde) neighbour
+    table, built from float32 overlap counts of 0/1 incidence rows; each pick
+    lowers the gains through the table rows of the supports it covers."""
+    total, width = math.comb(n, k), mc.n_tilde(n, k, alpha)
+    incidence = np.zeros((total, n), dtype=np.float32)
+    np.put_along_axis(incidence, mc._leaves(mc._prefix_tree(n, k), np.arange(total)), 1.0, axis=1)
+    overlap = incidence @ incidence.T
+    # Flat positions, less each row's offset, are the column indices.
+    cols = np.flatnonzero(overlap >= k - math.floor(alpha * k)).reshape(-1, width)
+    table = cols - total * np.arange(total)[:, None]
+    gain = np.full(total, width, dtype=np.int64)
+    uncovered = np.ones(total, dtype=bool)
+    size = 0
+    while uncovered.any():
+        ball = table[int(np.argmax(gain))]
+        newly = ball[uncovered[ball]]
+        uncovered[newly] = False
+        size += 1
+        gain -= np.bincount(table[newly].ravel(), minlength=total)
+    return -(-total // width), size
+
+
+# Every (n, k, floor(alpha k)) with n <= 12 where a ball holds more than its
+# centre (floor(alpha k) > 0) and two supports can share fewer than
+# m = k - floor(alpha k) indices (2k - n < m), so that the gains fall.  Plain
+# draws of k and alpha sit mostly at the ends, where neither holds; the
+# explicit examples take those.
+COVERING_SHAPES = [
+    (n, k, s) for n in range(1, 13) for k in range(n + 1) for s in range(1, k + 1) if 2 * k - n < k - s
+]
+
+
+@st.composite
+def covering_inputs(draw):
+    n, k, swaps = draw(st.sampled_from(COVERING_SHAPES))
+    alpha = (swaps + draw(st.floats(0.0, 1.0, exclude_max=True))) / max(k, 1)
+    return n, k, min(alpha, 1.0)
+
+
+@given(case=covering_inputs())
+@example(case=(10, 3, 0.0))  # m = k: each ball is its centre alone
+@example(case=(9, 4, 1.0))  # m = 0: the first ball is every support
+@example(case=(11, 4, 0.75))  # m = 1
+@example(case=(12, 1, 0.5))  # k = 1
+@example(case=(7, 7, 0.5))  # k = n: one support
+@example(case=(7, 0, 0.5))  # k = 0: the empty support
+@example(case=(12, 6, 0.5))  # m = 3 over the largest C(n, k)
+@example(case=(5, 4, 0.5))  # m = 2: every two supports share 3 indices
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_covering_bracket_matches_the_neighbour_table(case):
+    assert mc.covering_bracket(*case) == covering_bracket_by_table(*case)
+
+
 @pytest.mark.parametrize(
     "n, k, alpha, bracket",
     [
@@ -549,17 +613,30 @@ def test_covering_budget_guard():
         mc.covering_bracket(24, 12, 0.5)
 
 
-def test_covering_budget_counts_the_neighbour_table():
-    # 134,596 supports pass the support budget; their 18,724 neighbours each
-    # would need 10 GB of table.
+def test_covering_budget_counts_the_subset_ranks():
+    # 134,596 supports pass the support budget; their 12,616 subsets of size
+    # 13 or more each would need 6.8 GB of int32 ranks.  Refused before any
+    # of it is allocated.
     tracemalloc.start()
     try:
-        with pytest.raises(mc.BudgetError, match="neighbour table"):
-            mc.covering_bracket(24, 6, 0.5)
+        with pytest.raises(mc.BudgetError, match="12616 subsets of size 13 or more"):
+            mc.covering_bracket(24, 18, 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_covering_bracket_holds_no_neighbour_table():
+    # A neighbour table of these 7,315 supports would alone take 29 MB.
+    mc._prefix_tree.cache_clear()  # count the tree too
+    tracemalloc.start()
+    try:
+        assert mc.covering_bracket(22, 4, 0.5) == (8, 21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 # ---------------------------------------------------------------------------
