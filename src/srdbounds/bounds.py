@@ -22,6 +22,8 @@ envelope condition.  A NaN or infinite deficit on a rate a scan reads is refused
 Warnings leave by one route.  Each evaluation of p4, p5, p6, t2 or t4, and
 each rate ``alpha_curve`` inverts, opens a record (``_record``); every warning
 site adds a note to the open one, and each record logs its notes as it closes.
+A value built once and read many times (``_once``) keeps the notes its build
+took and adds them to the open record on every read.
 
 One table (``_BOUNDS``) says which bounds exist, how each is evaluated, which
 sources it applies to and which matrix class ``best_lower`` uses it for.  For
@@ -251,7 +253,7 @@ _LINES = {
 _OVER_ALPHA = {"crossings": "inversion", "beta crossings": "inversion", "skip": "inversion skips"}
 
 _notes: contextvars.ContextVar[list | None] = contextvars.ContextVar("_notes", default=None)
-# Set by best_lower: (source, alpha) -> _grid_rows' tables, "solves" -> _genie_solve's reports.
+# Set by best_lower; _grid_rows and _genie_solve read it through _once.
 _tables: contextvars.ContextVar[dict] = contextvars.ContextVar("_tables")
 
 
@@ -290,6 +292,24 @@ def _record(bound: BoundId | None, rho: float | None = None):
             s="s" if n > 1 else "", up_to=f"..{hi:g}" if n > 1 else "",
         )
         log.warning("%s %s%s", bound.value, "" if alpha is None else f"at alpha={alpha:g}: ", line)
+
+
+def _once(table: dict, key, build: Callable, *args):
+    """``build(*args)``, built once per ``key`` of ``table``: stored with the
+    notes its build took, which every read, the first one included, adds to
+    the open record.  A build that raises stores nothing.  In ``best_lower``'s
+    table, t2 and t4 read one (source, alpha)'s beta rows, each noting their
+    skips, and p4 or p6 and t4 one solve of the deficit they share at beta = 1;
+    outside ``best_lower`` each call builds its own."""
+    if (got := table.get(key)) is None:
+        token = _notes.set(held := [])  # not _record(None): this is on every row's path
+        try:
+            got = table[key] = build(*args), held
+        finally:
+            _notes.reset(token)
+    for note in got[1]:
+        _note(*note)
+    return got[0]
 
 
 def _noted(report: ImplicitSolveReport, alpha: float, beta=None) -> ImplicitSolveReport:
@@ -495,12 +515,9 @@ def _genie_deficit(pref, om_b, v_eff, vh_eff, r_target):
 
 def _genie_solve(params: tuple, hi: float) -> ImplicitSolveReport:
     """:func:`_solve_implicit` of :func:`_genie_deficit` at ``params``, from the
-    grid ending at ``hi``: solved once per ``best_lower`` call, where p4's or
-    p6's deficit is t4's row at ``beta = 1``."""
-    solves = _tables.get({}).setdefault("solves", {})
-    if (key := (params, hi)) not in solves:
-        solves[key] = _solve_implicit(_genie_deficit(*params), hi)
-    return solves[key]
+    grid ending at ``hi``, read through :func:`_once`."""
+    key = ("solve", params, hi)
+    return _once(_tables.get({}), key, _solve_implicit, _genie_deficit(*params), hi)
 
 
 @_record(BoundId.P4_IID)
@@ -583,23 +600,16 @@ def _genie_row(source: SourceParams, alpha: float, beta: float) -> tuple | None:
     :func:`_genie_deficit`, and of t2's objective.  None, and a note, when
     they cannot be computed at this ``beta``, which t2 and t4 then skip."""
     try:
-        return _genie_args(source, alpha, beta)
+        pref, om_b, v_eff, vh_eff = _genie_params(source, beta)
+        return pref, om_b, v_eff, vh_eff, rate_R(om_b / pref, min(alpha / beta, 1.0))
     except (ValueError, ArithmeticError) as exc:
         _note("skip", alpha, beta, exc)
         return None
 
 
-def _genie_args(source: SourceParams, alpha: float, beta: float) -> tuple:
-    """:func:`_genie_row`'s row at a float ``beta``, raising what skips it."""
-    pref, om_b, v_eff, vh_eff = _genie_params(source, beta)
-    return pref, om_b, v_eff, vh_eff, rate_R(om_b / pref, min(alpha / beta, 1.0))
-
-
 def _grid_rows(source: SourceParams, alpha: float) -> tuple[np.ndarray, list, Callable]:
     """The beta grid, its :func:`_genie_row` rows, noting each skip, and a
-    function giving the float row at any beta, built once and its skip noted
-    on every read: all made once per ``best_lower`` call (whose t2 and t4 each
-    note the skips), else per call.
+    function giving the float row at any beta, each read through :func:`_once`.
 
     The rows below beta = 1 are one array pass, as floats within a few ulps of
     the float rows, or if it raises (a nonzero-mean Gaussian, a log of an
@@ -607,34 +617,24 @@ def _grid_rows(source: SourceParams, alpha: float) -> tuple[np.ndarray, list, Ca
     The float rows of the betas off the grid, which golden section reads, are
     never taken from the array pass.
     """
-    if (key := (source, alpha)) not in (tables := _tables.get({})):
+
+    def build():
         grid = _beta_grid(source, alpha)
-        built: dict = {}  # a float beta -> its float row, or the error that skips it
+        built: dict = {}  # keyed by the float beta alone, so no row hashes the source
 
         def row(beta):
-            if (got := built.get(beta)) is None:
-                try:
-                    got = built[beta] = _genie_args(source, alpha, beta)
-                except (ValueError, ArithmeticError) as exc:
-                    got = built[beta] = exc
-            if type(got) is tuple:
-                return got
-            _note("skip", alpha, beta, got)
-            return None
+            return _once(built, beta, _genie_row, source, alpha, beta)
 
-        with _record(None) as skips:
-            try:  # the rows below beta = 1, the grid's last point
-                with np.errstate(all="raise", under="ignore"):
-                    params = _genie_params(source, grid[:-1])
-                    r = rate_R(params[1] / params[0], np.minimum(alpha / grid[:-1], 1.0))
-                rows = list(zip(*(col.tolist() for col in np.broadcast_arrays(*params, r))))
-            except (ValueError, ArithmeticError):
-                rows = [_genie_row(source, alpha, beta) for beta in grid[:-1]]
-            tables[key] = grid, [*rows, row(grid[-1])], skips, row
-    grid, rows, skips, row = tables[key]
-    for skip in skips:
-        _note(*skip)
-    return grid, rows, row
+        try:  # the rows below beta = 1, the grid's last point
+            with np.errstate(all="raise", under="ignore"):
+                params = _genie_params(source, grid[:-1])
+                r = rate_R(params[1] / params[0], np.minimum(alpha / grid[:-1], 1.0))
+            rows = list(zip(*(col.tolist() for col in np.broadcast_arrays(*params, r))))
+        except (ValueError, ArithmeticError):
+            rows = [_genie_row(source, alpha, beta) for beta in grid[:-1]]
+        return grid, [*rows, row(grid[-1])], row
+
+    return _once(_tables.get({}), (source, alpha), build)
 
 
 def _top_down_pass(params, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -937,10 +937,11 @@ def _threshold(c, omega: float):
         if end is None:
             return t
         grid = _rho_grid(end)
-        if end not in least:
-            with np.errstate(all="ignore"):  # a NaN or infinite c only passes or fails the test
-                least[end] = np.append(np.fmin.accumulate(c(grid)[::-1])[::-1], math.inf)
-        return float(np.fmin(t, least[end][np.searchsorted(grid, rho, side="right")]))
+        with np.errstate(all="ignore"):  # a NaN or infinite c only passes or fails the test
+            ups = _once(
+                least, end, lambda: np.append(np.fmin.accumulate(c(grid)[::-1])[::-1], math.inf)
+            )
+        return float(np.fmin(t, ups[np.searchsorted(grid, rho, side="right")]))
 
     return threshold
 
@@ -974,18 +975,13 @@ def alpha_curve(source: SourceParams, bound: BoundId, rho_grid: list[float]) -> 
     meta: dict = {
         "omitted": [], "alpha_floor": ALPHA_FLOOR, "beta_star": {}, "bracket": {}, "repaired": []
     }
-    seen: dict[float, tuple] = {}  # alpha -> (value, beta*, notes)
+    seen: dict = {}  # alpha -> ((value, beta*), notes), read through _once
     target_free = _BOUNDS[bound].target_free if bound in _BOUNDS else None
     threshold = None if target_free is None else _threshold(target_free(source), source.omega)
     floor, top = ALPHA_FLOOR, 1.0 - 1e-9
 
-    def at(alpha):  # the bound at alpha, evaluated once per call; its notes replayed
-        if alpha not in seen:
-            with _record(None) as notes:
-                seen[alpha] = (*evaluate_bound(source, bound, alpha), notes)
-        for note in seen[alpha][2]:
-            _note(*note)
-        return seen[alpha][:2]
+    def at(alpha):
+        return _once(seen, alpha, evaluate_bound, source, bound, alpha)
 
     for rho in sorted(rho_grid):
         with _record(bound, rho):  # each rate's record starts with the bracket ends' notes
@@ -1011,7 +1007,7 @@ def alpha_curve(source: SourceParams, bound: BoundId, rho_grid: list[float]) -> 
                 if not (meets(hi) and not meets(lo)):
                     meta["repaired"].append(rho)
                     lo, hi = _bisect_alpha(meets, *_widen(meets, lo, hi, floor, top))
-            meta["beta_star"][rho] = seen[hi][1]
+            meta["beta_star"][rho] = at(hi)[1]
             meta["bracket"][rho] = (lo, hi)
             points.append((rho, hi))
     return BoundCurve(bound, source, "alpha_vs_rho", points, meta)

@@ -1062,18 +1062,52 @@ CURVE_INPUTS = [
 ]
 
 
+def test_once_builds_each_key_once_and_replays_its_notes():
+    # The memo builds a key once and stores its value with the notes its
+    # build took; every read, the first included, adds them to the open
+    # record, and with none open a read notes nothing.  A build that raises
+    # stores nothing, so the next read builds again and raises again.
+    table, builds = {}, []
+
+    def build(x):
+        builds.append(x)
+        bd._note("skip", 0.1, x, "first")
+        bd._note("cap", 0.1, detail=x)
+        if x < 0:
+            raise ValueError("negative")
+        return 2 * x
+
+    noted = [("skip", 0.1, 3, "first"), ("cap", 0.1, None, 3)]
+    for reads in range(1, 4):
+        with bd._record(None) as notes:
+            assert bd._once(table, "k", build, 3) == 6
+        assert notes == noted and builds == [3], reads
+    with bd._record(None) as notes:
+        assert [bd._once(table, "k", build, 3) for _ in range(2)] == [6, 6]
+        assert bd._once(table, "j", build, 4) == 8
+    assert notes == [*noted, *noted, ("skip", 0.1, 4, "first"), ("cap", 0.1, None, 4)]
+    assert builds == [3, 4] and bd._notes.get() is None
+    assert bd._once(table, "k", build, 3) == 6 and bd._notes.get() is None
+    for tries in range(1, 3):
+        with bd._record(None) as notes:
+            with pytest.raises(ValueError, match="negative"):
+                bd._once(table, "bad", build, -1)
+        assert notes == [] and "bad" not in table and builds == [3, 4, *[-1] * tries]
+    assert bd._notes.get() is None
+
+
 def test_best_lower_builds_each_float_beta_row_once(monkeypatch):
     # t2's and t4's golden steps and t4's refinement read the float rows of
     # one call's memo, so no beta's row is built twice in a call; the next
     # call builds its own.
     built = []
-    genie_args = bd._genie_args
+    genie_row = bd._genie_row
 
     def spy(source, alpha, beta):
         built.append(float(beta))
-        return genie_args(source, alpha, beta)
+        return genie_row(source, alpha, beta)
 
-    monkeypatch.setattr(bd, "_genie_args", spy)
+    monkeypatch.setattr(bd, "_genie_row", spy)
     for dist, snr, alpha in CURVE_INPUTS:
         src = bd.source_at_snr(dist, 1e-4, snr)
         for _ in range(2):

@@ -393,6 +393,35 @@ def test_inversion_folds_skipped_betas_into_one_line_per_rate(tmp_path, monkeypa
     )
 
 
+def test_t4_inversion_over_a_nonzero_mean_gaussian(tmp_path, monkeypatch, caplog):
+    # t4 through alpha_curve, where two memo levels nest: each alpha's bound
+    # is evaluated once and replays its notes, among them t4's skipped betas,
+    # which its own float-row memo replays in turn.  The lines fold over
+    # alpha, one per rate and kind, the bracket ends' notes included.
+    monkeypatch.chdir(tmp_path)
+    argv = ["bounds", "--invert", "--dist", "gaussian", "--mean", "1.0", "--bounds", "t4_iid_genie",
+            "--grid", "1e-4:1e-2:3:log", "--out", "b.csv"]
+    with caplog.at_level("WARNING", logger="srdbounds.bounds"):
+        assert run_cli(argv) == 0
+    error = "closed-form truncation requires a zero-mean Gaussian"
+    assert [r.getMessage() for r in caplog.records] == [
+        "t4_iid_genie at alpha=1e-06..0.9375 (inverting rho=0.0001): skipping beta values at 54 "
+        f"alpha values (first: {error})",
+        "t4_iid_genie at alpha=0.890625..0.890675 (inverting rho=0.0001): 23 alpha values found "
+        "more than one crossing; kept the largest violated rate for each",
+        "t4_iid_genie at alpha=1e-06..0.5 (inverting rho=0.001): skipping beta values at 60 "
+        f"alpha values (first: {error})",
+        "t4_iid_genie at alpha=1e-06 (inverting rho=0.01): skipping beta values at 1 alpha value "
+        f"(first: {error})",
+    ]
+    assert (tmp_path / "b.csv").read_text() == (
+        "bound,rho,alpha,beta_star\n"
+        "t4_iid_genie,0.0001,0.890674906339,1\n"
+        "t4_iid_genie,0.001,0.00782842710188,1\n"
+        "t4_iid_genie,0.01,0,\n"
+    )
+
+
 def test_inversion_names_an_omitted_rate(tmp_path, monkeypatch, caplog):
     # No alpha brings p3 down to rho = 1e-20 at omega = 1e-10, so that rate
     # has no row; one line names the bound, the rate and the reason.

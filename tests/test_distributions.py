@@ -574,6 +574,28 @@ def test_bounds_warns_only_from_its_record():
     assert not names & {"_held_crossings", "_warn_crossings", "_crossing_summary"}
 
 
+def test_bounds_replays_notes_only_through_its_memo():
+    # A value built once and read many times replays its build's notes through
+    # one helper, _once: a starred _note(*...) appears only there, and only
+    # the record and _once set the open record.
+    tree = ast.parse(Path(srdbounds.bounds.__file__).read_text())
+    scopes = {"replay": [], "set": []}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) and scope is None else scope
+            if isinstance(child, ast.Call):
+                name = ast.unparse(child.func)
+                if name == "_note" and any(isinstance(arg, ast.Starred) for arg in child.args):
+                    scopes["replay"].append(inner)
+                elif name == "_notes.set":
+                    scopes["set"].append(inner)
+            visit(child, inner)
+
+    visit(tree, None)
+    assert scopes == {"replay": ["_once"], "set": ["_record", "_once"]}
+
+
 def test_montecarlo_factors_in_one_loop():
     # Both random-matrix limits read one bidiagonal draw: the module calls no
     # Cholesky factor and no redraw remains, and the samplers form no matrix
