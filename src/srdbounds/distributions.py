@@ -482,7 +482,14 @@ def _montecarlo_oracle(dist, beta: float, budget: int, seed: int) -> OracleTrunc
     for _ in range(batches):
         x = sample_values(dist, per_batch, rng)
         keep = max(1, int(math.floor(beta * per_batch)))
-        order = np.argsort(np.abs(x), kind="stable")
+        # Magnitudes that all differ have one ascending order, so the default
+        # sort keeps the same draws in the same order as a stable one; only
+        # ties (atoms) need the stable sort's first-drawn-first rule.
+        mags = np.abs(x)
+        order = np.argsort(mags)
+        ranked = mags[order]
+        if not np.all(ranked[1:] > ranked[:-1]):
+            order = np.argsort(mags, kind="stable")
         kept = x[order[:keep]]
         means.append(float(np.mean(kept)))
         variances.append(float(np.var(kept, ddof=1)) if keep > 1 else 0.0)

@@ -6,7 +6,8 @@ fraction-free elimination), exact pattern-counting with covering-number
 brackets, and the truncated-power ratio scan, plus the support enumeration
 (a lexicographic prefix tree, read leaf by leaf) and the Gram-Schmidt span
 step that every exhaustive search shares.  Per-trial randomness comes from
-a counter-based generator keyed by the (seed, trial) pair.
+a counter-based generator keyed by the (seed, trial) pair; a loop over
+trials re-keys one such generator instead of building one per trial.
 
 Both random-matrix limits sample one bidiagonal matrix of chi variates per
 trial, whose singular values have the law of the i.i.d. Gaussian matrix's
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,12 +83,34 @@ class MCEstimate:
     rejected: int = 0
 
 
+def _key_words(seed: int, trial: int) -> tuple[int, int]:
+    """Philox's two 64-bit key words for a (seed, trial) pair, low word first:
+    the trial index and the seed, each modulo 2**64."""
+    return int(trial) % 2**64, int(seed) % 2**64
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Deterministic per-trial stream: Philox keyed by two 64-bit words, the
-    trial index and the seed (each modulo 2**64), so every (seed, trial) pair
-    has its own stream and results do not depend on execution order."""
-    key = (int(seed) % 2**64) << 64 | (int(trial) % 2**64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Deterministic per-trial stream: Philox keyed by :func:`_key_words`, so
+    every (seed, trial) pair has its own stream and results do not depend on
+    execution order.  Loops over many trials draw through :func:`trial_rngs`."""
+    low, high = _key_words(seed, trial)
+    return np.random.Generator(np.random.Philox(key=high << 64 | low))
+
+
+def trial_rngs(seed: int, trials: Iterable[int]) -> Iterator[np.random.Generator]:
+    """Yield, for each trial index of ``trials``, a generator whose draws are
+    ``trial_rng(seed, trial)``'s.  Philox is counter-based (Salmon et al.,
+    SC 2011): a stream is set by its key alone, so one bit generator is
+    re-keyed before each trial, with counter 0, an empty buffer and no stored
+    32-bit half, instead of being built anew.  The same generator is yielded
+    each time: it is valid only until the next one is drawn."""
+    bitgen = np.random.Philox(key=0)
+    fresh = bitgen.state  # counter 0, buffer empty, no stored uint32
+    rng = np.random.Generator(bitgen)
+    for trial in trials:
+        fresh["state"]["key"] = _key_words(seed, trial)
+        bitgen.state = fresh
+        yield rng
 
 
 def _estimate(values: np.ndarray, target: float) -> MCEstimate:
@@ -102,28 +126,31 @@ def _estimate(values: np.ndarray, target: float) -> MCEstimate:
 
 
 def _check_matrix_budget(config: MCConfig) -> None:
-    """Refuse, before anything is drawn, a matrix of more than 2**24 entries."""
-    entries = config.m * config.n
-    if entries > _MATRIX_ENTRIES:
-        raise BudgetError(
-            f"the {config.m} x {config.n} matrix has {entries} entries, "
-            f"over the budget of {_MATRIX_ENTRIES}"
-        )
+    """Refuse, before anything is allocated or drawn, a matrix of more than
+    2**24 entries, or trials whose bidiagonals hold more than 2**24 diagonal
+    entries in all."""
+    p = min(config.m, config.n)
+    for entries, held in (
+        (config.m * config.n, f"the {config.m} x {config.n} matrix has"),
+        (config.trials * p, f"{config.trials} trials of order-{p} bidiagonals hold"),
+    ):
+        if entries > _MATRIX_ENTRIES:
+            raise BudgetError(f"{held} {entries} entries, over the budget of {_MATRIX_ENTRIES}")
 
 
 def _sampled_bidiagonals(config: MCConfig) -> tuple[np.ndarray, np.ndarray]:
     """Each trial's squared diagonal a^2 (chi-square with q, q - 1, ...,
     q - p + 1 degrees of freedom) and subdiagonal b^2 (p - 1, ..., 1, then 0)
     of the p x p lower bidiagonal B, p = min(m, n) and q = max(m, n), drawn
-    from ``trial_rng(seed, trial)`` as (trial, p) arrays.  B's singular values
+    through :func:`trial_rngs` as (trial, p) arrays.  B's singular values
     have the law of the m x n Gaussian M's, and det(M^T M) = prod a^2 at m >= n
-    (Bartlett 1933).  M of over 2**24 entries raises BudgetError first."""
+    (Bartlett 1933).  M of over 2**24 entries, or trials x p of over 2**24
+    draws, raises BudgetError first."""
     _check_matrix_budget(config)
     p, q = min(config.m, config.n), max(config.m, config.n)
     diag = np.empty((config.trials, p))
     sub = np.zeros((config.trials, p))
-    for trial in range(config.trials):
-        rng = trial_rng(config.seed, trial)
+    for trial, rng in enumerate(trial_rngs(config.seed, range(config.trials))):
         diag[trial] = rng.chisquare(np.arange(q, q - p, -1))
         sub[trial, :-1] = rng.chisquare(np.arange(p - 1, 0, -1))
     return diag, sub
@@ -202,7 +229,8 @@ def rank_deficiency(
     n: int, omega: float, entry_law: str = "rademacher", trials: int = 2000, seed: int = 0
 ) -> float:
     """Empirical probability that a k x k i.i.d. submatrix is rank deficient,
-    with k = floor(omega * n) and trial t drawn from ``trial_rng(seed, t)``.
+    with k = floor(omega * n) and trial t drawn from :func:`trial_rngs`, as
+    ``trial_rng(seed, t)`` draws it.
     About ``_CHUNK_BYTES`` of draws at a time are decided together: exactly by
     :func:`_singular` (rademacher) or by floating-point rank (gaussian)."""
     k = int(math.floor(omega * n))
@@ -213,12 +241,12 @@ def rank_deficiency(
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     gaussian, block, deficient = entry_law == "gaussian", max(1, _CHUNK_BYTES // (8 * k * k)), 0
+    rngs = trial_rngs(seed, range(trials))
     for start in range(0, trials, block):
         mats = np.empty((min(block, trials - start), k, k))
-        for i in range(len(mats)):
-            rng = trial_rng(seed, start + i)
+        for mat, rng in zip(mats, rngs):
             # integers(0, 2) reads the stream as choice([-1, 1]) does, without its overhead.
-            mats[i] = rng.standard_normal((k, k)) if gaussian else 2 * rng.integers(0, 2, (k, k)) - 1
+            mat[:] = rng.standard_normal((k, k)) if gaussian else 2 * rng.integers(0, 2, (k, k)) - 1
         singular = np.linalg.matrix_rank(mats) < k if gaussian else _singular(mats)
         deficient += int(np.count_nonzero(singular))
     return deficient / trials

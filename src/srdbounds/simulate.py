@@ -30,7 +30,7 @@ from .montecarlo import (
     _prefix_tree,
     _span_residuals,
     _span_step,
-    trial_rng,
+    trial_rngs,
 )
 
 SPAN_RTOL = 1e-9
@@ -411,11 +411,10 @@ def run_experiment(
     declared = 0
     start = time.monotonic()
     truncated = False
-    for trial in range(config.trials):
+    for trial, rng in enumerate(trial_rngs(config.seed, range(config.trials))):
         if time_budget_s is not None and time.monotonic() - start > time_budget_s:
             truncated = True
             break
-        rng = trial_rng(config.seed, trial)
         x = draw_source(config, rng)
         true_support = tuple(int(i) for i in np.nonzero(x)[0])
         drawn = sample(x, config, rng)
@@ -468,8 +467,7 @@ def discrete_single_sample_demo(
     supports = _leaves(_prefix_tree(n, k), np.arange(math.comb(n, k)))
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=k)))
     exact = 0
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
+    for rng in trial_rngs(seed, range(trials)):
         row = rng.standard_normal(n)
         support = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
         y = float(row[list(support)] @ rng.choice([-1.0, 1.0], size=k))

@@ -230,6 +230,31 @@ def test_verify_matrix_budget_refusal(tmp_path, monkeypatch, capsys, suite):
     assert err.startswith("budget refused: ") and err.count("\n") == 1
 
 
+def test_verify_bidiagonal_budget_refusal(tmp_path, capsys):
+    # 10**7 trials of order-200 bidiagonals would need two 16 GB arrays; the
+    # refusal comes before either is allocated, with no traceback.
+    out = tmp_path / "never.csv"
+    argv = ["verify", "--suite", "mp_logdet", "--trials", "10000000", "--out", str(out)]
+    assert run_cli(argv) == 4
+    err = capsys.readouterr().err
+    assert err == (
+        "budget refused: 10000000 trials of order-200 bidiagonals hold 2000000000 entries, "
+        "over the budget of 16777216\n"
+    )
+    assert not out.exists()
+
+
+def test_verify_rank_rows_do_not_depend_on_the_suites_before(tmp_path):
+    # Every trial has its own stream, so the rank suite's rows are the same
+    # alone and after every other suite in the same process.
+    alone, every = tmp_path / "rank.csv", tmp_path / "all.csv"
+    assert run_cli(["verify", "--suite", "rank", "--out", str(alone)]) == 0
+    assert run_cli(["verify", "--suite", "all", "--out", str(every)]) == 0
+    rows = read_csv(alone)[1:]
+    assert [row[0] for row in rows] == ["rank", "rank"]
+    assert read_csv(every)[-2:] == rows
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -14,6 +14,7 @@ from scipy import special, stats
 import srdbounds
 from srdbounds.distributions import (
     Gaussian,
+    OracleTruncation,
     PointMass,
     SlicedGaussian,
     Uniform,
@@ -24,9 +25,11 @@ from srdbounds.distributions import (
     q_inverse,
     sample_values,
     scale_to_power,
+    TruncationResult,
     truncate,
     truncate_oracle,
 )
+from srdbounds.montecarlo import trial_rng
 
 ALL_VARIANTS = [
     Gaussian(0.0, 1.0),
@@ -377,6 +380,59 @@ def test_sliced_variance_matches_montecarlo():
     closed = truncate(dist, 0.7)
     mc = truncate_oracle(dist, 0.7, "montecarlo", budget=10_000_000, seed=42)
     assert abs(closed.variance - mc.result.variance) <= 3 * mc.variance_err
+
+
+def stable_montecarlo_oracle(dist, beta, budget, seed):
+    """The Monte-Carlo oracle as it was with a stable sort of every batch,
+    kept as the reference of the default sort and its tie fallback."""
+    batches = 25
+    per_batch = max(budget // batches, 10)
+    rng = trial_rng(seed, -1)
+    means, variances, thresholds = [], [], []
+    for _ in range(batches):
+        x = sample_values(dist, per_batch, rng)
+        keep = max(1, int(math.floor(beta * per_batch)))
+        kept = x[np.argsort(np.abs(x), kind="stable")[:keep]]
+        means.append(float(np.mean(kept)))
+        variances.append(float(np.var(kept, ddof=1)) if keep > 1 else 0.0)
+        thresholds.append(float(np.abs(kept[-1])))
+    mean, var = float(np.mean(means)), float(np.mean(variances))
+    return OracleTruncation(
+        TruncationResult(beta, float(np.mean(thresholds)), mean, var, None),
+        mean_err=float(np.std(means, ddof=1) / math.sqrt(batches)),
+        variance_err=float(np.std(variances, ddof=1) / math.sqrt(batches)),
+        entropy_err=None,
+    )
+
+
+@pytest.mark.parametrize(
+    "dist, beta, ties",
+    [
+        # verify's three Monte-Carlo cases, then atoms, whose magnitudes repeat
+        (Gaussian(0.0, 1.0), 0.3, False),
+        (Uniform(2.0, 1.0), 0.5, False),
+        (SlicedGaussian(0.5, 0.4), 0.7, False),
+        (PointMass(0.2, 1.0, outer_mass=0.1), 0.5, True),
+        (PointMass(0.2, 1.0, outer_mass=0.1), 0.95, True),
+    ],
+    ids=repr,
+)
+def test_montecarlo_oracle_sorts_as_a_stable_sort_would(monkeypatch, dist, beta, ties):
+    # Distinct magnitudes have one ascending order, so the default sort keeps
+    # what the stable sort kept, in the same order; only ties fall back.
+    kinds = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    got = truncate_oracle(dist, beta, "montecarlo", budget=400_000, seed=0)
+    monkeypatch.undo()
+    assert got == stable_montecarlo_oracle(dist, beta, 400_000, 0)
+    assert kinds.count(None) == 25
+    assert kinds.count("stable") == (25 if ties else 0)
 
 
 def test_uniform_beta_one_matches_moments():

@@ -47,6 +47,53 @@ def test_trial_rng_accepts_any_int_seed():
         assert np.isfinite(mc.trial_rng(seed, 0).standard_normal(2)).all()
 
 
+def _trial_draws(rng, trial):
+    """A trial's draws: 32-bit values first and last (an odd count at the
+    end, so a stored 32-bit half is left over), normals and chi-squares."""
+    odd = 2 * (trial % 3) + 1
+    return (
+        rng.integers(0, 2, size=4).tolist(),
+        rng.standard_normal(3).tolist(),
+        rng.chisquare([5.0, 2.0, 0.5]).tolist(),
+        rng.integers(0, 2, size=odd).tolist(),
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.one_of(
+        st.integers(-(2**70), 2**70), st.sampled_from([0, -1, 2**64, 2**64 + 3, -(2**64) - 1])
+    ),
+    start=st.integers(-5, 2**64 + 5),
+    count=st.integers(1, 6),
+)
+@example(seed=0, start=0, count=4)
+@example(seed=-1, start=-2, count=5)
+@example(seed=2**64, start=2**64 - 2, count=4)
+def test_trial_rngs_draw_what_trial_rng_draws(seed, start, count):
+    # One Philox re-keyed per trial gives each trial the stream a fresh
+    # trial_rng would, even after the previous trial left half of a 64-bit
+    # value stored and part of a Philox block unread.
+    trials = range(start, start + count)
+    got = [_trial_draws(rng, t) for t, rng in zip(trials, mc.trial_rngs(seed, trials))]
+    assert got == [_trial_draws(mc.trial_rng(seed, t), t) for t in trials]
+
+
+def test_trial_rngs_reset_the_stored_half_and_the_buffer():
+    # Three 32-bit draws leave a half stored and three 64-bit values of a
+    # four-value Philox block read; the next trial starts clean.
+    rngs = mc.trial_rngs(7, range(2))
+    rng = next(rngs)
+    rng.integers(0, 2, size=3)
+    rng.random()
+    state = rng.bit_generator.state
+    assert state["has_uint32"] == 1 and state["buffer_pos"] == 3
+    rng = next(rngs)
+    fresh = mc.trial_rng(7, 1)
+    assert rng.integers(0, 2, size=5).tolist() == fresh.integers(0, 2, size=5).tolist()
+    assert rng.random(3).tolist() == fresh.random(3).tolist()
+
+
 def test_estimates_reproducible_from_config():
     cfg = mc.MCConfig(n=64, r=0.5, gamma=3.0, trials=5, seed=42)
     assert mc.mp_logdet(cfg) == mc.mp_logdet(cfg)
@@ -95,6 +142,40 @@ def test_mp_logdets_match_one_gamma_runs(r):
     got = mc._mp_logdets(config, gammas)
     for gamma, est in zip(gammas, got):
         assert est == mc.mp_logdet(mc.MCConfig(n=24, r=r, gamma=gamma, trials=4, seed=3))
+
+
+def reference_bidiagonals(config: mc.MCConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The bidiagonal draws with one fresh ``trial_rng`` per trial, kept as
+    the reference of the re-keyed stream."""
+    p, q = min(config.m, config.n), max(config.m, config.n)
+    diag, sub = np.empty((config.trials, p)), np.zeros((config.trials, p))
+    for trial in range(config.trials):
+        rng = mc.trial_rng(config.seed, trial)
+        diag[trial] = rng.chisquare(np.arange(q, q - p, -1))
+        sub[trial, :-1] = rng.chisquare(np.arange(p - 1, 0, -1))
+    return diag, sub
+
+
+@pytest.mark.parametrize("r, seed", [(0.5, 0), (1.0, -3), (2.0, 2**64 + 9), (1.5, 11)])
+def test_sampled_bidiagonals_match_one_stream_per_trial(r, seed):
+    config = mc.MCConfig(n=40, r=r, trials=9, seed=seed)
+    got, want = mc._sampled_bidiagonals(config), reference_bidiagonals(config)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_bidiagonal_budget_refuses_before_drawing():
+    # 10**7 trials of order 200 would hold two 16 GB arrays; each trial's
+    # matrix is within budget, so only the trial count is refused.
+    tracemalloc.start()
+    try:
+        with pytest.raises(mc.BudgetError, match="^10000000 trials of order-200 bidiagonals hold"):
+            mc.mp_logdet(mc.MCConfig(n=400, r=0.5, trials=10_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # At the budget's edge the draw is still allowed to go ahead.
+    assert mc._check_matrix_budget(mc.MCConfig(n=400, r=0.5, trials=(1 << 24) // 200)) is None
 
 
 @pytest.mark.parametrize("sampler", [mc.mp_logdet, mc.det_power])
@@ -359,6 +440,35 @@ def test_rank_deficiency_draws_what_choice_draws(monkeypatch, n):
     np.testing.assert_array_equal(np.concatenate(stacks), _suite_draws(n // 2, 1000))
 
 
+@pytest.mark.parametrize("entry_law", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("seed", [-1, 5, 2**64 + 2])
+def test_rank_deficiency_draws_each_trial_from_its_own_stream(monkeypatch, entry_law, seed):
+    # Blocks of 7 trials, the last one short: every matrix is the one a fresh
+    # trial_rng(seed, t) draws, across the block boundaries.
+    k, trials = 6, 50
+    stacks = []
+    decide = (np.linalg, "matrix_rank") if entry_law == "gaussian" else (mc, "_singular")
+    original = getattr(*decide)
+
+    def spy(stack, *rest, **kwargs):
+        stacks.append(stack.copy())
+        return original(stack, *rest, **kwargs)
+
+    monkeypatch.setattr(*decide, spy)
+    monkeypatch.setattr(mc, "_CHUNK_BYTES", 8 * k * k * 7)
+    got = mc.rank_deficiency(12, 0.5, entry_law, trials=trials, seed=seed)
+    monkeypatch.undo()
+    assert [len(stack) for stack in stacks] == [7] * 7 + [1]
+    if entry_law == "gaussian":
+        want = np.stack([mc.trial_rng(seed, t).standard_normal((k, k)) for t in range(trials)])
+        reference = np.linalg.matrix_rank(want) < k
+    else:
+        want = _suite_draws(k, trials, seed)
+        reference = _reference_singular(want)
+    np.testing.assert_array_equal(np.concatenate(stacks), want)
+    assert got == np.count_nonzero(reference) / trials
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -371,6 +481,7 @@ def test_rank_deficiency_draws_what_choice_draws(monkeypatch, n):
 def test_rank_deficiency_refuses_before_drawing(monkeypatch, args, message):
     drawn = []
     monkeypatch.setattr(mc, "trial_rng", lambda *key: drawn.append(key))
+    monkeypatch.setattr(mc, "trial_rngs", lambda *key: drawn.append(key))
     with pytest.raises(ValueError, match=message):
         mc.rank_deficiency(*args)
     assert drawn == []

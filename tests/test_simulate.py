@@ -527,6 +527,50 @@ def test_run_experiment_deterministic():
     assert first == second
 
 
+def reference_outcomes(cfg):
+    """run_experiment's outcomes and declared-error count with one fresh
+    ``trial_rng`` per trial, kept as the reference of the re-keyed stream."""
+    outcomes, declared = [], 0
+    for trial in range(cfg.trials):
+        rng = trial_rng(cfg.seed, trial)
+        x = sim.draw_source(cfg, rng)
+        truth = tuple(int(i) for i in np.nonzero(x)[0])
+        drawn = sim.sample(x, cfg, rng)
+        if cfg.matrix == "rate_sharing":
+            try:
+                est = sim.rate_sharing_recover(drawn.y, drawn.matrix, cfg.k, drawn.zeroed, rng)
+            except sim.MultipleMinimalSupportsError:
+                declared += 1
+                continue
+            resid_min = gap = math.nan
+        else:
+            ml = sim.exhaustive_ml(drawn.y, drawn.matrix, cfg.k)
+            est, resid_min, gap = ml.support, ml.residual_min, ml.runner_up_gap
+        dist = sim.support_distortion(truth, est)
+        outcomes.append(sim.SimOutcome(trial, dist, dist == 0.0, resid_min, gap))
+    return outcomes, declared
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(n=20, omega=0.25, rho=0.5, snr_db=0.0, trials=12, seed=-4),
+        dict(n=24, omega=0.25, rho=0.3333, trials=6, seed=0),
+        dict(
+            n=24, omega=0.25, rho=0.15, matrix="rate_sharing", epsilon=0.1, trials=60, seed=2**64 + 1
+        ),
+    ],
+)
+def test_run_experiment_matches_one_stream_per_trial(kw):
+    cfg = config(**kw)
+    outcomes, summary = sim.run_experiment(cfg)
+    want, declared = reference_outcomes(cfg)
+    assert [repr(o) for o in outcomes] == [repr(o) for o in want]
+    assert summary.declared_errors == declared
+    if cfg.matrix == "rate_sharing":
+        assert 0 < declared < cfg.trials
+
+
 def test_seeds_give_distinct_trial_streams():
     # Keyed by seed XOR trial, seeds 0-3 replayed one set of 8 trial streams.
     multisets = set()
