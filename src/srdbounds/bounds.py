@@ -8,12 +8,15 @@ An implicit bound is solved by scanning its deficit over one cached,
 read-only log grid of rates and bisecting the last sign change.  Each deficit
 is written once: the rate functions of ``ratefun`` take a float or an array,
 so the same deficit scans the grid as an array and bisects one float at a
-time.  p4, p6 and the genie-aided i.i.d. bound t4 share one deficit: p6 is t4
-at ``beta = 1``, where the genie reveals nothing, and p4 is p6 without a
-density; a ``best_lower`` call solves each such deficit once.  t2 and t4
-share one row per retained fraction ``beta`` (200 of them), built below
-``beta = 1`` in one array pass, else one float at a time; the float row at a
-``beta`` off the grid, which golden section reads, is built once per call.
+time.  Each matrix class has one formula.  p3 is t2's row value at
+``beta = 1`` (``_any_matrix_rate``).  p4, p5, p6 and the genie-aided i.i.d.
+bound t4 share one deficit: p4, p5 and p6 are it at ``beta = 1``, where the
+genie reveals nothing, with 0, ``info_G`` or ``info_V`` (the entropy power)
+bounding what the values still hide; a ``best_lower`` call solves each such
+deficit once.  t2 and t4 share one row per retained fraction ``beta`` (200
+of them), built below ``beta = 1`` in one array pass, else one float at a
+time; the float row at a ``beta`` off the grid, which golden section reads, is
+built once per call.
 t4 reads each row on the rate grids its own scan climbs, one top-down pass per
 grid that skips each chunk a monotone interval bound clears, solves the rows
 whose upper end exceeds the largest lower end and refines the best by the
@@ -401,10 +404,16 @@ def p3_general(source: SourceParams, alpha: float) -> float:
     _check_args(source.omega, alpha)
     if source.variance <= 0:
         raise ValueError("source variance must be positive")
-    r = rate_R(source.omega, alpha)
-    if r == 0.0:
+    return _any_matrix_rate(1.0, rate_R(source.omega, alpha), source.variance)
+
+
+def _any_matrix_rate(pref: float, r: float, v: float) -> float:
+    """The rate that the any-matrix condition ``rho/2 * log(1 + v) >= pref * r``
+    rules out: p3 at ``pref = 1``, t2 at one beta's row.  A target rate or a
+    variance of 0 (one that underflowed rules out no rate here) gives 0."""
+    if r == 0.0 or v == 0.0:
         return 0.0
-    return 2.0 * r / math.log1p(source.variance)
+    return 2.0 * pref * r / math.log1p(v)
 
 
 def _genie_params(source: SourceParams, beta):
@@ -475,13 +484,7 @@ def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
     _check_args(source.omega, alpha)
 
     def value(row):
-        if row is None:
-            return -math.inf
-        pref, _, v_eff, _, r = row
-        # A variance that underflowed to 0 rules out no rate here: 0 errs low.
-        if r == 0.0 or v_eff == 0.0:
-            return 0.0
-        return 2.0 * pref * r / math.log1p(v_eff)
+        return -math.inf if row is None else _any_matrix_rate(row[0], row[4], row[2])
 
     # The grid maximum, refined by golden section over its neighbours.
     grid, rows, row_at = _grid_rows(source, alpha)
@@ -499,59 +502,56 @@ def t2_genie(source: SourceParams, alpha: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _genie_deficit(pref, om_b, v_eff, vh_eff, r_target):
-    """Deficit of the genie-aided entropy-power inequality, as a function of
-    the rate.
+def _genie_deficit(pref, om_b, v_eff, vh_eff, r_target, cond=None):
+    """Deficit of the genie-aided inequality, as a function of the rate.
 
-    The arguments are those of :func:`_genie_params` and the target rate.
-    The deficit takes a float or an array of rates, as
-    :func:`_solve_implicit` needs.  At ``beta = 1`` the genie reveals
-    nothing (``pref = 1``, ``om_b = omega``), which is p6; with no density
-    (``vh_eff = 0``) as well, it is p4.
+    The arguments are those of :func:`_genie_params` and the target rate; the
+    conditional information is ``cond`` at ``vh_eff``, :func:`info_V` (the
+    entropy power) unless given.  The deficit takes a float or an array of
+    rates, as :func:`_solve_implicit` needs.  At ``beta = 1`` the genie
+    reveals nothing (``pref = 1``, ``om_b = omega``): p4, p5 and p6.
     """
+    cond = info_V if cond is None else cond  # looked up here, so a rebinding reaches it
     om_t = om_b / pref
-    return lambda rho: info_G(rho / pref, v_eff) - r_target - om_t * info_V(rho / om_b, vh_eff)
+    return lambda rho: info_G(rho / pref, v_eff) - r_target - om_t * cond(rho / om_b, vh_eff)
 
 
-def _genie_solve(params: tuple, hi: float) -> ImplicitSolveReport:
-    """:func:`_solve_implicit` of :func:`_genie_deficit` at ``params``, from the
-    grid ending at ``hi``, read through :func:`_once`."""
-    key = ("solve", params, hi)
-    return _once(_tables.get({}), key, _solve_implicit, _genie_deficit(*params), hi)
+def _genie_solve(params: tuple, hi: float, cond=None) -> ImplicitSolveReport:
+    """:func:`_solve_implicit` of :func:`_genie_deficit` at ``params`` (and
+    ``cond``), from the grid ending at ``hi``, read through :func:`_once`."""
+    key = ("solve", params, hi, cond)
+    return _once(_tables.get({}), key, _solve_implicit, _genie_deficit(*params, cond), hi)
+
+
+def _iid_solve(source: SourceParams, alpha: float, vh: float, cond=None) -> ImplicitSolveReport:
+    """p4, p5 or p6: the genie deficit at ``beta = 1`` with the conditional
+    term ``vh`` (read by ``cond``, as :func:`_genie_deficit`), solved from the
+    first grid and noted; the zero report when no rate is needed."""
+    r_target = rate_R(source.omega, alpha)
+    if r_target == 0.0:
+        return _ZERO_REPORT
+    params = (1.0, source.omega, source.variance, vh, r_target)
+    return _noted(_genie_solve(params, _scan_start(source.omega), cond), alpha)
 
 
 @_record(BoundId.P4_IID)
 def p4_iid(source: SourceParams, alpha: float) -> ImplicitSolveReport:
-    """Log-determinant bound for i.i.d. matrices (unique crossing)."""
+    """Log-determinant bound for i.i.d. matrices (unique crossing): 0 bounds
+    what the values still hide."""
     _check_args(source.omega, alpha)
     if source.variance <= 0:
         raise ValueError("source variance must be positive")
-    r_target = rate_R(source.omega, alpha)
-    if r_target == 0.0:
-        return _ZERO_REPORT
-    params = (1.0, source.omega, source.variance, 0.0, r_target)
-    return _noted(_genie_solve(params, _scan_start(source.omega)), alpha)
+    return _iid_solve(source, alpha, 0.0)
 
 
 @_record(BoundId.P5_IID_GAUSSIAN)
 def p5_gaussian(source: SourceParams, alpha: float) -> ImplicitSolveReport:
-    """Strengthened i.i.d. bound when the values are Gaussian."""
+    """Strengthened i.i.d. bound when the values are Gaussian: the Gaussian's
+    exact conditional information, ``info_G`` at ``omega * sigma^2``."""
     _check_args(source.omega, alpha)
     if not source.is_gaussian():
         raise ValueError("p5 requires a Gaussian value distribution")
-    omega = source.omega
-    r_target = rate_R(omega, alpha)
-    if r_target == 0.0:
-        return _ZERO_REPORT
-    return _noted(_solve_implicit(_p5_deficit(source, r_target), _scan_start(omega)), alpha)
-
-
-def _p5_deficit(source: SourceParams, r_target):
-    """Deficit of p5's inequality as a function of the rate (a float or an
-    array): the Gaussian conditional information replaces the entropy power."""
-    omega, v = source.omega, source.variance
-    cond_gamma = omega * source.dist.variance
-    return lambda rho: info_G(rho, v) - r_target - omega * info_G(rho / omega, cond_gamma)
+    return _iid_solve(source, alpha, source.omega * source.dist.variance, info_G)
 
 
 @_record(BoundId.P6_IID_ENTROPY)
@@ -564,13 +564,8 @@ def p6_entropy(source: SourceParams, alpha: float) -> ImplicitSolveReport:
     _check_args(source.omega, alpha)
     if source.entropy_power <= 0.0:
         raise ValueError("p6 requires a distribution with a density; use p4 instead")
-    omega = source.omega
-    r_target = rate_R(omega, alpha)
-    if r_target == 0.0:
-        return _ZERO_REPORT
-    params = (1.0, omega, source.variance, source.entropy_power, r_target)
-    report = _noted(_genie_solve(params, _scan_start(omega)), alpha)
-    simple = s_cor_thm2(source, alpha)
+    report = _iid_solve(source, alpha, source.entropy_power)
+    simple = 0.0 if report is _ZERO_REPORT else s_cor_thm2(source, alpha)  # no rate, no check
     if simple > report.rho_lower * (1.0 + 1e-9) + 1e-12:
         _note("check", alpha, detail=(simple, report.rho_lower))
     return report
@@ -829,7 +824,7 @@ _BOUNDS: dict[BoundId, _Bound] = {
     ),
     BoundId.P5_IID_GAUSSIAN: _Bound(
         lambda s, a: (p5_gaussian(s, a).rho_lower, None), "iid", lambda s: s.is_gaussian(),
-        lambda s: _p5_deficit(s, 0.0),
+        lambda s: _genie_deficit(1.0, s.omega, s.variance, s.omega * s.dist.variance, 0.0, info_G),
     ),
     BoundId.P6_IID_ENTROPY: _Bound(
         lambda s, a: (p6_entropy(s, a).rho_lower, None), "iid", lambda s: s.entropy_power > 0.0,

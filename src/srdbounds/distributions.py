@@ -43,6 +43,12 @@ class AccuracyError(RuntimeError):
 # constructors, ``repr``, equality and hashing see only the parameters.
 
 
+def _check_second_moment(mean: float, variance: float) -> None:
+    """Refuse a finite mean and variance whose second moment is not finite."""
+    if not math.isfinite(mean * mean + variance):
+        raise ValueError(f"mean^2 + variance overflows the float range (mean={mean:g})")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Gaussian nonzero values with the given mean and variance."""
@@ -57,6 +63,7 @@ class Gaussian:
             raise ValueError(f"variance must be positive and finite, got {self.variance}")
         if not math.isfinite(self.mean):
             raise ValueError("mean must be finite")
+        _check_second_moment(self.mean, self.variance)
 
     def moments(self) -> Moments:
         h = 0.5 * math.log(2.0 * math.pi * math.e * self.variance)
@@ -96,6 +103,7 @@ class Uniform:
             raise ValueError(f"variance must be positive and finite, got {self.variance}")
         if not (self.mean >= 0 and math.isfinite(self.mean)):
             raise ValueError(f"mean must be nonnegative and finite, got {self.mean}")
+        _check_second_moment(self.mean, self.variance)
 
     @property
     def decay_rate(self) -> float:  # 1 when the support reaches the origin
@@ -306,13 +314,6 @@ class OracleTruncation:
 def q_function(x: float) -> float:
     """Upper-tail probability of a standard Gaussian."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
-def q_inverse(p: float) -> float:
-    """Inverse of ``q_function`` on (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    return -float(special.ndtri(p))
 
 
 def _gaussian_cut(beta):
@@ -577,10 +578,12 @@ def scale_to_power(dist: DistributionSpec, omega: float, target_power: float) ->
     """Rescale so the vector-source power ``omega * E[X^2]`` equals the target.
 
     Scaling is linear in the values, so the decay rate and all shape ratios
-    are preserved.
+    are preserved.  A power that underflows to 0 raises ValueError.
     """
     if not 0.0 < omega <= 0.5:
         raise ValueError(f"omega must lie in (0, 0.5], got {omega}")
     if not target_power > 0:
         raise ValueError(f"target power must be positive, got {target_power}")
-    return dist.scaled(target_power / (omega * moments(dist).second_moment))
+    if not (power := omega * moments(dist).second_moment) > 0.0:
+        raise ValueError(f"the source power omega * E[X^2] underflows to 0 at omega={omega}")
+    return dist.scaled(target_power / power)

@@ -1,5 +1,6 @@
 """Bound evaluators: closed forms, implicit solves, genie maximization."""
 
+import contextvars
 import dataclasses
 import math
 
@@ -165,6 +166,53 @@ def test_p5_requires_gaussian():
     src = bd.source_at_snr(Uniform(2.0, 1.0), 0.1, 10.0)
     with pytest.raises(ValueError):
         bd.p5_gaussian(src, 0.1)
+
+
+def reference_p5_deficit(source, r_target):
+    """p5's deficit as written on its own, before it became the genie deficit
+    at beta = 1 with info_G as the conditional information."""
+    omega, v = source.omega, source.variance
+    cond_gamma = omega * source.dist.variance
+    return lambda rho: info_G(rho, v) - r_target - omega * info_G(rho / omega, cond_gamma)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        gaussian_source(1e-4, 20.0),
+        gaussian_source(0.3, -10.0),
+        bd.source_at_snr(Gaussian(1.5, 0.4), 1e-3, 30.0),
+        source_functionals(0.05, Gaussian(-2.0, 3.0)),
+        source_functionals(1e-5, Gaussian(0.0, 7e4)),
+    ],
+    ids=["zero-mean", "wide-omega-low-snr", "nonzero-mean", "unscaled-nonzero-mean",
+         "unscaled-large"],
+)
+def test_p5_equals_a_solve_of_its_own_deficit(src):
+    # Every float operation of the genie deficit at beta = 1 is the reference's
+    # (rho / 1.0 and omega / 1.0 are exact), so the reports are equal, and so
+    # are the target-free deficits that alpha_curve reads.
+    assert src.dist.mean != 0.0 or src.dist.variance != 1.0
+    start = bd._scan_start(src.omega)
+    for alpha in (1e-4, 0.01, 0.1, 0.5, 0.9, 1.0 - src.omega):
+        r = rate_R(src.omega, alpha)
+        want = bd._solve_implicit(reference_p5_deficit(src, r), start) if r else bd._ZERO_REPORT
+        assert bd.p5_gaussian(src, alpha) == want, alpha
+    grid = bd._rho_grid(start)
+    target_free = bd._BOUNDS[BoundId.P5_IID_GAUSSIAN].target_free(src)
+    assert np.array_equal(target_free(grid), reference_p5_deficit(src, 0.0)(grid), equal_nan=True)
+
+
+def test_p5_and_p6_solve_apart_in_one_table_when_their_arguments_coincide():
+    # Here p5's omega * sigma^2 is p6's entropy power to the last bit, so only
+    # the conditional information keeps their solves apart in best_lower's table.
+    src, alpha = bd.source_at_snr(Gaussian(0.0, 1.0), 0.3, 10.0), 0.1
+    assert src.entropy_power == src.omega * src.dist.variance
+    call = contextvars.copy_context()
+    call.run(bd._tables.set, {})
+    p5, p6 = call.run(bd.p5_gaussian, src, alpha), call.run(bd.p6_entropy, src, alpha)
+    assert (p5, p6) == (bd.p5_gaussian(src, alpha), bd.p6_entropy(src, alpha))
+    assert p5.rho_lower > p6.rho_lower
 
 
 def test_p5_reduces_to_p4_when_variance_vanishes():
@@ -1119,17 +1167,18 @@ def test_best_lower_builds_each_float_beta_row_once(monkeypatch):
 def test_best_lower_solves_each_genie_deficit_once(monkeypatch):
     # p4's or p6's deficit is t4's row at beta = 1, solved from the same grid
     # end: one best_lower call solves it once, and every bound reads the
-    # report that a solve of its own gives.
+    # report that a solve of its own gives.  p5's, with its own conditional
+    # information, is solved apart.
     genie_solve, solve = bd._genie_solve, bd._solve_implicit
     keys, reports, solved = [], [], []
 
-    def own(params, hi):
-        reports.append(bd._solve_implicit(bd._genie_deficit(*params), hi))
+    def own(params, hi, cond=None):
+        reports.append(bd._solve_implicit(bd._genie_deficit(*params, cond), hi))
         return reports[-1]
 
-    def shared(params, hi):
-        keys.append((params, hi))
-        reports.append(genie_solve(params, hi))
+    def shared(params, hi, cond=None):
+        keys.append((params, hi, cond))
+        reports.append(genie_solve(params, hi, cond))
         return reports[-1]
 
     monkeypatch.setattr(bd, "_solve_implicit", lambda deficit, hi: solved.append(hi) or solve(deficit, hi))

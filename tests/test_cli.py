@@ -275,6 +275,14 @@ def test_verify_rank_rows_do_not_depend_on_the_suites_before(tmp_path):
         ["bounds", "--grid", "0.1:0.2:0", "--out", "b.csv"],
         # eta = 1 puts all the power in the floor, leaving no slice width
         ["truncate-table", "--dist", "sliced", "--eta", "1.0", "--out", "t.csv"],
+        # mean^2 overflows the float range
+        ["bounds", "--dist", "gaussian", "--mean", "1e308", "--out", "b.csv"],
+        ["bounds", "--dist", "uniform", "--mean", "1e308", "--out", "b.csv"],
+        ["simulate", "--n", "10", "--omega", "0.2", "--rho", "0.3", "--snr-db", "10",
+         "--dist", "uniform", "--mean", "1e308", "--trials", "2", "--out", "s.csv"],
+        # omega * E[X^2] underflows to 0, so no scale reaches the SNR
+        ["bounds", "--dist", "uniform", "--sigma2", "1e-320", "--out", "b.csv"],
+        ["bounds", "--dist", "gaussian", "--sigma2", "1e-320", "--out", "b.csv"],
     ],
     ids=[
         "rank-zero-trials",
@@ -289,6 +297,11 @@ def test_verify_rank_rows_do_not_depend_on_the_suites_before(tmp_path):
         "snr-curve-eta-above-one",
         "grid-zero-count",
         "sliced-eta-one",
+        "bounds-gaussian-mean-overflow",
+        "bounds-uniform-mean-overflow",
+        "simulate-uniform-mean-overflow",
+        "bounds-uniform-power-underflow",
+        "bounds-gaussian-power-underflow",
     ],
 )
 def test_out_of_range_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):

@@ -22,7 +22,6 @@ from srdbounds.distributions import (
     decay_rate,
     moments,
     q_function,
-    q_inverse,
     sample_values,
     scale_to_power,
     TruncationResult,
@@ -66,6 +65,20 @@ def test_invalid_parameters_rejected():
         SlicedGaussian(0.0, 1.0)
     with pytest.raises(ValueError):
         SlicedGaussian(1.0, 0.0)
+
+
+@pytest.mark.parametrize("family", [Gaussian, Uniform])
+def test_overflowing_second_moment_and_underflowing_power_refused(family):
+    # mean^2 + variance must be finite, so that moments() cannot overflow...
+    for mean, variance in ((1e308, 1.0), (1e155, 1.0), (1e154, 1e308)):
+        with pytest.raises(ValueError, match="overflows the float range"):
+            family(mean, variance)
+    assert moments(family(1.3e154, 1.0)).second_moment == 1.3e154**2 + 1.0
+    # ...and a power omega * E[X^2] that underflows to 0 cannot be scaled.
+    with pytest.raises(ValueError, match="underflows to 0"):
+        scale_to_power(family(0.0, 1e-320), 1e-4, 10.0)
+    scaled = scale_to_power(family(0.0, 1e-300), 1e-4, 10.0)
+    assert scaled.variance == 10.0 / (1e-4 * 1e-300) * 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +129,6 @@ def test_q_function_values():
     # oracle: scipy's survival function
     assert q_function(1.0) == pytest.approx(stats.norm.sf(1.0), abs=1e-15)
     assert q_function(1.0) == pytest.approx(0.15865525393145707, abs=1e-13)
-
-
-def test_q_inverse_roundtrip():
-    assert abs(q_inverse(0.5)) <= 1e-13
-    for p in (1e-12, 1e-3, 0.25, 0.5, 0.75, 0.999, 1 - 1e-9):
-        assert abs(q_function(q_inverse(p)) - p) <= 1e-13
-
-
-def test_q_inverse_domain():
-    for p in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            q_inverse(p)
 
 
 # ---------------------------------------------------------------------------
