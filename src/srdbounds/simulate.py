@@ -3,13 +3,15 @@
 Stochastic sparse sources, unit-row-power sampling matrices (i.i.d. Gaussian
 or the column-zeroing rate-sharing construction), exhaustive maximum-likelihood
 recovery over all candidate supports, and the two-stage rate-sharing decoder.
-Both searches walk the lexicographic prefix tree of the supports, doing the
-work a prefix shares once per prefix.  The ML search scores every support by
-a bordered Cholesky factor of its Gram matrix, so its cost depends on the
-number of samples only through one Gram product; the rate-sharing decoder
-extends each node's orthonormal span by one Gram-Schmidt step.  Problem
-sizes are capped so the exhaustive search stays tractable; the point is
-bound verification, not scalable estimation.
+Both searches walk the lexicographic prefix tree of the supports one level
+at a time with one step, :func:`_extend`, doing the work a prefix shares
+once per prefix: each node's residual is the last pivot of a bordered
+Cholesky factor of its Gram matrix, so the cost depends on the number of
+samples only through one Gram product.  The nodes whose Gram residual
+cannot be trusted or is near a decision are scored again by projection
+(:func:`_span_residuals`).  Problem sizes are capped so the exhaustive
+search stays tractable; the point is bound verification, not scalable
+estimation.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionSpec, sample_values, scale_to_snr
+from .distributions import DistributionSpec, moments, sample_values, scale_to_snr
 from .montecarlo import (
     _CHUNK,
     _MATRIX_ENTRIES,
@@ -29,13 +31,11 @@ from .montecarlo import (
     _leaves,
     _prefix_tree,
     _span_residuals,
-    _span_step,
     trial_rngs,
 )
 
 SPAN_RTOL = 1e-9
 MAX_SUPPORTS = 1_000_000
-MAX_SPAN_BYTES = 1 << 28  # rate_sharing_recover's stage-1 walk and its prefix tree: 256 MiB
 # exhaustive_ml's tolerances (see its docstring).  True residual gaps can be
 # tiny: on one noiseless draw at n=20, k=2, m=3 (seed 9, trial 32) a wrong
 # support comes within 5.4e-13 |y|^2 of the true one.  So ties stay well
@@ -57,6 +57,14 @@ class SimConfig:
     ``snr_db=None`` runs noiseless.  With noise, the value distribution is
     rescaled so the per-sample SNR equals ``10^(snr_db/10)`` against unit
     noise.  ``epsilon`` is the rate-sharing slack (only used by that matrix).
+
+    The searches square the samples and their projections, up to about
+    1e3 |y|^2 (``1 / PIVOT_RTOL``), where |y|^2 is of order m omega E[X^2]
+    (plus m with noise), and without noise they decide on residuals down to
+    ``SPAN_RTOL``^2 |y|^2 = 1e-18 |y|^2.  So the effective E[X^2] must be
+    at most 1e250, and without noise at least 1e-250: at n <= 28 either
+    bound leaves a factor of more than 1e35 to the end of the normal float
+    range for the draws' spread.
     """
 
     n: int
@@ -101,13 +109,15 @@ class SimConfig:
                     "rate sharing targets rho < omega; "
                     f"got rho={self.rho}, omega={self.omega}"
                 )
-            if self.span_bytes > MAX_SPAN_BYTES:
-                raise BudgetError(
-                    f"stage 1 would hold {self.span_bytes} bytes in its walk and prefix tree, "
-                    f"over the budget of {MAX_SPAN_BYTES}"
-                )
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        second = moments(self.effective_dist()).second_moment
+        if second > 1e250:
+            raise ValueError(f"E[X^2] = {second:g} would overflow the searches' squared norms")
+        if self.snr_db is None and second < 1e-250:
+            raise ValueError(
+                f"E[X^2] = {second:g} would underflow the noiseless searches' squared norms"
+            )
 
     @property
     def k(self) -> int:
@@ -122,25 +132,6 @@ class SimConfig:
         """Columns the rate-sharing ensemble zeroes: ceil((1 - (1-eps) rho/omega) n)."""
         size = math.ceil((1.0 - (1.0 - self.epsilon) * self.rho / self.omega) * self.n)
         return min(max(size, 0), self.n)
-
-    @property
-    def span_bytes(self) -> int:
-        """Most bytes stage 1 holds: the prefix tree it walks, two ints a
-        node (built first, with temporaries below the walk's deepest level),
-        and the most any level j <= min(live, m, k) of the walk holds: level
-        j - 1's bases, y_perp and residuals, its own unless it is the
-        deepest, a residual per node, and per node of one ``_CHUNK`` its
-        j - 1 gathered columns, y_perp, :func:`_span_step`'s five m-vectors
-        and four floats."""
-        live, m = self.n - self.zeroed_size, self.m
-        depth, floats, tree = min(live, m, self.k), 0, 0
-        for j in range(1, depth + 1):
-            nodes = math.comb(live, j)
-            tree += 2 * nodes
-            own = nodes * (j + 1) * m if j < depth else 0
-            chunk = min(nodes, _CHUNK) * ((j + 5) * m + 4)
-            floats = max(floats, math.comb(live, j - 1) * (j * m + 1) + own + nodes + chunk)
-        return 8 * (floats + tree)
 
     def effective_dist(self) -> DistributionSpec:
         if self.snr_db is None:
@@ -227,10 +218,19 @@ class MLResult:
     runner_up_gap: float
 
 
-def _extend(gram, col_norms, state, parent, a, col, keep):
-    """One step of :func:`exhaustive_ml`'s tree walk, for one chunk of a
-    level: extend the nodes ``parent``, each a prefix P' = P + a, by the
-    columns ``col``.
+def _root(mat, y, norm_y):
+    """Level 1 of the prefix-tree walk over mat's columns: the Gram matrix
+    G = A^T A, its diagonal, and the level's fields (see :func:`_extend`)."""
+    gram = mat.T @ mat
+    col_norms = np.diag(gram)
+    e = mat.T @ y
+    return gram, col_norms, (norm_y - e * e / col_norms, col_norms <= 0.0, col_norms, e)
+
+
+def _extend(gram, col_norms, state, above, level, keep):
+    """One level of the prefix-tree walk both searches make, ``_CHUNK`` nodes
+    at a time: each node (parent, c) of ``level`` extends the node
+    P' = P + a of the level above by column c, where a is ``above[parent]``.
 
     A node keeps, at its own column c only, its prefix P's factor rows, the
     Schur-complement diagonal d (column c's squared distance from span(A_P))
@@ -241,25 +241,34 @@ def _extend(gram, col_norms, state, parent, a, col, keep):
         w = (G[a, c] - sum_t rows_t[a] rows_t[c]) / sqrt(d_a),   z = e_a / sqrt(d_a),
         d'_c = d_c - w^2,   e'_c = e_c - w z,
         residual(P' + c) = residual(P') - e'_c^2 / d'_c,
-    and w joins the rows.  Returns the new nodes' fields, without d, e and
-    the rows unless ``keep``.
+    and w joins the rows.  Returns the level's fields, without d, e and the
+    rows unless ``keep``.  Deficient nodes may divide by 0: the caller sets
+    ``np.errstate``.
     """
     resid, deficient, d, e, *rows = state
-    at_col = parent + (col - a)
-    root = np.sqrt(d[parent])
-    w = gram.ravel()[a * len(gram) + col]
-    for r in rows:
-        w -= r[parent] * r[at_col]
-    w /= root
-    e_col = e[at_col] - w * (e[parent] / root)
-    d_col = d[at_col] - w * w
-    grown = (
-        resid[parent] - e_col * e_col / d_col,
-        deficient[parent] | (d_col <= PIVOT_RTOL * col_norms[col]),
-    )
-    if keep:
-        grown += (d_col, e_col, *(r[at_col] for r in rows), w)
-    return grown
+    grown: list[np.ndarray] = []
+    for start in range(0, len(level[0]), _CHUNK):
+        parent, col = level[0][start : start + _CHUNK], level[1][start : start + _CHUNK]
+        a = above[parent]
+        at_col = parent + (col - a)
+        root = np.sqrt(d[parent])
+        w = gram.ravel()[a * len(gram) + col]
+        for r in rows:
+            w -= r[parent] * r[at_col]
+        w /= root
+        e_col = e[at_col] - w * (e[parent] / root)
+        d_col = d[at_col] - w * w
+        fields = (
+            resid[parent] - e_col * e_col / d_col,
+            deficient[parent] | (d_col <= PIVOT_RTOL * col_norms[col]),
+        )
+        if keep:
+            fields += (d_col, e_col, *(r[at_col] for r in rows), w)
+        if not grown:
+            grown = [np.empty(len(level[0]), f.dtype) for f in fields]
+        for out, f in zip(grown, fields):
+            out[start : start + _CHUNK] = f
+    return tuple(grown)
 
 
 def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
@@ -270,9 +279,9 @@ def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
     bordered Gram matrix [[G_S, b_S], [b_S^T, |y|^2]] (G = A^T A, b = A^T y).
     Supports that share a lexicographic prefix share that prefix's factor
     rows, so the factors are built one level of the prefix tree at a time
-    (:func:`_extend`), ``_CHUNK`` nodes at a time.  Only the last level
-    touches all C(n, k) supports, as tree nodes: :func:`_leaves` reads the
-    supports of the nodes rescored and of the winner.
+    (:func:`_extend`).  Only the last level touches all C(n, k) supports, as
+    tree nodes: :func:`_leaves` reads the supports of the nodes rescored and
+    of the winner.
 
     A pivot at or below ``PIVOT_RTOL`` times its column's squared norm marks
     the support deficient (the column lies within ~0.03 rad of the span
@@ -280,37 +289,24 @@ def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
     n * eps / PIVOT_RTOL times |y|^2: enough to rank supports, not to tell a
     spanning support from round-off.  So deficient supports, and those
     within ``RESCORE_RTOL`` |y|^2 of the smallest Gram residual, are scored
-    again by projection onto their column span, built column by column
-    with the Gram-Schmidt step stage 1 of :func:`rate_sharing_recover` uses
-    (:func:`_span_residuals`).  Residuals within ``TIE_RTOL`` |y|^2 of the
-    minimum tie, and ties go to the lexicographically first support.  If the
-    first two supports rescored both span y, as every support does when
-    m <= k, the first wins without scoring the rest: no residual is below 0.
-    ``residual_min`` is the chosen support's residual and ``runner_up_gap``
-    the gap between the two smallest residuals (0 when they tie).
+    again by projection onto their column span (:func:`_span_residuals`,
+    one Gram-Schmidt step per column).  Residuals within ``TIE_RTOL`` |y|^2
+    of the minimum tie, and ties go to the lexicographically first support.
+    If the first two supports rescored both span y, as every support does
+    when m <= k, the first wins without scoring the rest: no residual is
+    below 0.  ``residual_min`` is the chosen support's residual and
+    ``runner_up_gap`` the gap between the two smallest residuals (0 when
+    they tie).
     """
     n = mat.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    gram = mat.T @ mat
-    col_norms = np.diag(gram)
     norm_y = float(y @ y)
     levels = _prefix_tree(n, k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        e = mat.T @ y
-        state = (norm_y - e * e / col_norms, col_norms <= 0.0, col_norms, e)
-        for level, ((_, prev_last), (parent, col)) in enumerate(zip(levels, levels[1:]), 2):
-            grown: list[np.ndarray] = []
-            for start in range(0, len(parent), _CHUNK):
-                part = slice(start, start + _CHUNK)
-                fields = _extend(
-                    gram, col_norms, state, parent[part], prev_last[parent[part]], col[part], level < k
-                )
-                if not grown:
-                    grown = [np.empty(len(parent), f.dtype) for f in fields]
-                for out, f in zip(grown, fields):
-                    out[part] = f
-            state = tuple(grown)
+        gram, col_norms, state = _root(mat, y, norm_y)
+        for size, ((_, above), level) in enumerate(zip(levels, levels[1:]), 2):
+            state = _extend(gram, col_norms, state, above, level, size < k)
     resid, deficient = state[0], state[1]
     tie = TIE_RTOL * norm_y
     gram_min = np.min(resid, where=~deficient, initial=np.inf)
@@ -330,29 +326,6 @@ def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
     return MLResult(support, float(resid[best]), float(gap) if gap > tie else 0.0)
 
 
-def _grow_spans(spans, cols, parent, last, keep):
-    """One level of stage 1's prefix-tree walk, ``_CHUNK`` nodes at a time:
-    node i adds column ``last[i]`` to the span of node ``parent[i]`` of the
-    level above.  ``spans`` (j + 1, m, N) holds each node's j orthonormal
-    basis columns and, last, its residual y_perp, laid out as in
-    :func:`_span_step`.  Returns every node's |y_perp| and, if ``keep``, the
-    level's own spans (else None).
-    """
-    resid = np.empty(len(parent))
-    grown = np.empty((len(spans) + 1, spans.shape[1], len(parent))) if keep else None
-    for start in range(0, len(parent), _CHUNK):
-        part = slice(start, start + _CHUNK)
-        node = np.take(spans, parent[part], axis=2)
-        q, perp = _span_step(node[:-1], node[-1], cols[:, last[part]])
-        resid[part] = np.sqrt(np.einsum("mn,mn->n", perp, perp))
-        if keep:
-            grown[:-2, :, part] = node[:-1]
-            grown[-2, :, part] = q
-            grown[-1, :, part] = perp
-        del node, q, perp  # before the next chunk is gathered
-    return resid, grown
-
-
 def rate_sharing_recover(
     y: np.ndarray,
     mat: np.ndarray,
@@ -366,34 +339,60 @@ def rate_sharing_recover(
     contains y (|y_perp| <= ``SPAN_RTOL`` |y|), by an exact search over
     subset sizes; several minimal spanning supports raise
     :class:`MultipleMinimalSupportsError`.  The search walks the prefix tree
-    of the live columns one level, so one subset size, at a time, and each
-    node extends its parent's span by one Gram-Schmidt step
-    (:func:`_span_step`); it stops at the first level with a spanning node,
-    whose support :func:`_leaves` reads.  Stage 2 fills the remaining
+    of the live columns one level, so one subset size, at a time, with
+    :func:`exhaustive_ml`'s step (:func:`_extend`).  A spanning node's
+    residual is at most ``SPAN_RTOL``^2 |y|^2, and below size m a node that
+    is not deficient has a Gram residual good to about n * eps /
+    ``PIVOT_RTOL`` times |y|^2 (6e-12 |y|^2 at n = 28).  So below size m
+    only the deficient nodes and those whose Gram residual is at most
+    ``RESCORE_RTOL`` |y|^2 can span.  At size m every node can: each one
+    that is not deficient spans y, and square supports' Gram residuals
+    have been seen off by 7e-11 |y|^2.  These nodes are scored again by
+    projection (:func:`_span_residuals`) in node order, the first two on
+    their own.  The search stops at the second spanning node of a level,
+    or after the first level with one, whose support :func:`_leaves` reads.
+    At k <= n / 2, as :class:`SimConfig` has it, the walk holds no more than
+    :func:`exhaustive_ml`'s at the same n and k, which ``MAX_SUPPORTS``
+    bounds: C(live, j) <= C(n, k) for j <= k.  Stage 2 fills the remaining
     indices uniformly at random from the zeroed set.
     """
-    live = np.setdiff1d(np.arange(mat.shape[1]), zeroed)
-    norm_y = math.sqrt(float(y @ y))
+    is_live = np.ones(mat.shape[1], dtype=bool)
+    is_live[zeroed] = False
+    live = np.flatnonzero(is_live)
+    norm_y = float(y @ y)
     stage1: tuple[int, ...] = ()
     if norm_y > 0.0:
+        cols = mat[:, live]
         depth = min(len(live), mat.shape[0], k)
         levels = _prefix_tree(len(live), depth)
-        cols = mat[:, live]
-        spans = y[None, :, None]  # level 0, the empty support: all of y is residual
-        for size, (parent, last) in enumerate(levels, 1):
-            resid, spans = _grow_spans(spans, cols, parent, last, size < depth)
-            spanning = np.flatnonzero(resid <= SPAN_RTOL * norm_y)
-            if len(spanning) > 1:
-                raise MultipleMinimalSupportsError(
-                    f"{len(spanning)} spanning supports of size {size}"
+        span_tol = SPAN_RTOL * math.sqrt(norm_y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gram, col_norms, state = _root(cols, y, norm_y)
+            for size in range(1, depth + 1):
+                if size > 1:
+                    state = _extend(
+                        gram, col_norms, state, levels[size - 2][1], levels[size - 1], size < depth
+                    )
+                again = np.flatnonzero(
+                    state[1] | (state[0] <= RESCORE_RTOL * norm_y) | (size == mat.shape[0])
                 )
-            if len(spanning) == 1:
-                stage1 = tuple(live[_leaves(levels[:size], spanning)[0]].tolist())
-                break
-        else:
-            raise MultipleMinimalSupportsError(
-                "no unique minimal spanning support within the live columns"
-            )
+                if len(again) == 0:
+                    continue
+                spanning: list[int] = []
+                for nodes in np.split(again, range(2, len(again), _CHUNK)):
+                    resid = _span_residuals(y, cols, _leaves(levels[:size], nodes))
+                    spanning += nodes[np.sqrt(resid) <= span_tol].tolist()
+                    if len(spanning) > 1:
+                        raise MultipleMinimalSupportsError(
+                            f"several spanning supports of size {size}"
+                        )
+                if spanning:
+                    stage1 = tuple(live[_leaves(levels[:size], spanning)[0]].tolist())
+                    break
+            else:
+                raise MultipleMinimalSupportsError(
+                    "no unique minimal spanning support within the live columns"
+                )
     fill = rng.choice(np.asarray(zeroed), size=k - len(stage1), replace=False)
     return tuple(sorted(set(stage1) | set(int(i) for i in fill)))
 

@@ -202,9 +202,11 @@ def test_simulate_budget_refusal(tmp_path):
     assert code == 4
 
 
-def test_simulate_stage1_span_budget_refusal(tmp_path, capsys):
-    # Stage 1 would hold 641 MiB in its walk and prefix tree; refused before any draw.
-    out = tmp_path / "never.csv"
+def test_simulate_rate_sharing_at_a_deep_stage1_walk(tmp_path):
+    # 21 live columns and depth 11: the walk's deepest kept level has
+    # C(21, 10) nodes, fewer than the C(22, 11) supports the search budget
+    # already allows for exhaustive ML at this n and k.
+    out = tmp_path / "rs22.csv"
     code = run_cli(
         [
             "simulate",
@@ -214,11 +216,11 @@ def test_simulate_stage1_span_budget_refusal(tmp_path, capsys):
             "--matrix", "rate_sharing",
             "--epsilon", "0",
             "--noiseless",
+            "--trials", "2",
             "--out", str(out),
         ]
     )
-    assert code == 4 and not out.exists()
-    assert capsys.readouterr().err.startswith("budget refused: stage 1 would hold ")
+    assert code == 0 and out.exists()
 
 
 @pytest.mark.parametrize("suite", ["mp_logdet", "det_power"])
@@ -283,6 +285,14 @@ def test_verify_rank_rows_do_not_depend_on_the_suites_before(tmp_path):
         # omega * E[X^2] underflows to 0, so no scale reaches the SNR
         ["bounds", "--dist", "uniform", "--sigma2", "1e-320", "--out", "b.csv"],
         ["bounds", "--dist", "gaussian", "--sigma2", "1e-320", "--out", "b.csv"],
+        # E[X^2] where the searches' squared norms overflow or, without noise,
+        # underflow
+        ["simulate", "--n", "10", "--omega", "0.2", "--rho", "0.3", "--noiseless",
+         "--sigma2", "1e308", "--trials", "2", "--out", "s.csv"],
+        ["simulate", "--n", "10", "--omega", "0.2", "--rho", "0.3", "--snr-db", "3075",
+         "--trials", "2", "--out", "s.csv"],
+        ["simulate", "--n", "10", "--omega", "0.2", "--rho", "0.3", "--noiseless",
+         "--sigma2", "1e-320", "--trials", "4", "--out", "s.csv"],
     ],
     ids=[
         "rank-zero-trials",
@@ -302,6 +312,9 @@ def test_verify_rank_rows_do_not_depend_on_the_suites_before(tmp_path):
         "simulate-uniform-mean-overflow",
         "bounds-uniform-power-underflow",
         "bounds-gaussian-power-underflow",
+        "simulate-noiseless-norm-overflow",
+        "simulate-snr-norm-overflow",
+        "simulate-noiseless-norm-underflow",
     ],
 )
 def test_out_of_range_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
