@@ -390,10 +390,14 @@ def cmd_verify(args) -> int:
     suites = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     # --n is the matrix dimension of the random-matrix suites; the covering
     # check needs an enumerable support universe, so it runs its reference
-    # case under "all" and whenever --n is not given.
+    # case under "all" and whenever --n is not given.  --k and --alpha set
+    # only the case that --suite covering --n names.
     covering_reference = args.suite == "all" or args.n is None
-    if args.n is None:
-        args.n = VERIFY_MATRIX_N
+    if (args.k, args.alpha) != (None, None) and (args.suite != "covering" or args.n is None):
+        raise ValueError("--k and --alpha apply only to --suite covering with --n")
+    args.n = VERIFY_MATRIX_N if args.n is None else args.n
+    args.k = 2 if args.k is None else args.k
+    args.alpha = 0.5 if args.alpha is None else args.alpha
     rows = []
     all_passed = True
     for suite in suites:
@@ -612,8 +616,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--n", type=int, default=None, help=f"matrix dimension (default {VERIFY_MATRIX_N})"
     )
-    p_verify.add_argument("--k", type=int, default=2)
-    p_verify.add_argument("--alpha", type=float, default=0.5)
+    p_verify.add_argument("--k", type=int, help="covering support size, with --n (default 2)")
+    p_verify.add_argument("--alpha", type=float, help="covering alpha, with --n (default 0.5)")
     p_verify.add_argument("--trials", type=int, default=50)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", default=None)

@@ -11,7 +11,9 @@ as in ``ratefun``; an array's values are within a few ulps of the floats', and
 exact at ``beta = 1`` where the float's are); ``truncate_oracle`` recomputes
 the same quantities by adaptive quadrature of the closed-form densities (or
 exact atom summation) and by Monte Carlo so the closed forms can be checked
-independently.
+independently.  Only the oracles use ``scipy.integrate`` and
+``scipy.optimize``, and they import them when first called, so a process
+that runs no oracle loads only ``scipy.special`` from scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from typing import ClassVar, NamedTuple
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 SQRT2 = math.sqrt(2.0)
@@ -306,16 +308,6 @@ class OracleTruncation:
     entropy_err: float | None
 
 
-# ---------------------------------------------------------------------------
-# Gaussian tail function and its inverse
-# ---------------------------------------------------------------------------
-
-
-def q_function(x: float) -> float:
-    """Upper-tail probability of a standard Gaussian."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
 def _gaussian_cut(beta):
     """``(e, t, r)`` for a standard Gaussian cut at ``|z| <= t`` keeping mass
     ``beta``: ``e = t / sqrt(2) = erfinv(beta)`` (inf at ``beta = 1``) and the
@@ -396,6 +388,8 @@ def _density_and_support(dist):
 
 def _magnitude_quantile(dist, beta: float) -> float:
     """Absolute threshold t with Pr{|X| <= t} = beta, found by bracketed root."""
+    from scipy import optimize
+
     _, cdf, _ = _density_and_support(dist)
 
     def mass(t):
@@ -408,6 +402,8 @@ def _magnitude_quantile(dist, beta: float) -> float:
 
 
 def _quadrature_oracle(dist, beta: float) -> OracleTruncation:
+    from scipy import integrate
+
     if isinstance(dist, PointMass):
         return _atom_oracle(dist, beta)
     pdf, _, support = _density_and_support(dist)

@@ -69,15 +69,6 @@ def _entropy(p, lib):
     return -p * lib.log(p) - (1.0 - p) * lib.log1p(-p)
 
 
-def rate_R_hamming(omega: float, alpha: float) -> float:
-    """Hamming-distortion analog of :func:`rate_R`.
-
-    Documented alternate form only; the bound evaluators use :func:`rate_R`.
-    """
-    _check_args(omega, alpha)
-    return max(0.0, binary_entropy(omega) - binary_entropy(alpha))
-
-
 def delta(r: float | np.ndarray) -> float | np.ndarray:
     """(1-r)^(1-1/r) on (0, 1], continuously extended to 1 at r = 1.
 

@@ -16,7 +16,6 @@ estimation.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -285,12 +284,17 @@ def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
 
     A pivot at or below ``PIVOT_RTOL`` times its column's squared norm marks
     the support deficient (the column lies within ~0.03 rad of the span
-    before it).  Elsewhere the Gram residuals are good to about
-    n * eps / PIVOT_RTOL times |y|^2: enough to rank supports, not to tell a
-    spanning support from round-off.  So deficient supports, and those
-    within ``RESCORE_RTOL`` |y|^2 of the smallest Gram residual, are scored
-    again by projection onto their column span (:func:`_span_residuals`,
-    one Gram-Schmidt step per column).  Residuals within ``TIE_RTOL`` |y|^2
+    before it).  Elsewhere, for k < m, the Gram residuals are good to about
+    n * eps / PIVOT_RTOL times |y|^2 (at most 5.5e-13 |y|^2 against a
+    per-support least-squares fit, over 3,000 draws at n = 8-12): enough to
+    rank supports, not to tell a spanning support from round-off.  So
+    deficient supports, and those within ``RESCORE_RTOL`` |y|^2 of the
+    smallest Gram residual, are scored again by projection onto their column
+    span (:func:`_span_residuals`, one Gram-Schmidt step per column).  On
+    square supports (k = m) the Gram residuals were off by up to
+    1.4e-10 |y|^2 over 7,000 such draws, beyond ``RESCORE_RTOL``, and every
+    support that is not deficient spans y, so for k >= m every support is
+    scored again.  Residuals within ``TIE_RTOL`` |y|^2
     of the minimum tie, and ties go to the lexicographically first support.
     If the first two supports rescored both span y, as every support does
     when m <= k, the first wins without scoring the rest: no residual is
@@ -310,7 +314,9 @@ def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
     resid, deficient = state[0], state[1]
     tie = TIE_RTOL * norm_y
     gram_min = np.min(resid, where=~deficient, initial=np.inf)
-    again = np.flatnonzero(deficient | (resid <= gram_min + RESCORE_RTOL * norm_y))
+    again = np.flatnonzero(
+        deficient | (resid <= gram_min + RESCORE_RTOL * norm_y) | (k >= mat.shape[0])
+    )
     first = _span_residuals(y, mat, _leaves(levels, again[:2]))
     if len(first) == 2 and first.max() <= tie:
         return MLResult(tuple(_leaves(levels, again[:1])[0].tolist()), float(first[0]), 0.0)
@@ -347,7 +353,7 @@ def rate_sharing_recover(
     only the deficient nodes and those whose Gram residual is at most
     ``RESCORE_RTOL`` |y|^2 can span.  At size m every node can: each one
     that is not deficient spans y, and square supports' Gram residuals
-    have been seen off by 7e-11 |y|^2.  These nodes are scored again by
+    have been seen off by 1.4e-10 |y|^2.  These nodes are scored again by
     projection (:func:`_span_residuals`) in node order, the first two on
     their own.  The search stops at the second spanning node of a level,
     or after the first level with one, whose support :func:`_leaves` reads.
@@ -451,26 +457,3 @@ def success_rate(outcomes: list[SimOutcome], alpha: float) -> float:
     if not outcomes:
         return math.nan
     return sum(o.distortion <= alpha for o in outcomes) / len(outcomes)
-
-
-def discrete_single_sample_demo(
-    n: int = 10, k: int = 3, trials: int = 50, seed: int = 0
-) -> float:
-    """Toy: one Gaussian sample suffices for a known +-1 alphabet.
-
-    Exhaustively inverts the scalar projection over all supports and sign
-    patterns; returns the exact-recovery rate (1.0 up to float ties).
-    """
-    if n > 12:
-        raise ValueError("demo is capped at n = 12")
-    supports = _leaves(_prefix_tree(n, k), np.arange(math.comb(n, k)))
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=k)))
-    exact = 0
-    for rng in trial_rngs(seed, range(trials)):
-        row = rng.standard_normal(n)
-        support = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-        y = float(row[list(support)] @ rng.choice([-1.0, 1.0], size=k))
-        # argmin takes the first minimum in (support, sign) order, as a scan would.
-        best = int(np.argmin(np.abs(row[supports] @ signs.T - y))) // len(signs)
-        exact += tuple(supports[best].tolist()) == support
-    return exact / trials

@@ -293,6 +293,12 @@ def test_verify_rank_rows_do_not_depend_on_the_suites_before(tmp_path):
          "--trials", "2", "--out", "s.csv"],
         ["simulate", "--n", "10", "--omega", "0.2", "--rho", "0.3", "--noiseless",
          "--sigma2", "1e-320", "--trials", "4", "--out", "s.csv"],
+        # --k and --alpha set only the case --suite covering --n names; the
+        # reference case and the other suites would ignore them
+        ["verify", "--suite", "covering", "--k", "3", "--alpha", "0.25", "--out", "v.csv"],
+        ["verify", "--suite", "all", "--k", "3", "--out", "v.csv"],
+        ["verify", "--suite", "all", "--n", "64", "--alpha", "0.25", "--out", "v.csv"],
+        ["verify", "--suite", "rank", "--n", "64", "--k", "2", "--out", "v.csv"],
     ],
     ids=[
         "rank-zero-trials",
@@ -315,6 +321,10 @@ def test_verify_rank_rows_do_not_depend_on_the_suites_before(tmp_path):
         "simulate-noiseless-norm-overflow",
         "simulate-snr-norm-overflow",
         "simulate-noiseless-norm-underflow",
+        "verify-covering-k-alpha-without-n",
+        "verify-all-k",
+        "verify-all-alpha-with-n",
+        "verify-rank-k-with-n",
     ],
 )
 def test_out_of_range_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
@@ -701,20 +711,37 @@ def test_installed_entry_point_usage_error():
     assert proc.returncode == 2
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about 0.6 s and 20 MB on every CLI call; the package
-    # needs none of it.
+def run_child(script):
+    """Run ``script`` in a fresh interpreter that imports the package under test."""
     src = str(Path(srdbounds.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import srdbounds, srdbounds.cli, sys; print('scipy.stats' in sys.modules)",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.6 s and 20 MB on every CLI call, and
+    # scipy.integrate and scipy.optimize about 0.2 s; the bounds, the
+    # simulation and the closed-form truncation need none of them.
+    script = (
+        "import sys, srdbounds, srdbounds.cli\n"
+        "from srdbounds import Gaussian, SimConfig, best_lower, run_experiment\n"
+        "from srdbounds import source_at_snr, truncate\n"
+        "best_lower(source_at_snr(Gaussian(), 1e-4, 10.0), 0.1, 'iid')\n"
+        "run_experiment(SimConfig(n=10, omega=0.2, dist=Gaussian(), rho=0.3, trials=2))\n"
+        "truncate(Gaussian(), 0.5)\n"
+        "unused = ('scipy.stats', 'scipy.integrate', 'scipy.optimize')\n"
+        "print([m for m in unused if m in sys.modules])"
+    )
+    assert run_child(script) == "[]"
+
+
+def test_truncation_oracle_loads_the_integrators_it_uses():
+    script = (
+        "import sys\n"
+        "from srdbounds import Gaussian, truncate_oracle\n"
+        "truncate_oracle(Gaussian(), 0.5, 'quadrature')\n"
+        "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)"
+    )
+    assert run_child(script) == "True True"

@@ -21,7 +21,6 @@ from srdbounds.distributions import (
     _density_and_support,
     decay_rate,
     moments,
-    q_function,
     sample_values,
     scale_to_power,
     TruncationResult,
@@ -117,18 +116,6 @@ def test_sliced_power_matches_montecarlo():
 def test_second_moment_identity(dist):
     m = moments(dist)
     assert m.second_moment == pytest.approx(m.mean**2 + m.variance, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian tail function
-# ---------------------------------------------------------------------------
-
-
-def test_q_function_values():
-    assert q_function(0.0) == pytest.approx(0.5, abs=1e-15)
-    # oracle: scipy's survival function
-    assert q_function(1.0) == pytest.approx(stats.norm.sf(1.0), abs=1e-15)
-    assert q_function(1.0) == pytest.approx(0.15865525393145707, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from srdbounds.ratefun import (
     info_G,
     info_V,
     rate_R,
-    rate_R_hamming,
     source_functionals,
     xi,
 )
@@ -89,12 +88,6 @@ def test_entropy_and_rate_take_arrays_with_their_edges():
         rate_R(omega + 0.4, alpha)
     with pytest.raises(ValueError, match="alpha must lie"):
         rate_R(omega, alpha + 0.1)
-
-
-def test_rate_hamming_variant():
-    assert rate_R_hamming(0.1, 0.05) == pytest.approx(
-        binary_entropy(0.1) - binary_entropy(0.05)
-    )
 
 
 def test_delta_values():

@@ -290,6 +290,27 @@ def test_ml_matches_lstsq_per_support(m, columns):
         assert abs(result.runner_up_gap - gap) <= scale
 
 
+def test_ml_rescores_every_square_support():
+    # At k = m every support that is not deficient spans y.  On these two
+    # noisy draws a square support's Gram residual is off by more than
+    # RESCORE_RTOL |y|^2 (1.4e-10 and 1.0e-10 |y|^2 between the largest and
+    # smallest), so a rescoring window around the smallest Gram residual
+    # missed the lexicographically first spanning support.
+    n, k = 12, 4
+    for trial in (650, 890):
+        rng = trial_rng(41, trial)
+        mat = rng.standard_normal((k, n))
+        x = np.zeros(n)
+        x[rng.choice(n, size=k, replace=False)] = rng.standard_normal(k)
+        y = mat @ x + rng.standard_normal(k)
+        support, resid, gap = lstsq_ml(y, mat, k)
+        result = sim.exhaustive_ml(y, mat, k)
+        scale = 1e-12 * float(y @ y)
+        assert result.support == support == (0, 1, 2, 3)
+        assert abs(result.residual_min - resid) <= scale
+        assert abs(result.runner_up_gap - gap) <= scale
+
+
 # ---------------------------------------------------------------------------
 # Rate sharing
 # ---------------------------------------------------------------------------
@@ -682,6 +703,3 @@ def test_comfortable_sampling_gives_low_distortion():
     _, summary = sim.run_experiment(cfg)
     assert summary.mean_distortion < 0.1
 
-
-def test_discrete_alphabet_single_sample_demo():
-    assert sim.discrete_single_sample_demo(n=10, k=3, trials=40, seed=2) == 1.0
