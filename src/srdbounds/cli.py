@@ -122,9 +122,7 @@ def _dist_from_args(args) -> object:
         if args.eps_mass is None:
             return PointMass(args.eta, 1.0, limit=True)
         return PointMass(args.eta, 1.0, outer_mass=args.eps_mass)
-    if kind == "sliced":
-        return _sliced_from_eta(args.eta)
-    raise ValueError(f"unknown distribution {kind!r}")
+    return _sliced_from_eta(args.eta)
 
 
 def _add_dist_flags(parser) -> None:
@@ -401,8 +399,6 @@ def cmd_verify(args) -> int:
     rows = []
     all_passed = True
     for suite in suites:
-        if suite not in VERIFY_SUITES:
-            raise ValueError(f"unknown suite {suite!r}")
         suite_args = args
         if suite == "covering" and covering_reference:
             suite_args = argparse.Namespace(**vars(args))
@@ -550,25 +546,11 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"config line is not key = value: {raw.rstrip()}")
             key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = _coerce(val)
+            values[key.replace("-", "_")] = val
     return values
 
 
-def _coerce(val: str):
-    low = val.lower()
-    if low in ("true", "yes"):
-        return True
-    if low in ("false", "no"):
-        return False
-    for cast in (int, float):
-        try:
-            return cast(val)
-        except ValueError:
-            continue
-    return val
-
-
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srdbounds",
         description="Sampling-rate lower bounds for approximate sparsity-pattern "
@@ -646,33 +628,59 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p_tab.add_argument("--out", required=True)
     p_tab.set_defaults(func=cmd_truncate_table)
 
-    if config:
-        for action in parser._subparsers._group_actions:
-            for sub_parser in action.choices.values():
-                for sub_action in sub_parser._actions:
-                    if sub_action.dest in config:
-                        sub_parser.set_defaults(**{sub_action.dest: config[sub_action.dest]})
-                        sub_action.required = False
     return parser
 
 
-def _config_path(argv: list[str]) -> str | None:
-    """The ``--config`` value, in either ``--config FILE`` or ``--config=FILE``
-    form; raises argparse.ArgumentError when the value is missing."""
+def _config_argv(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """``argv`` with the entries of its ``--config`` file (``--config FILE`` or
+    ``--config=FILE``, before the subcommand; after it, argparse refuses
+    ``--config``) as flags of the subcommand.
+
+    Each ``key = value`` whose key is an option of the chosen subcommand
+    becomes ``--key=value`` right after the subcommand's name, so argparse
+    types and checks it as the same flag and an explicit flag, which comes
+    later, wins.  A switch is added for true/yes/1 and left out for
+    false/no/0.  Keys of other subcommands are ignored, so one file can serve
+    several.  Raises argparse.ArgumentError when ``--config`` has no value,
+    and ValueError for a malformed line, a key that no subcommand has, or any
+    other switch value.
+    """
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config", default=None)
-    return pre.parse_known_args(argv)[0].config
+    pre.add_argument("--config")
+    pre.add_argument("command", nargs="?")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    known = pre.parse_known_args(argv)[0]
+    commands = {action.dest: action for action in parser._actions}["command"].choices
+    if known.config is None or known.command not in commands:
+        return argv
+    # An option's flag and kind are the same in every subcommand that has it.
+    options = {a.dest: a for sub in commands.values() for a in sub._actions if a.dest != "help"}
+    chosen = {action.dest for action in commands[known.command]._actions}
+    tokens = []
+    for key, value in _load_config(known.config).items():
+        if key not in options:
+            raise ValueError(f"config key {key!r} is not an option of any subcommand")
+        if key not in chosen:
+            continue
+        flag = options[key].option_strings[0]
+        if options[key].nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("true", "yes", "1"):
+            tokens.append(flag)
+        elif value.lower() not in ("false", "no", "0"):
+            raise ValueError(f"config switch {key!r} takes true/yes/1 or false/no/0, not {value!r}")
+    at = len(argv) - len(known.rest)
+    return argv[:at] + tokens + argv[at:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     try:
-        config_path = _config_path(argv)
-        config = {} if config_path is None else _load_config(config_path)
+        argv = _config_argv(argv, parser)
     except (argparse.ArgumentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parser = build_parser(config)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -290,7 +290,12 @@ def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
     rank supports, not to tell a spanning support from round-off.  So
     deficient supports, and those within ``RESCORE_RTOL`` |y|^2 of the
     smallest Gram residual, are scored again by projection onto their column
-    span (:func:`_span_residuals`, one Gram-Schmidt step per column).  On
+    span (:func:`_span_residuals`, one Gram-Schmidt step per column).  That
+    step counts a column as adding nothing when it lies within
+    ``montecarlo._RANK_RTOL`` (1e-8) of the span before it, relative to its
+    norm (:func:`montecarlo._span_step`): at k = m, a support holding two
+    columns closer than that is scored as its smaller span, and a later support
+    wins, though a least-squares fit finds the first spanning y.  On
     square supports (k = m) the Gram residuals were off by up to
     1.4e-10 |y|^2 over 7,000 such draws, beyond ``RESCORE_RTOL``, and every
     support that is not deficient spans y, so for k >= m every support is
@@ -355,7 +360,10 @@ def rate_sharing_recover(
     that is not deficient spans y, and square supports' Gram residuals
     have been seen off by 1.4e-10 |y|^2.  These nodes are scored again by
     projection (:func:`_span_residuals`) in node order, the first two on
-    their own.  The search stops at the second spanning node of a level,
+    their own.  As in :func:`exhaustive_ml`, the projection counts a column
+    within ``montecarlo._RANK_RTOL`` (1e-8) of the span before it, relative
+    to its norm, as adding nothing, so a support holding two columns closer
+    than that is scored as its smaller span.  The search stops at the second spanning node of a level,
     or after the first level with one, whose support :func:`_leaves` reads.
     At k <= n / 2, as :class:`SimConfig` has it, the walk holds no more than
     :func:`exhaustive_ml`'s at the same n and k, which ``MAX_SUPPORTS``

@@ -10,13 +10,28 @@ import pytest
 
 import srdbounds
 from srdbounds import bounds as bd
-from srdbounds.cli import GRID_MAX_POINTS, _coerce, _fmt, _parse_grid, _sliced_from_eta, main
+from srdbounds.cli import (
+    GRID_MAX_POINTS,
+    _fmt,
+    _parse_grid,
+    _sliced_from_eta,
+    build_parser,
+    main,
+)
 from srdbounds.distributions import PointMass, truncate
 from srdbounds.montecarlo import BudgetError
 
 
 def run_cli(args):
     return main(list(args))
+
+
+def exit_code(args):
+    """``main``'s exit code, argparse's usage errors (``SystemExit``) included."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read_csv(path):
@@ -40,13 +55,6 @@ def test_grid_refuses_non_finite_ends():
     for spec in ("0.5:inf:3", "nan:1:3", "1e-3:inf:4:log", "-inf:1:2"):
         with pytest.raises(ValueError, match="grid ends must be finite"):
             _parse_grid(spec)
-
-
-def test_coerce_types():
-    assert _coerce("3") == 3
-    assert _coerce("3.5") == 3.5
-    assert _coerce("true") is True
-    assert _coerce("hello") == "hello"
 
 
 def test_sliced_from_eta_normalization():
@@ -562,24 +570,46 @@ def test_config_file_precedence(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,error",
     [
-        ["truncate-table", "--out", "t.csv", "--config"],
-        ["--config", "missing.cfg", "truncate-table", "--out", "t.csv"],
-        ["--config", "bad.cfg", "truncate-table", "--out", "t.csv"],
-        ["--config=missing.cfg", "truncate-table", "--out", "t.csv"],
-        # a config value bypasses argparse's choices, so verify checks the suite
-        ["--config", "suite.cfg", "verify", "--out", "t.csv"],
+        # --config is read before the subcommand only
+        (["truncate-table", "--out", "t.csv", "--config"],
+         "srdbounds: error: unrecognized arguments: --config"),
+        (["--config"], "error: argument --config: expected one argument"),
+        (["--config", "missing.cfg", "truncate-table", "--out", "t.csv"], "error: [Errno 2] "),
+        (["--config", "bad.cfg", "truncate-table", "--out", "t.csv"],
+         "error: config line is not key = value: bogus line"),
+        (["--config=missing.cfg", "truncate-table", "--out", "t.csv"], "error: [Errno 2] "),
+        # argparse checks a config value as it checks the same flag
+        (["--config", "suite.cfg", "verify", "--out", "t.csv"],
+         "srdbounds verify: error: argument --suite: invalid choice: 'bogus'"),
+        (["--config", "typo.cfg", "truncate-table", "--out", "t.csv"],
+         "error: config key 'trails' is not an option of any subcommand"),
+        (["--config", "switch.cfg", "bounds", "--out", "t.csv"],
+         "error: config switch 'invert' takes true/yes/1 or false/no/0, not 'maybe'"),
     ],
-    ids=["no-value", "missing-file", "malformed-line", "equals-missing-file", "unknown-suite"],
+    ids=[
+        "no-value",
+        "no-value-alone",
+        "missing-file",
+        "malformed-line",
+        "equals-missing-file",
+        "unknown-suite",
+        "unknown-key",
+        "switch-value",
+    ],
 )
-def test_bad_config_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+def test_bad_config_is_usage_error(tmp_path, monkeypatch, capsys, argv, error):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text("bogus line\n")
     (tmp_path / "suite.cfg").write_text("suite = bogus\n")
-    assert run_cli(argv) == 2
+    (tmp_path / "typo.cfg").write_text("grid = 0.5:1:2\ntrails = 5\n")
+    (tmp_path / "switch.cfg").write_text("invert = maybe\n")
+    assert exit_code(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.splitlines()[-1].startswith(error)
+    # ours are one line; argparse prints its usage first
+    assert err.count("\n") == 1 or err.startswith("usage: ")
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -589,6 +619,101 @@ def test_config_equals_form_is_read(tmp_path):
     out = tmp_path / "tab.csv"
     assert run_cli([f"--config={cfg}", "truncate-table", "--out", str(out)]) == 0
     assert len(read_csv(out)) == 1 + 2
+
+
+def test_config_file_may_share_a_subcommands_name(tmp_path, monkeypatch):
+    # The entries go after the subcommand, not after the file's name.
+    monkeypatch.chdir(tmp_path)
+    Path("truncate-table").write_text("grid = 0.5:1:2\n")
+    assert run_cli(["--config", "truncate-table", "truncate-table", "--out", "t.csv"]) == 0
+    assert len(read_csv("t.csv")) == 1 + 2
+
+
+# A small valid run of each subcommand as config entries; the entry under
+# test replaces its own.
+CONFIG_BASES = {
+    "bounds": {"bounds": "p4_iid", "grid": "0.1:0.2:2", "out": "o.csv"},
+    "snr-curve": {"grid": "0:10:2", "out": "o.csv"},
+    "verify": {"suite": "covering", "n": "10", "k": "2", "alpha": "0.5", "out": "o.csv"},
+    "simulate": {"n": "10", "omega": "0.2", "rho": "0.3", "trials": "2", "noiseless": "yes",
+                 "out": "o.csv"},
+    "truncate-table": {"grid": "0.5:1:2", "out": "o.csv"},
+}
+CONFIG_OPTIONS = [
+    (name, action.dest)
+    for name, sub in {a.dest: a for a in build_parser()._actions}["command"].choices.items()
+    for action in sub._actions
+    if action.dest != "help"
+]
+
+
+@pytest.mark.parametrize("command,key", CONFIG_OPTIONS, ids=[f"{c}-{k}" for c, k in CONFIG_OPTIONS])
+def test_config_edge_values_exit_cleanly(tmp_path, monkeypatch, command, key):
+    # Wrong type, bad choice, nan, inf and empty, for every option.  Any
+    # exception but argparse's SystemExit, a traceback, fails the test.
+    for value in ("text", "1e1", "nan", "inf", ""):
+        run_dir = tmp_path / (value or "empty")
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        entries = {**CONFIG_BASES[command], key: value}
+        (run_dir / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        code = exit_code(["--config", "run.cfg", command])
+        assert code in (0, 2, 3, 4), value
+        if code != 0:
+            assert [p.name for p in run_dir.iterdir()] == ["run.cfg"], value
+
+
+@pytest.mark.parametrize(
+    "argv,entry",
+    [
+        (["simulate", "--n", "10", "--omega", "0.2", "--rho", "0.3", "--out", "o.csv"],
+         "trials = 1e1"),
+        (["simulate", "--omega", "0.2", "--rho", "0.3", "--out", "o.csv"], "n = 12.0"),
+        (["truncate-table", "--out", "o.csv"], "grid = 1"),
+        (["bounds", "--out", "o.csv"], "bounds = 4"),
+        (["bounds", "--out", "o.csv"], "seed = inf"),
+        (["verify", "--suite", "covering", "--n", "10", "--out", "o.csv"], "k = 1e-320"),
+    ],
+    ids=["trials-float", "n-float", "grid-number", "bounds-number", "seed-inf", "k-subnormal"],
+)
+def test_config_value_fails_as_the_same_flag_does(tmp_path, monkeypatch, capsys, argv, entry):
+    # Each of these config entries used to end in a traceback.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(entry + "\n")
+    assert exit_code(["--config", "run.cfg", *argv]) == 2
+    from_config = capsys.readouterr().err
+    key, value = (part.strip() for part in entry.split("="))
+    assert exit_code([*argv, f"--{key}={value}"]) == 2
+    assert from_config == capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "config,argv",
+    [
+        ("n = 10\nomega = 0.4\nrho = 0.3\ntrials = 3\nnoiseless = yes\nmatrix = rate_sharing\n"
+         "epsilon = 0\n",
+         ["simulate", "--n", "10", "--omega", "0.4", "--rho", "0.3", "--trials", "3",
+          "--noiseless", "--matrix", "rate_sharing", "--epsilon", "0"]),
+        ("invert = 1\nbounds = p4_iid,t2_genie\ngrid = 1e-4:1e-2:3:log\nsnr-db = 5\n",
+         ["bounds", "--invert", "--bounds", "p4_iid,t2_genie", "--grid", "1e-4:1e-2:3:log",
+          "--snr-db", "5"]),
+        ("dist = sliced\neta = 0.3\ngrid = 0.05:1:4:log\ninvert = no\n",
+         ["truncate-table", "--dist", "sliced", "--eta", "0.3", "--grid", "0.05:1:4:log"]),
+    ],
+    ids=["simulate", "bounds-invert", "truncate-table"],
+)
+def test_config_gives_what_the_same_flags_give(tmp_path, monkeypatch, capsys, config, argv):
+    (tmp_path / "run.cfg").write_text(config)
+    outputs = []
+    for side, args in (("flags", argv), ("config", ["--config", "../run.cfg", argv[0]])):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        assert run_cli([*args, "--out", "o.csv"]) == 0
+        manifest = Path("o.csv.manifest").read_text()
+        config_hash = [line for line in manifest.splitlines() if line.startswith("config_hash")]
+        outputs.append((Path("o.csv").read_bytes(), config_hash, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(
@@ -696,19 +821,33 @@ def test_verify_all_reaches_every_suite(tmp_path):
     assert suites == {"truncation", "mp_logdet", "det_power", "covering", "power_ratio", "rank"}
 
 
-def test_installed_entry_point_usage_error():
-    # The subprocess finds the package where this process imported it from,
-    # installed or not.
+def run_entry_point(args, cwd=None):
+    """Run the CLI in a child process that finds the package where this
+    process imported it from, installed or not."""
     src = str(Path(srdbounds.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "srdbounds.cli", "bounds", "--grid", "bad"],
+    return subprocess.run(
+        [sys.executable, "-m", "srdbounds.cli", *args],
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
     )
-    assert proc.returncode == 2
+
+
+def test_installed_entry_point_usage_error():
+    assert run_entry_point(["bounds", "--grid", "bad"]).returncode == 2
+
+
+def test_config_out_names_a_file(tmp_path):
+    # A config's out = 1 used to write the CSV to file descriptor 1.
+    (tmp_path / "run.cfg").write_text("grid = 0.5:1:2\nout = 1\n")
+    proc = run_entry_point(["--config", "run.cfg", "truncate-table"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "wrote 2 rows to 1\n"
+    assert read_csv(tmp_path / "1")[0] == ["beta", "threshold", "mean", "variance", "diff_entropy"]
+    assert (tmp_path / "1.manifest").exists()
 
 
 def run_child(script):

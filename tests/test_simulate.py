@@ -311,6 +311,30 @@ def test_ml_rescores_every_square_support():
         assert abs(result.runner_up_gap - gap) <= scale
 
 
+def test_searches_score_a_column_within_rank_rtol_of_its_span_as_adding_nothing():
+    # Columns 0 and 1 lie 1e-9 apart, inside _RANK_RTOL = 1e-8, and y is in
+    # their span with weights ~1e9.  A least-squares fit finds (0, 1, 2)
+    # spanning y, but the projection scores it as span{0, 2}, so ML at
+    # k = m = 3 picks the next spanning support and rate sharing's stage 1
+    # finds no spanning pair.
+    for trial in range(5):
+        rng = trial_rng(42, trial)
+        mat = rng.standard_normal((3, 6))
+        mat[:, 1] = mat[:, 0] + 1e-9 * rng.standard_normal(3)
+        y = mat[:, 0] + (mat[:, 1] - mat[:, 0]) / 1e-9
+        norm_y = float(y @ y)
+        fit, *_ = np.linalg.lstsq(mat[:, :3], y, rcond=None)
+        assert float(np.sum((y - mat[:, :3] @ fit) ** 2)) <= 1e-12 * norm_y
+        smaller_span = sim._span_residuals(y, mat, np.array([[0, 2]]))[0]
+        assert sim._span_residuals(y, mat, np.array([[0, 1, 2]]))[0] == smaller_span
+        assert smaller_span > 1e-3 * norm_y
+        result = sim.exhaustive_ml(y, mat, 3)
+        assert result.support == (0, 2, 3)
+        assert result.residual_min <= 1e-28 * norm_y
+        with pytest.raises(sim.MultipleMinimalSupportsError, match="size 3$"):
+            sim.rate_sharing_recover(y, mat, 3, np.array([], dtype=int), rng)
+
+
 # ---------------------------------------------------------------------------
 # Rate sharing
 # ---------------------------------------------------------------------------
