@@ -13,6 +13,7 @@ import csv
 import datetime
 import hashlib
 import math
+import re
 import sys
 
 import numpy as np
@@ -540,7 +541,9 @@ def _load_config(path: str) -> dict:
     values = {}
     with open(path) as fh:
         for raw in fh:
-            line = raw.split("#", 1)[0].strip()
+            # A comment starts at a # that begins the line or follows
+            # whitespace, so a value such as run#1.csv keeps its #.
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

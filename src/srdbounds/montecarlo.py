@@ -33,9 +33,11 @@ _TABLE_ENTRIES = 1 << 26  # covering_bracket's supports, subset ranks and counts
 # simulate's matrix: 128 MB of float64.  verify's samplers refuse above it.
 _MATRIX_ENTRIES = 1 << 24
 _RANK_RTOL = 1e-8  # a column this close to its span, relative to its norm, adds nothing
-# Tree nodes or supports handled per step of a search: the temporaries are
-# then small enough for the allocator to reuse, instead of paging in fresh
-# memory at each one.
+# Tree nodes or supports handled per step of a search: each chunk's
+# temporaries are then small enough for the allocator to reuse for the next
+# chunk.  That holds only for them: a search's level arrays, which outlive
+# their chunks, would be paged in afresh on every call, and are kept across
+# calls in simulate's per-thread workspace instead.
 _CHUNK = 1 << 15
 
 

@@ -621,6 +621,17 @@ def test_config_equals_form_is_read(tmp_path):
     assert len(read_csv(out)) == 1 + 2
 
 
+def test_config_comment_starts_only_at_line_start_or_after_whitespace(tmp_path, monkeypatch):
+    # out = run#1.csv used to write "run" and "run.manifest" and exit 0.
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(
+        "# a comment line\n  # an indented one\ngrid = 0.5:1:2  # a trailing one\nout = run#1.csv\n"
+    )
+    assert run_cli(["--config", "run.cfg", "truncate-table"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.csv", "run#1.csv.manifest", "run.cfg"]
+    assert len(read_csv("run#1.csv")) == 1 + 2
+
+
 def test_config_file_may_share_a_subcommands_name(tmp_path, monkeypatch):
     # The entries go after the subcommand, not after the file's name.
     monkeypatch.chdir(tmp_path)

@@ -3,6 +3,8 @@
 import copy
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -207,13 +209,20 @@ def test_ml_breaks_ties_lexicographically_when_every_support_spans():
         assert result.residual_min <= 1e-28
 
 
+def clear_workspace():
+    """Drop the calling thread's level buffers, so its next walk starts cold."""
+    sim._workspace.sets = ([], [])
+
+
 def test_ml_reads_only_the_supports_it_rescores():
     # n = 24, k = 6: a table of all 134,596 supports would hold 6.2 MiB.  With
-    # the prefix tree cached, the walk's own level fields trace about 5.8 MiB.
+    # the prefix tree cached and the workspace empty, the walk's own level
+    # fields and chunk temporaries trace about 6.2 MiB.
     rng = trial_rng(3, 0)
     mat = rng.standard_normal((8, 24)) / math.sqrt(24)
     y = mat[:, [1, 5, 9, 13, 17, 21]] @ rng.standard_normal(6)
     sim._prefix_tree(24, 6)
+    clear_workspace()
     tracemalloc.start()
     try:
         result = sim.exhaustive_ml(y, mat, 6)
@@ -222,6 +231,104 @@ def test_ml_reads_only_the_supports_it_rescores():
         tracemalloc.stop()
     assert result.support == (1, 5, 9, 13, 17, 21)
     assert peak < 7 << 20
+
+
+def ml_draw(n, k, m, seed):
+    rng = trial_rng(seed, n)
+    mat = rng.standard_normal((m, n)) / math.sqrt(n)
+    x = np.zeros(n)
+    x[rng.choice(n, k, replace=False)] = rng.standard_normal(k)
+    return mat @ x + (rng.standard_normal(m) if seed % 2 else 0.0), mat, k
+
+
+def rate_sharing_draw(seed):
+    cfg = config(n=24, omega=0.25, rho=0.15, matrix="rate_sharing", epsilon=0.1)
+    rng = trial_rng(seed, 0)
+    drawn = sim.sample(sim.draw_source(cfg, rng), cfg, rng)
+    return drawn.y, drawn.matrix, cfg.k, drawn.zeroed, rng
+
+
+def search(call):
+    """repr of one search's result, or of the declared error it raises."""
+    if call[0] == "ml":
+        return repr(sim.exhaustive_ml(*call[1]))
+    y, mat, k, zeroed, rng = call[1]
+    try:
+        return repr(sim.rate_sharing_recover(y, mat, k, zeroed, copy.deepcopy(rng)))
+    except sim.MultipleMinimalSupportsError as exc:
+        return repr(exc)
+
+
+# Large, small and large again, each beside rate sharing's small walks, so
+# a walk reads buffers longer than its levels, left by another shape.
+INTERLEAVED = [
+    ("ml", ml_draw(24, 6, 8, 1)),
+    ("rs", rate_sharing_draw(1)),
+    ("ml", ml_draw(12, 3, 5, 2)),
+    ("rs", rate_sharing_draw(2)),
+    ("ml", ml_draw(12, 3, 3, 3)),
+    ("ml", ml_draw(24, 6, 8, 4)),
+    ("rs", rate_sharing_draw(3)),
+    ("ml", ml_draw(20, 4, 4, 5)),
+]
+
+
+def cold_search(call):
+    clear_workspace()
+    return search(call)
+
+
+def test_searches_ignore_what_earlier_walks_left_in_the_workspace():
+    cold = [cold_search(call) for call in INTERLEAVED]
+    clear_workspace()
+    assert [search(call) for call in INTERLEAVED] == cold
+    assert [search(call) for call in reversed(INTERLEAVED)] == cold[::-1]
+
+
+def test_threads_walk_in_their_own_workspaces():
+    # More threads than cores, each cycling through its own order of the
+    # interleaved calls, with frequent switches between them.
+    serial = [cold_search(call) for call in INTERLEAVED]
+    results = {}
+
+    def worker(t):
+        order = [(t + 3 * i) % len(INTERLEAVED) for i in range(len(INTERLEAVED))]
+        results[t] = [(i, search(INTERLEAVED[i])) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for got in results.values():
+        assert got == [(i, serial[i]) for i, _ in got]
+
+
+def test_warm_ml_reuses_its_level_buffers():
+    # The parent of the workspace traced 5.8 MiB on every call at n = 24,
+    # k = 6; a warm call keeps only its chunk temporaries, about 2.6 MiB.
+    y, mat, k = ml_draw(24, 6, 8, 1)
+    sim._prefix_tree(24, 6)
+    clear_workspace()
+    first = sim.exhaustive_ml(y, mat, k)
+    buffers = [list(s) for s in sim._workspace.sets]
+    tracemalloc.start()
+    try:
+        second = sim.exhaustive_ml(y, mat, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert repr(second) == repr(first)
+    assert [len(s) for s in buffers] == [7, 8]
+    assert all(a is b for old, new in zip(buffers, sim._workspace.sets) for a, b in zip(old, new))
+    assert peak < 3.5 * 2**20
 
 
 def test_ml_ties_between_parallel_columns_go_to_the_first():
@@ -570,6 +677,7 @@ def test_rate_sharing_stage1_memory_stays_small():
     rng = trial_rng(cfg.seed, 0)
     drawn = sim.sample(sim.draw_source(cfg, rng), cfg, rng)
     assert (cfg.k, cfg.m, cfg.n - len(drawn.zeroed)) == (6, 6, 26)
+    clear_workspace()
     tracemalloc.start()
     try:
         with pytest.raises(sim.MultipleMinimalSupportsError, match="^several spanning supports of size 6$"):
@@ -582,9 +690,11 @@ def test_rate_sharing_stage1_memory_stays_small():
 
 def traced_stage1_peak(cfg, cold):
     """Traced peak of one rate_sharing_recover call on trial 0's draw, with
-    its prefix tree built inside the call (``cold``) or cached before it."""
+    its prefix tree built inside the call (``cold``) or cached before it, and
+    its level buffers always allocated inside it."""
     live = cfg.n - cfg.zeroed_size
     sim._prefix_tree.cache_clear()
+    clear_workspace()
     if not cold:
         sim._prefix_tree(live, min(live, cfg.m, cfg.k))
     rng = trial_rng(0, 0)
