@@ -4,9 +4,9 @@ Random-matrix log-determinant and determinant-power limits, rank-deficiency
 decay for discrete matrix entries (a stack of trials decided exactly by one
 fraction-free elimination), exact pattern-counting with covering-number
 brackets, and the truncated-power ratio scan, plus the support enumeration
-(a lexicographic prefix tree, read leaf by leaf) and the Gram-Schmidt span
-step that every exhaustive search shares.  Per-trial randomness comes from
-a counter-based generator keyed by the (seed, trial) pair; a loop over
+(a lexicographic prefix tree, read leaf by leaf) that the covering bracket
+shares with simulate's two exhaustive searches.  Per-trial randomness comes
+from a counter-based generator keyed by the (seed, trial) pair; a loop over
 trials re-keys one such generator instead of building one per trial.
 
 Both random-matrix limits sample one bidiagonal matrix of chi variates per
@@ -32,13 +32,6 @@ _CHUNK_BYTES = 1 << 22  # rank_deficiency's stacks of draws
 _TABLE_ENTRIES = 1 << 26  # covering_bracket's supports, subset ranks and counts
 # simulate's matrix: 128 MB of float64.  verify's samplers refuse above it.
 _MATRIX_ENTRIES = 1 << 24
-_RANK_RTOL = 1e-8  # a column this close to its span, relative to its norm, adds nothing
-# Tree nodes or supports handled per step of a search: each chunk's
-# temporaries are then small enough for the allocator to reuse for the next
-# chunk.  That holds only for them: a search's level arrays, which outlive
-# their chunks, would be paged in afresh on every call, and are kept across
-# calls in simulate's per-thread workspace instead.
-_CHUNK = 1 << 15
 
 
 class BudgetError(ValueError):
@@ -255,7 +248,7 @@ def rank_deficiency(
 
 
 # ---------------------------------------------------------------------------
-# Support enumeration and span residuals
+# Support enumeration
 # ---------------------------------------------------------------------------
 
 
@@ -294,41 +287,6 @@ def _leaves(levels, nodes) -> np.ndarray:
     for j, (parent, last) in reversed(list(enumerate(levels))):
         out[:, j] = last[nodes]
         nodes = parent[nodes]
-    return out
-
-
-def _span_step(basis: np.ndarray, y_perp: np.ndarray, cols: np.ndarray):
-    """Extend N spans by one column each, the node index last throughout.
-
-    ``basis`` (j, m, N) holds each span's orthonormal columns, ``y_perp``
-    (m, N) the part of y orthogonal to it and ``cols`` (m, N) the columns to
-    add.  Classical Gram-Schmidt applied twice ("twice is enough") leaves v,
-    the part of a column orthogonal to its span.  If |v| is at most
-    ``_RANK_RTOL`` times the column's norm, the column adds nothing: q = 0 and
-    the span and y_perp stay as they are.  Otherwise q = v / |v| and
-    y_perp loses its component along q.  Returns q (m, N) and the new y_perp.
-    """
-    v = cols
-    for _ in range(2):
-        v = v - np.einsum("jmn,jn->mn", basis, np.einsum("jmn,mn->jn", basis, v))
-    norm = np.sqrt(np.einsum("mn,mn->n", v, v))
-    spans = norm > _RANK_RTOL * np.sqrt(np.einsum("mn,mn->n", cols, cols))
-    q = v * np.divide(1.0, norm, out=np.zeros_like(norm), where=spans)
-    return q, y_perp - q * np.einsum("mn,mn->n", q, y_perp)
-
-
-def _span_residuals(y: np.ndarray, mat: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """Squared distance from y to the span of mat's columns for every row of
-    ``supports``, by one :func:`_span_step` per column, ``_CHUNK`` rows at a
-    time."""
-    out = np.empty(len(supports))
-    for start in range(0, len(supports), _CHUNK):
-        rows = supports[start : start + _CHUNK]
-        basis = np.empty((rows.shape[1], len(y), len(rows)))
-        y_perp = np.repeat(y[:, None], len(rows), axis=1)
-        for t in range(rows.shape[1]):
-            basis[t], y_perp = _span_step(basis[:t], y_perp, mat[:, rows[:, t]])
-        out[start : start + len(rows)] = np.einsum("mn,mn->n", y_perp, y_perp)
     return out
 
 

@@ -8,34 +8,28 @@ at a time with one step, :func:`_extend`, doing the work a prefix shares
 once per prefix: each node's residual is the last pivot of a bordered
 Cholesky factor of its Gram matrix, so the cost depends on the number of
 samples only through one Gram product.  The nodes whose Gram residual
-cannot be trusted or is near a decision are scored again by projection
-(:func:`_span_residuals`).  The levels' fields live in a per-thread
-workspace (:class:`_Workspace`) that keeps, across calls, about the two
-largest consecutive levels any walk in that thread has needed, so repeated
-searches of one shape allocate no level array.  Problem sizes are capped so
-the exhaustive search stays tractable; the point is bound verification, not
-scalable estimation.
+cannot be trusted or is near a decision are scored again by projection onto
+their column span, one Gram-Schmidt step per column (:func:`_span_step`,
+:func:`_span_residuals`), under this module's rank tolerance ``_RANK_RTOL``.
+The levels' fields live in a per-thread workspace (:class:`_Workspace`) that
+keeps, across calls, about the two largest consecutive levels any walk in
+that thread has needed, so repeated searches of one shape allocate no level
+array.  Each trial draws from its own stream (``montecarlo.trial_rngs``),
+so a run's output is decided by its configuration and seed alone.  Problem
+sizes are capped so the exhaustive search stays tractable; the point is
+bound verification, not scalable estimation.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import DistributionSpec, moments, sample_values, scale_to_snr
-from .montecarlo import (
-    _CHUNK,
-    _MATRIX_ENTRIES,
-    BudgetError,
-    _leaves,
-    _prefix_tree,
-    _span_residuals,
-    trial_rngs,
-)
+from .montecarlo import _MATRIX_ENTRIES, BudgetError, _leaves, _prefix_tree, trial_rngs
 
 SPAN_RTOL = 1e-9
 MAX_SUPPORTS = 1_000_000
@@ -47,6 +41,13 @@ MAX_SUPPORTS = 1_000_000
 PIVOT_RTOL = 1e-3
 RESCORE_RTOL = 1e-10
 TIE_RTOL = 1e-14
+_RANK_RTOL = 1e-8  # a column this close to its span, relative to its norm, adds nothing
+# Tree nodes or supports handled per step of a search: each chunk's
+# temporaries are then small enough for the allocator to reuse for the next
+# chunk.  That holds only for them: a search's level arrays, which outlive
+# their chunks, would be paged in afresh on every call, and are kept across
+# calls in the per-thread workspace (:class:`_Workspace`) instead.
+_CHUNK = 1 << 15
 
 
 class MultipleMinimalSupportsError(RuntimeError):
@@ -163,7 +164,6 @@ class SimSummary:
     mean_distortion: float
     distortion_se: float
     exact_rate: float
-    truncated: bool = False
 
 
 @dataclass(frozen=True)
@@ -311,6 +311,41 @@ def _extend(gram, col_norms, state, above, level, keep):
     return tuple(grown)
 
 
+def _span_step(basis: np.ndarray, y_perp: np.ndarray, cols: np.ndarray):
+    """Extend N spans by one column each, the node index last throughout.
+
+    ``basis`` (j, m, N) holds each span's orthonormal columns, ``y_perp``
+    (m, N) the part of y orthogonal to it and ``cols`` (m, N) the columns to
+    add.  Classical Gram-Schmidt applied twice ("twice is enough") leaves v,
+    the part of a column orthogonal to its span.  If |v| is at most
+    ``_RANK_RTOL`` times the column's norm, the column adds nothing: q = 0 and
+    the span and y_perp stay as they are.  Otherwise q = v / |v| and
+    y_perp loses its component along q.  Returns q (m, N) and the new y_perp.
+    """
+    v = cols
+    for _ in range(2):
+        v = v - np.einsum("jmn,jn->mn", basis, np.einsum("jmn,mn->jn", basis, v))
+    norm = np.sqrt(np.einsum("mn,mn->n", v, v))
+    spans = norm > _RANK_RTOL * np.sqrt(np.einsum("mn,mn->n", cols, cols))
+    q = v * np.divide(1.0, norm, out=np.zeros_like(norm), where=spans)
+    return q, y_perp - q * np.einsum("mn,mn->n", q, y_perp)
+
+
+def _span_residuals(y: np.ndarray, mat: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Squared distance from y to the span of mat's columns for every row of
+    ``supports``, by one :func:`_span_step` per column, ``_CHUNK`` rows at a
+    time."""
+    out = np.empty(len(supports))
+    for start in range(0, len(supports), _CHUNK):
+        rows = supports[start : start + _CHUNK]
+        basis = np.empty((rows.shape[1], len(y), len(rows)))
+        y_perp = np.repeat(y[:, None], len(rows), axis=1)
+        for t in range(rows.shape[1]):
+            basis[t], y_perp = _span_step(basis[:t], y_perp, mat[:, rows[:, t]])
+        out[start : start + len(rows)] = np.einsum("mn,mn->n", y_perp, y_perp)
+    return out
+
+
 def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
     """Search all size-k supports (1 <= k <= n) for the smallest projection
     residual.
@@ -336,8 +371,8 @@ def exhaustive_ml(y: np.ndarray, mat: np.ndarray, k: int) -> MLResult:
     smallest Gram residual, are scored again by projection onto their column
     span (:func:`_span_residuals`, one Gram-Schmidt step per column).  That
     step counts a column as adding nothing when it lies within
-    ``montecarlo._RANK_RTOL`` (1e-8) of the span before it, relative to its
-    norm (:func:`montecarlo._span_step`): at k = m, a support holding two
+    ``_RANK_RTOL`` (1e-8) of the span before it, relative to its norm
+    (:func:`_span_step`): at k = m, a support holding two
     columns closer than that is scored as its smaller span, and a later support
     wins, though a least-squares fit finds the first spanning y.  On
     square supports (k = m) the Gram residuals were off by up to
@@ -408,7 +443,7 @@ def rate_sharing_recover(
     have been seen off by 1.4e-10 |y|^2.  These nodes are scored again by
     projection (:func:`_span_residuals`) in node order, the first two on
     their own.  As in :func:`exhaustive_ml`, the projection counts a column
-    within ``montecarlo._RANK_RTOL`` (1e-8) of the span before it, relative
+    within ``_RANK_RTOL`` (1e-8) of the span before it, relative
     to its norm, as adding nothing, so a support holding two columns closer
     than that is scored as its smaller span.  The search stops at the second spanning node of a level,
     or after the first level with one, whose support :func:`_leaves` reads.
@@ -460,23 +495,15 @@ def rate_sharing_recover(
     return tuple(sorted(set(stage1) | set(int(i) for i in fill)))
 
 
-def run_experiment(
-    config: SimConfig, time_budget_s: float | None = None
-) -> tuple[list[SimOutcome], SimSummary]:
-    """Run all trials; deterministic given (config, seed).
+def run_experiment(config: SimConfig) -> tuple[list[SimOutcome], SimSummary]:
+    """Run every trial; deterministic given (config, seed).
 
     Declared rate-sharing errors are excluded from the distortion mean and
-    counted in ``declared_errors``.  A time budget, when given, may truncate
-    the trial list (flagged in the summary).
+    counted in ``declared_errors``.
     """
     outcomes: list[SimOutcome] = []
     declared = 0
-    start = time.monotonic()
-    truncated = False
     for trial, rng in enumerate(trial_rngs(config.seed, range(config.trials))):
-        if time_budget_s is not None and time.monotonic() - start > time_budget_s:
-            truncated = True
-            break
         x = draw_source(config, rng)
         true_support = tuple(int(i) for i in np.nonzero(x)[0])
         drawn = sample(x, config, rng)
@@ -504,7 +531,6 @@ def run_experiment(
         mean_distortion=float(np.mean(dists)),
         distortion_se=se,
         exact_rate=sum(o.exact for o in outcomes) / completed if completed else math.nan,
-        truncated=truncated,
     )
     return outcomes, summary
 

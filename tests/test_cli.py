@@ -1,12 +1,17 @@
 """CLI contract: CSV schema, manifests, config precedence, exit codes."""
 
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srdbounds
 from srdbounds import bounds as bd
@@ -307,6 +312,18 @@ def test_verify_rank_rows_do_not_depend_on_the_suites_before(tmp_path):
         ["verify", "--suite", "all", "--k", "3", "--out", "v.csv"],
         ["verify", "--suite", "all", "--n", "64", "--alpha", "0.25", "--out", "v.csv"],
         ["verify", "--suite", "rank", "--n", "64", "--k", "2", "--out", "v.csv"],
+        # flags the run would ignore: a noisy run cannot also be noiseless,
+        # and --eps-mass and --mu2-over-sigma2 set only their own family
+        ["simulate", "--n", "10", "--omega", "0.2", "--rho", "0.3", "--snr-db", "10",
+         "--noiseless", "--trials", "2", "--out", "s.csv"],
+        ["bounds", "--dist", "gaussian", "--eps-mass", "0.1", "--out", "b.csv"],
+        ["truncate-table", "--dist", "sliced", "--eps-mass", "0.3", "--out", "t.csv"],
+        ["simulate", "--n", "10", "--omega", "0.2", "--rho", "0.3", "--noiseless",
+         "--dist", "uniform", "--eps-mass", "0.1", "--trials", "2", "--out", "s.csv"],
+        ["bounds", "--dist", "gaussian", "--mu2-over-sigma2", "4", "--out", "b.csv"],
+        ["bounds", "--dist", "pointmass", "--mu2-over-sigma2", "4", "--bounds", "p4_iid",
+         "--out", "b.csv"],
+        ["truncate-table", "--dist", "sliced", "--mu2-over-sigma2", "4", "--out", "t.csv"],
     ],
     ids=[
         "rank-zero-trials",
@@ -333,6 +350,13 @@ def test_verify_rank_rows_do_not_depend_on_the_suites_before(tmp_path):
         "verify-all-k",
         "verify-all-alpha-with-n",
         "verify-rank-k-with-n",
+        "simulate-snr-db-with-noiseless",
+        "bounds-gaussian-eps-mass",
+        "truncate-table-sliced-eps-mass",
+        "simulate-uniform-eps-mass",
+        "bounds-gaussian-mu2-over-sigma2",
+        "bounds-pointmass-mu2-over-sigma2",
+        "truncate-table-sliced-mu2-over-sigma2",
     ],
 )
 def test_out_of_range_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
@@ -587,6 +611,10 @@ def test_config_file_precedence(tmp_path):
          "error: config key 'trails' is not an option of any subcommand"),
         (["--config", "switch.cfg", "bounds", "--out", "t.csv"],
          "error: config switch 'invert' takes true/yes/1 or false/no/0, not 'maybe'"),
+        # an explicit flag wins over an entry, but cannot undo a switch it excludes
+        (["--config", "quiet.cfg", "simulate", "--n", "10", "--omega", "0.2", "--rho", "0.3",
+          "--trials", "2", "--snr-db", "10", "--out", "t.csv"],
+         "error: --snr-db and --noiseless exclude each other"),
     ],
     ids=[
         "no-value",
@@ -597,6 +625,7 @@ def test_config_file_precedence(tmp_path):
         "unknown-suite",
         "unknown-key",
         "switch-value",
+        "noiseless-with-snr-db",
     ],
 )
 def test_bad_config_is_usage_error(tmp_path, monkeypatch, capsys, argv, error):
@@ -605,6 +634,7 @@ def test_bad_config_is_usage_error(tmp_path, monkeypatch, capsys, argv, error):
     (tmp_path / "suite.cfg").write_text("suite = bogus\n")
     (tmp_path / "typo.cfg").write_text("grid = 0.5:1:2\ntrails = 5\n")
     (tmp_path / "switch.cfg").write_text("invert = maybe\n")
+    (tmp_path / "quiet.cfg").write_text("noiseless = yes\n")
     assert exit_code(argv) == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith(error)
@@ -650,9 +680,10 @@ CONFIG_BASES = {
                  "out": "o.csv"},
     "truncate-table": {"grid": "0.5:1:2", "out": "o.csv"},
 }
+SUBPARSERS = {a.dest: a for a in build_parser()._actions}["command"].choices
 CONFIG_OPTIONS = [
     (name, action.dest)
-    for name, sub in {a.dest: a for a in build_parser()._actions}["command"].choices.items()
+    for name, sub in SUBPARSERS.items()
     for action in sub._actions
     if action.dest != "help"
 ]
@@ -672,6 +703,58 @@ def test_config_edge_values_exit_cleanly(tmp_path, monkeypatch, command, key):
         assert code in (0, 2, 3, 4), value
         if code != 0:
             assert [p.name for p in run_dir.iterdir()] == ["run.cfg"], value
+
+
+# Zero, negative, not a number, infinite, near the top and the bottom of the
+# float range, and empty.
+EDGE_VALUES = ("0", "-1", "nan", "inf", "1e308", "1e-320", "")
+# Small runs of each subcommand; the flags drawn come after them and so win.
+FLAG_BASES = {
+    "bounds": ["--bounds=p4_iid", "--grid=0.1:0.2:2", "--out=o.csv"],
+    "snr-curve": ["--grid=0:10:2", "--out=o.csv"],
+    "verify": ["--suite=covering", "--n=10", "--out=o.csv"],
+    "simulate": ["--n=10", "--omega=0.2", "--rho=0.3", "--trials=2", "--out=o.csv"],
+    "truncate-table": ["--grid=0.5:1:2", "--out=o.csv"],
+}
+
+
+@st.composite
+def edge_flags(draw, command):
+    """Up to three of the subcommand's own flags, each with an edge value or
+    one of its choices; a switch is given bare."""
+    actions = [a for a in SUBPARSERS[command]._actions if a.dest != "help"]
+    tokens = []
+    for action in draw(st.lists(st.sampled_from(actions), max_size=3, unique=True)):
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            tokens.append(flag)
+        else:
+            value = draw(st.sampled_from([*EDGE_VALUES, *(action.choices or ())]))
+            tokens.append(f"{flag}={value}")
+    return tokens
+
+
+@pytest.mark.parametrize("command", list(FLAG_BASES))
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_flag_edge_values_exit_cleanly(command, data):
+    # The flag channel's contract: any exception but argparse's SystemExit
+    # fails the test, and so does a traceback or a file left by a refused run
+    # (exit 2 or 4).  A verify whose checks fail (exit 3, as --suite all at
+    # --n=10 does) still writes its report: that is its output.
+    argv = [command, *FLAG_BASES[command], *data.draw(edge_flags(command))]
+    err, cwd = io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as run_dir:
+        os.chdir(run_dir)  # the edge values name files too (--out=0)
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = exit_code(argv)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if code in (2, 4):
+            assert os.listdir(run_dir) == [], argv
 
 
 @pytest.mark.parametrize(

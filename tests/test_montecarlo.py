@@ -649,44 +649,6 @@ def test_covering_bracket_pinned_at_the_ends_of_alpha(n, k, alpha, bracket):
     assert mc.covering_bracket(n, k, alpha) == bracket
 
 
-def lstsq_residuals(y, mat, supports):
-    """Reference: one least-squares fit per support."""
-    out = []
-    for cols in (mat[:, list(s)] for s in supports):
-        fit, *_ = np.linalg.lstsq(cols, y, rcond=None)
-        out.append(float(np.sum((y - cols @ fit) ** 2)))
-    return np.array(out)
-
-
-def test_projection_residuals_match_lstsq_on_deficient_spans():
-    rng = np.random.default_rng(8)
-    mat = rng.standard_normal((5, 8))
-    mat[:, 0] = 0.0  # a zero column ahead of others defeats a plain QR rank test
-    mat[:, 2] = mat[:, 1]
-    mat[:, 6] = 2.0 * mat[:, 4] - mat[:, 3]
-    y = rng.standard_normal(5)
-    for k in (1, 2, 3, 4, 6):  # k = 6 > m = 5 makes every support wide
-        supports = mc._leaves(mc._prefix_tree(8, k), np.arange(math.comb(8, k)))
-        got = mc._span_residuals(y, mat, supports)
-        assert np.allclose(got, lstsq_residuals(y, mat, supports), rtol=1e-10, atol=1e-12)
-
-
-def test_span_residuals_on_nearly_dependent_columns():
-    # Four columns within 1e-5 of each other (condition number ~1e5): one
-    # Gram-Schmidt pass loses orthogonality in proportion to its square and
-    # leaves a residual far above round-off on the support that spans y.
-    rng = np.random.default_rng(11)
-    supports = mc._leaves(mc._prefix_tree(5, 4), np.arange(5))
-    for _ in range(10):
-        base = rng.standard_normal(5)
-        mat = np.column_stack([base + d * rng.standard_normal(5) for d in (0, 1e-5, 1e-5, 1e-5, 1)])
-        y = mat[:, :4] @ rng.standard_normal(4)
-        got = mc._span_residuals(y, mat, supports) / (y @ y)
-        assert got[0] <= 1e-26
-        want = lstsq_residuals(y, mat, supports[1:]) / (y @ y)
-        assert np.allclose(got[1:], want, rtol=1e-5, atol=0)
-
-
 def test_leaves_are_lexicographic_combinations():
     def combinations(n, j):
         rows = list(itertools.combinations(range(n), j))

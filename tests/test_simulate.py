@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from srdbounds import simulate as sim
 from srdbounds.distributions import Gaussian
-from srdbounds.montecarlo import _CHUNK, BudgetError, _leaves, _prefix_tree, _span_step, trial_rng
+from srdbounds.montecarlo import BudgetError, _leaves, _prefix_tree, trial_rng
+from srdbounds.simulate import _CHUNK, _span_step
 
 
 def config(**kw):
@@ -353,6 +354,44 @@ def test_ml_scores_nearly_dependent_supports_by_projection():
         result = sim.exhaustive_ml(y, mat, 3)
         assert result.support == (0, 1, 2)
         assert result.residual_min <= 1e-16 * float(y @ y)
+
+
+def lstsq_residuals(y, mat, supports):
+    """Reference: one least-squares fit per support."""
+    out = []
+    for cols in (mat[:, list(s)] for s in supports):
+        fit, *_ = np.linalg.lstsq(cols, y, rcond=None)
+        out.append(float(np.sum((y - cols @ fit) ** 2)))
+    return np.array(out)
+
+
+def test_projection_residuals_match_lstsq_on_deficient_spans():
+    rng = np.random.default_rng(8)
+    mat = rng.standard_normal((5, 8))
+    mat[:, 0] = 0.0  # a zero column ahead of others defeats a plain QR rank test
+    mat[:, 2] = mat[:, 1]
+    mat[:, 6] = 2.0 * mat[:, 4] - mat[:, 3]
+    y = rng.standard_normal(5)
+    for k in (1, 2, 3, 4, 6):  # k = 6 > m = 5 makes every support wide
+        supports = _leaves(_prefix_tree(8, k), np.arange(math.comb(8, k)))
+        got = sim._span_residuals(y, mat, supports)
+        assert np.allclose(got, lstsq_residuals(y, mat, supports), rtol=1e-10, atol=1e-12)
+
+
+def test_span_residuals_on_nearly_dependent_columns():
+    # Four columns within 1e-5 of each other (condition number ~1e5): one
+    # Gram-Schmidt pass loses orthogonality in proportion to its square and
+    # leaves a residual far above round-off on the support that spans y.
+    rng = np.random.default_rng(11)
+    supports = _leaves(_prefix_tree(5, 4), np.arange(5))
+    for _ in range(10):
+        base = rng.standard_normal(5)
+        mat = np.column_stack([base + d * rng.standard_normal(5) for d in (0, 1e-5, 1e-5, 1e-5, 1)])
+        y = mat[:, :4] @ rng.standard_normal(4)
+        got = sim._span_residuals(y, mat, supports) / (y @ y)
+        assert got[0] <= 1e-26
+        want = lstsq_residuals(y, mat, supports[1:]) / (y @ y)
+        assert np.allclose(got[1:], want, rtol=1e-5, atol=0)
 
 
 def lstsq_ml(y, mat, k):
@@ -814,15 +853,6 @@ def test_seeds_give_distinct_trial_streams():
         outcomes, _ = sim.run_experiment(cfg)
         multisets.add(tuple(sorted(o.residual_min for o in outcomes)))
     assert len(multisets) == 4
-
-
-def test_run_experiment_time_budget_flags_truncation():
-    # A trial takes about 6 ms with the prefix tree cached, so 50 trials
-    # fitted in the 0.3 s budget on some runs; 500 cannot.
-    cfg = config(n=24, omega=0.25, rho=0.75, snr_db=10.0, trials=500, seed=13)
-    _, summary = sim.run_experiment(cfg, time_budget_s=0.3)
-    assert summary.truncated
-    assert summary.completed < cfg.trials
 
 
 def test_random_guess_regime_one_sample_short():
