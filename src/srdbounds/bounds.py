@@ -50,6 +50,7 @@ import enum
 import functools
 import logging
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -410,10 +411,12 @@ def p3_general(source: SourceParams, alpha: float) -> float:
 def _any_matrix_rate(pref: float, r: float, v: float) -> float:
     """The rate that the any-matrix condition ``rho/2 * log(1 + v) >= pref * r``
     rules out: p3 at ``pref = 1``, t2 at one beta's row.  A target rate or a
-    variance of 0 (one that underflowed rules out no rate here) gives 0."""
+    variance of 0 (one that underflowed rules out no rate here) gives 0, and
+    a quotient past the float range, at a subnormal variance, the largest
+    finite float, which understates it."""
     if r == 0.0 or v == 0.0:
         return 0.0
-    return 2.0 * pref * r / math.log1p(v)
+    return min(2.0 * float(pref * r) / math.log1p(v), sys.float_info.max)
 
 
 def _genie_params(source: SourceParams, beta):

@@ -13,6 +13,7 @@ import csv
 import datetime
 import hashlib
 import math
+import os
 import re
 import sys
 
@@ -54,8 +55,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# The files this run has opened for writing, which main removes when the run
+# is refused (exit 2 or 4), so that a refused run leaves no file behind.
+_written: list[str] = []
+
+
+def _create(path: str, **kwargs):
+    """Open ``path`` for writing and note it in ``_written`` once it is open,
+    so a file that could not be opened is never removed."""
+    fh = open(path, "w", **kwargs)
+    _written.append(path)
+    return fh
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _create(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -75,7 +89,7 @@ def _write_manifest(out_path: str, command: str, args_dict: dict, seed) -> None:
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(out_path + ".manifest", "w") as fh:
+    with _create(out_path + ".manifest") as fh:
         for key in ("command", "config_hash", "seed", "tool_version", "timestamp"):
             fh.write(f"{key} = {lines[key]}\n")
 
@@ -452,7 +466,7 @@ def cmd_simulate(args) -> int:
     ]
     _write_csv(args.out, ["trial", "distortion", "exact", "residual_min", "runner_up_gap"], rows)
     _write_manifest(args.out, "simulate", _namespace_dict(args), args.seed)
-    with open(args.out + ".summary", "w") as fh:
+    with _create(args.out + ".summary") as fh:
         fh.write(f"trials = {summary.trials}\n")
         fh.write(f"completed = {summary.completed}\n")
         fh.write(f"declared_errors = {summary.declared_errors}\n")
@@ -528,7 +542,7 @@ def _write_svg(path: str, series: dict, xlabel: str, ylabel: str) -> None:
             f'fill="{color}" font-size="11">{name}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 
@@ -691,14 +705,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     args = parser.parse_args(argv)
+    _written.clear()
     try:
         return args.func(args)
     except BudgetError as exc:
         print(f"budget refused: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        code = EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_USAGE
+    for path in set(_written):
+        os.remove(path)
+    return code
 
 
 if __name__ == "__main__":

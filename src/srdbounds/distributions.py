@@ -570,14 +570,19 @@ def scale_to_snr(dist: DistributionSpec, omega: float, snr_db: float) -> Distrib
     return scale_to_power(dist, omega, power)
 
 
+def _check_omega(omega: float) -> None:
+    """Refuse a sparsity rate outside (0, 0.5]."""
+    if not 0.0 < omega <= 0.5:
+        raise ValueError(f"omega must lie in (0, 0.5], got {omega}")
+
+
 def scale_to_power(dist: DistributionSpec, omega: float, target_power: float) -> DistributionSpec:
     """Rescale so the vector-source power ``omega * E[X^2]`` equals the target.
 
     Scaling is linear in the values, so the decay rate and all shape ratios
     are preserved.  A power that underflows to 0 raises ValueError.
     """
-    if not 0.0 < omega <= 0.5:
-        raise ValueError(f"omega must lie in (0, 0.5], got {omega}")
+    _check_omega(omega)
     if not target_power > 0:
         raise ValueError(f"target power must be positive, got {target_power}")
     if not (power := omega * moments(dist).second_moment) > 0.0:

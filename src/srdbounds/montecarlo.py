@@ -3,9 +3,8 @@
 Random-matrix log-determinant and determinant-power limits, rank-deficiency
 decay for discrete matrix entries (a stack of trials decided exactly by one
 fraction-free elimination), exact pattern-counting with covering-number
-brackets, and the truncated-power ratio scan, plus the support enumeration
-(a lexicographic prefix tree, read leaf by leaf) that the covering bracket
-shares with simulate's two exhaustive searches.  Per-trial randomness comes
+brackets (whose supports ``itertools.combinations`` lists in lexicographic
+order), and the truncated-power ratio scan.  Per-trial randomness comes
 from a counter-based generator keyed by the (seed, trial) pair; a loop over
 trials re-keys one such generator instead of building one per trial.
 
@@ -20,7 +19,6 @@ import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -248,49 +246,6 @@ def rank_deficiency(
 
 
 # ---------------------------------------------------------------------------
-# Support enumeration
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=8)
-def _prefix_tree(n: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The lexicographic prefix tree of the subsets of range(n) of size at
-    most k.
-
-    Level j (j = 1..k) holds every size-j subset, as an increasing sequence,
-    in lexicographic order, as two arrays: the index of its first j - 1
-    elements in level j - 1 (level 0 is the empty sequence, index 0) and its
-    last element.  A node's children extend it by each larger element, are
-    contiguous and end at n - 1, so the sibling that ends in c instead of a
-    sits c - a places later.  Level k is the size-k subsets themselves, read
-    by :func:`_leaves`, and the tree to depth j < k is its first j levels.
-    """
-    levels = []
-    last = np.full(1, -1)  # the empty sequence: its children start at 0
-    for _ in range(k):
-        counts = n - 1 - last
-        parent = np.repeat(np.arange(len(last)), counts)
-        first = np.cumsum(counts) - counts
-        last = last[parent] + 1 + np.arange(len(parent)) - first[parent]
-        parent.setflags(write=False)
-        last.setflags(write=False)
-        levels.append((parent, last))
-    return tuple(levels)
-
-
-def _leaves(levels, nodes) -> np.ndarray:
-    """The supports at the indices ``nodes`` of the last level of ``levels``
-    (a :func:`_prefix_tree` or its first j levels), one increasing row each,
-    read by climbing from each node to the root."""
-    nodes = np.asarray(nodes, dtype=np.intp)
-    out = np.empty((len(nodes), len(levels)), dtype=np.int64)
-    for j, (parent, last) in reversed(list(enumerate(levels))):
-        out[:, j] = last[nodes]
-        nodes = parent[nodes]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Pattern counting and covering brackets
 # ---------------------------------------------------------------------------
 
@@ -341,7 +296,8 @@ def covering_bracket(n: int, k: int, alpha: float, seed: int = 0) -> tuple[int, 
             f"{keep} or more each exceed the budget of {_TABLE_ENTRIES} entries"
         )
     # One row per position, so that member[supports] sums along contiguous rows.
-    supports = np.ascontiguousarray(_leaves(_prefix_tree(n, k), np.arange(total)).T)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    supports = np.ascontiguousarray(np.fromiter(flat, np.int64, total * k).reshape(total, k).T)
     # A row per s-subset of positions: the colex rank sum_t C(a_t, t) of each
     # support's a_1 < ... < a_s there, past the ranks of the smaller sizes.
     binom = np.array([[math.comb(a, t) for a in range(n)] for t in range(k + 1)], dtype=np.int32)

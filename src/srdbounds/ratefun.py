@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionSpec, Gaussian, moments
+from .distributions import DistributionSpec, Gaussian, _check_omega, moments
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -210,11 +210,6 @@ def source_functionals(omega: float, dist: DistributionSpec) -> SourceParams:
     entropy_power = omega * n_f
     theta = n_f / (m.variance + (1.0 - omega) * m.mean**2)
     return SourceParams(omega, dist, power, variance, entropy_power, theta)
-
-
-def _check_omega(omega: float) -> None:
-    if not 0.0 < omega <= 0.5:
-        raise ValueError(f"omega must lie in (0, 0.5], got {omega}")
 
 
 def _check_args(omega: float, alpha: float) -> None:

@@ -3,21 +3,23 @@
 Stochastic sparse sources, unit-row-power sampling matrices (i.i.d. Gaussian
 or the column-zeroing rate-sharing construction), exhaustive maximum-likelihood
 recovery over all candidate supports, and the two-stage rate-sharing decoder.
-Both searches walk the lexicographic prefix tree of the supports one level
-at a time with one step, :func:`_extend`, doing the work a prefix shares
-once per prefix: each node's residual is the last pivot of a bordered
-Cholesky factor of its Gram matrix, so the cost depends on the number of
-samples only through one Gram product.  The nodes whose Gram residual
-cannot be trusted or is near a decision are scored again by projection onto
-their column span, one Gram-Schmidt step per column (:func:`_span_step`,
-:func:`_span_residuals`), under this module's rank tolerance ``_RANK_RTOL``.
-The levels' fields live in a per-thread workspace (:class:`_Workspace`) that
-keeps, across calls, about the two largest consecutive levels any walk in
-that thread has needed, so repeated searches of one shape allocate no level
-array.  Each trial draws from its own stream (``montecarlo.trial_rngs``),
-so a run's output is decided by its configuration and seed alone.  Problem
-sizes are capped so the exhaustive search stays tractable; the point is
-bound verification, not scalable estimation.
+Both searches walk the lexicographic prefix tree of the supports, which this
+module builds (:func:`_prefix_tree`, read leaf by leaf by :func:`_leaves`)
+beside the one step that relies on its layout, :func:`_extend`.  The walk
+goes one level at a time and does the work a prefix shares once per prefix:
+each node's residual is the last pivot of a bordered Cholesky factor of its
+Gram matrix, so the cost depends on the number of samples only through one
+Gram product.  The nodes whose Gram residual cannot be trusted or is near a
+decision are scored again by projection onto their column span, one
+Gram-Schmidt step per column (:func:`_span_step`, :func:`_span_residuals`),
+under this module's rank tolerance ``_RANK_RTOL``.  The levels' fields live
+in a per-thread workspace (:class:`_Workspace`) that keeps, across calls,
+about the two largest consecutive levels any walk in that thread has
+needed, so repeated searches of one shape allocate no level array.  Each
+trial draws from its own stream (``montecarlo.trial_rngs``), so a run's
+output is decided by its configuration and seed alone.  Problem sizes are
+capped so the exhaustive search stays tractable; the point is bound
+verification, not scalable estimation.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .distributions import DistributionSpec, moments, sample_values, scale_to_snr
-from .montecarlo import _MATRIX_ENTRIES, BudgetError, _leaves, _prefix_tree, trial_rngs
+from .distributions import DistributionSpec, _check_omega, moments, sample_values, scale_to_snr
+from .montecarlo import _MATRIX_ENTRIES, BudgetError, trial_rngs
 
 SPAN_RTOL = 1e-9
 MAX_SUPPORTS = 1_000_000
@@ -84,8 +87,7 @@ class SimConfig:
     def __post_init__(self):
         if not 8 <= self.n <= 28:
             raise ValueError(f"n must lie in [8, 28], got {self.n}")
-        if not 0.0 < self.omega <= 0.5:
-            raise ValueError(f"omega must lie in (0, 0.5], got {self.omega}")
+        _check_omega(self.omega)
         if self.k < 1:
             raise ValueError("k = floor(omega * n) must be at least 1")
         if not math.isfinite(self.rho):
@@ -261,6 +263,44 @@ class _Workspace(threading.local):
 
 
 _workspace = _Workspace()
+
+
+@lru_cache(maxsize=8)
+def _prefix_tree(n: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The lexicographic prefix tree of the subsets of range(n) of size at
+    most k.
+
+    Level j (j = 1..k) holds every size-j subset, as an increasing sequence,
+    in lexicographic order, as two arrays: the index of its first j - 1
+    elements in level j - 1 (level 0 is the empty sequence, index 0) and its
+    last element.  A node's children extend it by each larger element, are
+    contiguous and end at n - 1, so the sibling that ends in c instead of a
+    sits c - a places later.  Level k is the size-k subsets themselves, read
+    by :func:`_leaves`, and the tree to depth j < k is its first j levels.
+    """
+    levels = []
+    last = np.full(1, -1)  # the empty sequence: its children start at 0
+    for _ in range(k):
+        counts = n - 1 - last
+        parent = np.repeat(np.arange(len(last)), counts)
+        first = np.cumsum(counts) - counts
+        last = last[parent] + 1 + np.arange(len(parent)) - first[parent]
+        parent.setflags(write=False)
+        last.setflags(write=False)
+        levels.append((parent, last))
+    return tuple(levels)
+
+
+def _leaves(levels, nodes) -> np.ndarray:
+    """The supports at the indices ``nodes`` of the last level of ``levels``
+    (a :func:`_prefix_tree` or its first j levels), one increasing row each,
+    read by climbing from each node to the root."""
+    nodes = np.asarray(nodes, dtype=np.intp)
+    out = np.empty((len(nodes), len(levels)), dtype=np.int64)
+    for j, (parent, last) in reversed(list(enumerate(levels))):
+        out[:, j] = last[nodes]
+        nodes = parent[nodes]
+    return out
 
 
 def _extend(gram, col_norms, state, above, level, keep):

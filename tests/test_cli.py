@@ -324,6 +324,9 @@ def test_verify_rank_rows_do_not_depend_on_the_suites_before(tmp_path):
         ["bounds", "--dist", "pointmass", "--mu2-over-sigma2", "4", "--bounds", "p4_iid",
          "--out", "b.csv"],
         ["truncate-table", "--dist", "sliced", "--mu2-over-sigma2", "4", "--out", "t.csv"],
+        # the SVG cannot be opened after the CSV and its manifest are written
+        ["bounds", "--grid", "0.1:0.2:2", "--out", "b.csv", "--svg", "missing/x.svg"],
+        ["snr-curve", "--grid", "0:10:2", "--out", "s.csv", "--svg", "missing/x.svg"],
     ],
     ids=[
         "rank-zero-trials",
@@ -357,6 +360,8 @@ def test_verify_rank_rows_do_not_depend_on_the_suites_before(tmp_path):
         "bounds-gaussian-mu2-over-sigma2",
         "bounds-pointmass-mu2-over-sigma2",
         "truncate-table-sliced-mu2-over-sigma2",
+        "bounds-svg-in-missing-directory",
+        "snr-curve-svg-in-missing-directory",
     ],
 )
 def test_out_of_range_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
@@ -364,7 +369,7 @@ def test_out_of_range_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not list(tmp_path.glob("*.csv"))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -412,6 +417,22 @@ def test_t2_skips_a_beta_whose_variance_underflows(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err == ""
     (row,) = read_csv(tmp_path / "b.csv")[1:]
     assert row[0] == "t2_genie" and 0.0 < float(row[2]) < float("inf")
+
+
+def test_t2_past_the_float_range_writes_the_largest_float(tmp_path, monkeypatch, capsys):
+    # At alpha = eta = 1e-320 the point mass's t2 rows divide by log1p of a
+    # subnormal variance, and the quotient, finite in exact arithmetic,
+    # passes the float range.  t2 writes the largest float, which
+    # understates it, and no RuntimeWarning (the test filter would turn one
+    # into an error).  The sliced source's rows do not move.
+    monkeypatch.chdir(tmp_path)
+    argv = ["snr-curve", "--grid", "0:10:2", "--alpha", "1e-320", "--eta", "1e-320",
+            "--out", "s.csv"]
+    assert run_cli(argv) == 0
+    assert "Warning" not in capsys.readouterr().err
+    rows = read_csv(tmp_path / "s.csv")[1:]
+    assert [(r[1], r[5]) for r in rows] == [("1.79769313486e+308",) * 2] * 2
+    assert [r[3] for r in rows] == ["2.55532535945e+204", "2.55532535945e+203"]
 
 
 def test_genie_bounds_skip_a_beta_whose_cut_fails(tmp_path, monkeypatch, caplog):
@@ -862,6 +883,17 @@ def test_bounds_svg_output(tmp_path):
         assert code == 0
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
+
+
+def test_simulate_whose_summary_cannot_be_written_leaves_no_file(tmp_path, monkeypatch):
+    # The CSV and its manifest are written before the summary fails to open;
+    # the refused run (exit 2) removes them.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o.csv.summary").mkdir()  # in the way of the summary file
+    argv = ["simulate", "--n", "10", "--omega", "0.2", "--rho", "0.3", "--noiseless",
+            "--trials", "2", "--out", "o.csv"]
+    assert run_cli(argv) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["o.csv.summary"]
 
 
 def test_truncate_table(tmp_path):

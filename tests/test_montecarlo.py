@@ -590,7 +590,8 @@ def covering_bracket_by_table(n, k, alpha):
     lowers the gains through the table rows of the supports it covers."""
     total, width = math.comb(n, k), mc.n_tilde(n, k, alpha)
     incidence = np.zeros((total, n), dtype=np.float32)
-    np.put_along_axis(incidence, mc._leaves(mc._prefix_tree(n, k), np.arange(total)), 1.0, axis=1)
+    supports = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(total, k)
+    np.put_along_axis(incidence, supports, 1.0, axis=1)
     overlap = incidence @ incidence.T
     # Flat positions, less each row's offset, are the column indices.
     cols = np.flatnonzero(overlap >= k - math.floor(alpha * k)).reshape(-1, width)
@@ -649,36 +650,6 @@ def test_covering_bracket_pinned_at_the_ends_of_alpha(n, k, alpha, bracket):
     assert mc.covering_bracket(n, k, alpha) == bracket
 
 
-def test_leaves_are_lexicographic_combinations():
-    def combinations(n, j):
-        rows = list(itertools.combinations(range(n), j))
-        return np.array(rows, dtype=np.int64).reshape(len(rows), j)
-
-    rng = np.random.default_rng(4)
-    for n in (1, 5, 9, 24):
-        for k in range(0, min(n, 6) + 1):
-            levels = mc._prefix_tree(n, k)
-            want = combinations(n, k)
-            assert np.array_equal(mc._leaves(levels, np.arange(len(want))), want)
-            nodes = rng.integers(0, len(want), size=min(len(want), 50))
-            assert np.array_equal(mc._leaves(levels, nodes), want[nodes])
-            # The first j levels are the tree to depth j, as stage 1 reads them.
-            for j in range(k):
-                want = combinations(n, j)
-                nodes = rng.integers(0, len(want), size=min(len(want), 50))
-                assert np.array_equal(mc._leaves(levels[:j], nodes), want[nodes])
-
-
-def test_prefix_tree_lists_every_extension_of_every_prefix():
-    n, k = 9, 4
-    levels = mc._prefix_tree(n, k)
-    prefixes = [()]
-    for j, (parent, last) in enumerate(levels, start=1):
-        nodes = [prefixes[p] + (int(c),) for p, c in zip(parent, last)]
-        assert nodes == list(itertools.combinations(range(n), j))
-        prefixes = nodes
-
-
 def test_covering_budget_guard():
     with pytest.raises(ValueError):
         mc.covering_bracket(30, 5, 0.5)
@@ -702,7 +673,6 @@ def test_covering_budget_counts_the_subset_ranks():
 
 def test_covering_bracket_holds_no_neighbour_table():
     # A neighbour table of these 7,315 supports would alone take 29 MB.
-    mc._prefix_tree.cache_clear()  # count the tree too
     tracemalloc.start()
     try:
         assert mc.covering_bracket(22, 4, 0.5) == (8, 21)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from srdbounds import simulate as sim
 from srdbounds.distributions import Gaussian
-from srdbounds.montecarlo import BudgetError, _leaves, _prefix_tree, trial_rng
-from srdbounds.simulate import _CHUNK, _span_step
+from srdbounds.montecarlo import BudgetError, trial_rng
+from srdbounds.simulate import _CHUNK, _leaves, _prefix_tree, _span_step
 
 
 def config(**kw):
@@ -162,6 +162,41 @@ def test_support_distortion_values():
     assert sim.support_distortion((0, 1, 2), (0, 1, 5)) == pytest.approx(1 / 3)
     with pytest.raises(ValueError):
         sim.support_distortion((0, 1), (0, 1, 2))
+
+
+# ---------------------------------------------------------------------------
+# Support enumeration
+# ---------------------------------------------------------------------------
+
+
+def test_leaves_are_lexicographic_combinations():
+    def combinations(n, j):
+        rows = list(itertools.combinations(range(n), j))
+        return np.array(rows, dtype=np.int64).reshape(len(rows), j)
+
+    rng = np.random.default_rng(4)
+    for n in (1, 5, 9, 24):
+        for k in range(0, min(n, 6) + 1):
+            levels = _prefix_tree(n, k)
+            want = combinations(n, k)
+            assert np.array_equal(_leaves(levels, np.arange(len(want))), want)
+            nodes = rng.integers(0, len(want), size=min(len(want), 50))
+            assert np.array_equal(_leaves(levels, nodes), want[nodes])
+            # The first j levels are the tree to depth j, as stage 1 reads them.
+            for j in range(k):
+                want = combinations(n, j)
+                nodes = rng.integers(0, len(want), size=min(len(want), 50))
+                assert np.array_equal(_leaves(levels[:j], nodes), want[nodes])
+
+
+def test_prefix_tree_lists_every_extension_of_every_prefix():
+    n, k = 9, 4
+    levels = _prefix_tree(n, k)
+    prefixes = [()]
+    for j, (parent, last) in enumerate(levels, start=1):
+        nodes = [prefixes[p] + (int(c),) for p, c in zip(parent, last)]
+        assert nodes == list(itertools.combinations(range(n), j))
+        prefixes = nodes
 
 
 # ---------------------------------------------------------------------------
